@@ -1,8 +1,8 @@
 // Google-benchmark micro-benchmarks for the substrates: DES kernel event
 // throughput, task fan-out, RNG/zipfian generation, wire serialization,
-// policy parsing/evaluation, lock-service cycles, storage-tier ops — plus a
-// small end-to-end macro section (a PaperCluster put/get stream) measuring
-// wall-clock per simulated second and client latency percentiles.
+// policy parsing/evaluation, lock-service cycles, storage-tier ops, sampler
+// scrapes — plus a host-speed calibration loop the regression gate divides
+// by. End-to-end numbers live in perfbench/ (perfbench/run.py).
 //
 // Custom driver (replaces BENCHMARK_MAIN):
 //   micro_bench [--quick] [--json PATH] [gbench flags...]
@@ -12,19 +12,18 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "coord/lock_service.h"
-#include "harness.h"
 #include "obs/sampler.h"
 #include "policy/builtin_policies.h"
 #include "policy/eval.h"
 #include "policy/parser.h"
 #include "rpc/wire.h"
-#include "sim/obs_pipeline.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "store/tier.h"
@@ -33,6 +32,34 @@
 
 namespace wiera {
 namespace {
+
+// ------------------------------------------------------------ calibration
+
+// Host-speed yardstick for the regression gate (scripts/bench_check.sh):
+// a fixed mix of what the gated micros spend their time on — a heap-sized
+// string build, a byte-wise hash, and a small ordered-map lookup. Each
+// micro is gated on its ops/s divided by this loop's ops/s from the same
+// process, so a uniformly faster or slower host cancels out.
+constexpr char kCalibration[] = "BM_Calibration";
+
+void BM_Calibration(benchmark::State& state) {
+  std::map<std::string, int> table;
+  for (int i = 0; i < 16; ++i) {
+    table.emplace("calibration-key-" + std::to_string(i), i);
+  }
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const std::string key = "calibration-key-" + std::to_string(i++ % 16);
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : key) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    auto it = table.find(key);
+    benchmark::DoNotOptimize(h + static_cast<uint64_t>(it->second));
+  }
+}
+BENCHMARK(BM_Calibration);
 
 // ------------------------------------------------------------ sim kernel
 
@@ -327,158 +354,34 @@ class RecordingReporter : public benchmark::ConsoleReporter {
   }
 };
 
-// End-to-end macro measurement: a PaperCluster under MultiPrimaries serving
-// a put/get stream from one client. Tracks (a) host wall-clock per
-// simulated second — the simulator-speed axis — and (b) client latency
-// percentiles out of the obs::Registry histograms — the simulated-latency
-// axis. Warm-up ops run before WallTimer::start() per the harness contract.
-struct MacroStats {
-  double ops = 0;
-  double wall_us = 0;
-  double sim_seconds = 0;
-  double put_p50_us = 0;
-  double put_p99_us = 0;
-  double get_p50_us = 0;
-  double get_p99_us = 0;
-  // Scrapes the armed ObsPipeline performed (0 for unsampled runs).
-  double scrapes = 0;
-
-  double ops_per_wall_sec() const {
-    return wall_us > 0 ? ops / (wall_us / 1e6) : 0;
-  }
-  double wall_us_per_sim_sec() const {
-    return sim_seconds > 0 ? wall_us / sim_seconds : 0;
-  }
-};
-
-// scrape_interval > 0 arms the ObsPipeline for the run (the sampler-overhead
-// section, docs/METRICS_PIPELINE.md); zero keeps the seed unsampled path.
-MacroStats run_macro(bool quick,
-                     Duration scrape_interval = Duration::zero()) {
-  using wiera::bench::PaperCluster;
-  MacroStats out;
-  PaperCluster cluster(/*seed=*/7);
-  auto options =
-      cluster.options_for(policy::builtin::multi_primaries_consistency());
-  auto peers = cluster.controller.start_instances("bench", std::move(options));
-  if (!peers.ok()) {
-    std::fprintf(stderr, "macro start: %s\n",
-                 peers.status().to_string().c_str());
-    std::abort();
-  }
-  sim::ObsPipeline pipeline(cluster.sim);
-  if (scrape_interval > Duration::zero()) {
-    sim::ObsPipeline::Config obs_config;
-    obs_config.interval = scrape_interval;
-    // The harness stops the sim when the workload body completes, so a far
-    // horizon just means "scrape for the whole measured run".
-    obs_config.until = TimePoint::origin() + sec(100000);
-    pipeline.arm(obs_config);
-  }
-  geo::WieraClient client(cluster.sim, cluster.network, cluster.registry,
-                          "app-us-east", "client-us-east", *peers);
-  const int kWarmup = quick ? 50 : 200;
-  const int kOps = quick ? 400 : 2000;
-  wiera::bench::WallTimer timer;
-  cluster.run([&]() -> sim::Task<void> {
-    const Blob value = Blob::zeros(4096);
-    for (int i = 0; i < kWarmup; ++i) {
-      co_await client.put("warm" + std::to_string(i % 16), value);
-      co_await client.get("warm" + std::to_string(i % 16));
-    }
-    timer.start();
-    const TimePoint sim_start = cluster.sim.now();
-    for (int i = 0; i < kOps; ++i) {
-      co_await client.put("key" + std::to_string(i % 64), value);
-      co_await client.get("key" + std::to_string(i % 64));
-    }
-    out.wall_us = timer.elapsed_us();
-    out.sim_seconds = (cluster.sim.now() - sim_start).seconds();
-    out.ops = 2.0 * kOps;
-  });
-  auto& registry = cluster.sim.telemetry().registry();
-  const obs::LabelSet labels{{"client", "app-us-east"}};
-  auto* put_hist = registry.histogram("wiera_client_put_latency_us", labels);
-  auto* get_hist = registry.histogram("wiera_client_get_latency_us", labels);
-  out.put_p50_us = static_cast<double>(put_hist->percentile(0.50).us());
-  out.put_p99_us = static_cast<double>(put_hist->percentile(0.99).us());
-  out.get_p50_us = static_cast<double>(get_hist->percentile(0.50).us());
-  out.get_p99_us = static_cast<double>(get_hist->percentile(0.99).us());
-  if (pipeline.sampler() != nullptr) {
-    out.scrapes = static_cast<double>(pipeline.sampler()->scrapes());
-  }
-  return out;
-}
-
-// Sampler-overhead section (docs/METRICS_PIPELINE.md): the identical macro
-// stream unsampled, scraped every 10ms, and scraped every 1ms of virtual
-// time. The delta in ops/wall-sec is the host-side cost an armed pipeline
-// adds; the virtual-time schedule cost is already visible in sim_seconds.
-struct SamplerOverhead {
-  MacroStats off;
-  MacroStats per10ms;
-  MacroStats per1ms;
-
-  static double overhead_pct(const MacroStats& base, const MacroStats& with) {
-    const double a = base.ops_per_wall_sec();
-    const double b = with.ops_per_wall_sec();
-    return a > 0 ? (a - b) / a * 100.0 : 0;
-  }
-};
-
-SamplerOverhead run_sampler_overhead(bool quick) {
-  SamplerOverhead out;
-  out.off = run_macro(quick);
-  out.per10ms = run_macro(quick, msec(10));
-  out.per1ms = run_macro(quick, msec(1));
-  return out;
-}
-
 void write_json(const std::string& path, bool quick,
-                const std::vector<RecordingReporter::Row>& rows,
-                const MacroStats& macro, const SamplerOverhead& sampler) {
+                const std::vector<RecordingReporter::Row>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::abort();
   }
-  std::fprintf(f, "{\n  \"schema\": \"wiera-bench-micro/1\",\n");
+  double calibration = 0;
+  for (const auto& r : rows) {
+    if (r.name == kCalibration) calibration = r.ops_per_sec;
+  }
+  std::fprintf(f, "{\n  \"schema\": \"wiera-bench-micro/2\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
+  std::fprintf(f, "  \"calibration\": \"%s\",\n", kCalibration);
   std::fprintf(f, "  \"micro\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
+    // `relative` (ops/s over the calibration's ops/s) is what the gate
+    // compares; the absolute numbers are a record of this host only.
+    const double relative = calibration > 0 ? r.ops_per_sec / calibration : 0;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"ns_per_iter\": %.2f, "
-                 "\"ops_per_sec\": %.2f, \"bytes_per_sec\": %.2f}%s\n",
+                 "\"ops_per_sec\": %.2f, \"bytes_per_sec\": %.2f, "
+                 "\"relative\": %.6g}%s\n",
                  r.name.c_str(), r.ns_per_iter, r.ops_per_sec,
-                 r.bytes_per_sec, i + 1 < rows.size() ? "," : "");
+                 r.bytes_per_sec, relative, i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"macro\": {\n");
-  std::fprintf(f, "    \"ops\": %.0f,\n", macro.ops);
-  std::fprintf(f, "    \"wall_us\": %.1f,\n", macro.wall_us);
-  std::fprintf(f, "    \"ops_per_wall_sec\": %.2f,\n",
-               macro.ops_per_wall_sec());
-  std::fprintf(f, "    \"sim_seconds\": %.3f,\n", macro.sim_seconds);
-  std::fprintf(f, "    \"wall_us_per_sim_sec\": %.1f,\n",
-               macro.wall_us_per_sim_sec());
-  std::fprintf(f, "    \"put_p50_us\": %.0f,\n", macro.put_p50_us);
-  std::fprintf(f, "    \"put_p99_us\": %.0f,\n", macro.put_p99_us);
-  std::fprintf(f, "    \"get_p50_us\": %.0f,\n", macro.get_p50_us);
-  std::fprintf(f, "    \"get_p99_us\": %.0f\n", macro.get_p99_us);
-  std::fprintf(f, "  },\n  \"sampler\": {\n");
-  std::fprintf(f, "    \"off_ops_per_wall_sec\": %.2f,\n",
-               sampler.off.ops_per_wall_sec());
-  std::fprintf(f, "    \"interval_10ms_ops_per_wall_sec\": %.2f,\n",
-               sampler.per10ms.ops_per_wall_sec());
-  std::fprintf(f, "    \"interval_1ms_ops_per_wall_sec\": %.2f,\n",
-               sampler.per1ms.ops_per_wall_sec());
-  std::fprintf(f, "    \"scrapes_10ms\": %.0f,\n", sampler.per10ms.scrapes);
-  std::fprintf(f, "    \"scrapes_1ms\": %.0f,\n", sampler.per1ms.scrapes);
-  std::fprintf(f, "    \"overhead_10ms_pct\": %.2f,\n",
-               SamplerOverhead::overhead_pct(sampler.off, sampler.per10ms));
-  std::fprintf(f, "    \"overhead_1ms_pct\": %.2f\n",
-               SamplerOverhead::overhead_pct(sampler.off, sampler.per1ms));
-  std::fprintf(f, "  }\n}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
@@ -510,31 +413,8 @@ int main(int argc, char** argv) {
   wiera::RecordingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  // The overhead section's unsampled run doubles as the macro measurement.
-  wiera::SamplerOverhead sampler = wiera::run_sampler_overhead(quick);
-  const wiera::MacroStats& macro = sampler.off;
-  std::printf("\n--- macro: PaperCluster put/get (MultiPrimaries) ---\n");
-  std::printf("ops %.0f | wall %.1f ms | %.0f ops/wall-sec | "
-              "%.1f ms-wall per sim-sec\n",
-              macro.ops, macro.wall_us / 1e3, macro.ops_per_wall_sec(),
-              macro.wall_us_per_sim_sec() / 1e3);
-  std::printf("put p50/p99 %.0f/%.0f us | get p50/p99 %.0f/%.0f us\n",
-              macro.put_p50_us, macro.put_p99_us, macro.get_p50_us,
-              macro.get_p99_us);
-  std::printf("\n--- sampler overhead: same stream, ObsPipeline armed ---\n");
-  std::printf("off %.0f ops/wall-sec | 10ms %.0f (%.1f%% overhead, "
-              "%.0f scrapes) | 1ms %.0f (%.1f%% overhead, %.0f scrapes)\n",
-              sampler.off.ops_per_wall_sec(),
-              sampler.per10ms.ops_per_wall_sec(),
-              wiera::SamplerOverhead::overhead_pct(sampler.off,
-                                                   sampler.per10ms),
-              sampler.per10ms.scrapes, sampler.per1ms.ops_per_wall_sec(),
-              wiera::SamplerOverhead::overhead_pct(sampler.off,
-                                                   sampler.per1ms),
-              sampler.per1ms.scrapes);
-
   if (!json_path.empty()) {
-    wiera::write_json(json_path, quick, reporter.rows, macro, sampler);
+    wiera::write_json(json_path, quick, reporter.rows);
     std::printf("wrote %s\n", json_path.c_str());
   }
   benchmark::Shutdown();

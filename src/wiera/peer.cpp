@@ -5,25 +5,25 @@
 
 #include "common/checksum.h"
 #include "common/logging.h"
+#include "common/small_vec.h"
 
 namespace wiera::geo {
 
 namespace {
 constexpr char kComponent[] = "peer";
 
-// Extract the latency threshold a DynamicConsistency policy compares
-// against (`threshold.latency > 800 ms`), so the monitor knows when a
-// violation streak starts without hard-coding the number.
-Duration extract_latency_threshold(const policy::PolicyDoc& doc) {
-  Duration threshold = Duration::max();
+// Every duration literal a policy's event rules compare `path` against
+// (`threshold.latency > 800 ms`), in rule order.
+std::vector<Duration> threshold_literals(const policy::PolicyDoc& doc,
+                                         std::string_view path) {
+  std::vector<Duration> out;
   std::function<void(const policy::Expr&)> scan = [&](const policy::Expr& e) {
     if (!e.is_binary()) return;
     const auto& bin = e.binary();
-    if (bin.lhs->is_path() &&
-        bin.lhs->path().dotted() == "threshold.latency" &&
+    if (bin.lhs->is_path() && bin.lhs->path().dotted() == path &&
         bin.rhs->is_literal() &&
         bin.rhs->literal().value.kind == policy::Value::Kind::kDuration) {
-      threshold = std::min(threshold, bin.rhs->literal().value.duration);
+      out.push_back(bin.rhs->literal().value.duration);
       return;
     }
     scan(*bin.lhs);
@@ -37,6 +37,17 @@ Duration extract_latency_threshold(const policy::PolicyDoc& doc) {
       }
     }
   }
+  return out;
+}
+
+// Extract the latency threshold a DynamicConsistency policy compares
+// against (`threshold.latency > 800 ms`), so the monitor knows when a
+// violation streak starts without hard-coding the number.
+Duration extract_latency_threshold(const policy::PolicyDoc& doc) {
+  Duration threshold = Duration::max();
+  for (Duration d : threshold_literals(doc, "threshold.latency")) {
+    threshold = std::min(threshold, d);
+  }
   return threshold;
 }
 
@@ -45,26 +56,8 @@ Duration extract_latency_threshold(const policy::PolicyDoc& doc) {
 // names no bound — stale serving stays disabled rather than unbounded.
 Duration extract_staleness_threshold(const policy::PolicyDoc& doc) {
   Duration bound = Duration::zero();
-  std::function<void(const policy::Expr&)> scan = [&](const policy::Expr& e) {
-    if (!e.is_binary()) return;
-    const auto& bin = e.binary();
-    if (bin.lhs->is_path() &&
-        bin.lhs->path().dotted() == "threshold.staleness" &&
-        bin.rhs->is_literal() &&
-        bin.rhs->literal().value.kind == policy::Value::Kind::kDuration) {
-      bound = std::max(bound, bin.rhs->literal().value.duration);
-      return;
-    }
-    scan(*bin.lhs);
-    scan(*bin.rhs);
-  };
-  for (const auto& rule : doc.events) {
-    for (const auto& stmt : rule.response) {
-      if (!stmt.is_if()) continue;
-      for (const auto& branch : stmt.if_stmt().branches) {
-        if (branch.condition != nullptr) scan(*branch.condition);
-      }
-    }
+  for (Duration d : threshold_literals(doc, "threshold.staleness")) {
+    bound = std::max(bound, d);
   }
   return bound;
 }
@@ -107,6 +100,35 @@ std::optional<ChangeAction> find_change_action(
     return out;
   }
   return std::nullopt;
+}
+
+// The status a finished span reports: "ok" or the status-code name.
+std::string_view span_status(const Status& st) {
+  return st.ok() ? "ok" : status_code_name(st.code());
+}
+
+// Walk a monitoring policy's rules under `ctx` and hand `act` the
+// change_policy action of each rule that fires: per rule, the first branch
+// of its first if-statement whose condition holds.
+template <typename Act>
+void for_each_fired_change(const policy::PolicyDoc& doc,
+                           const policy::MapContext& ctx, Act&& act) {
+  for (const auto& rule : doc.events) {
+    for (const auto& stmt : rule.response) {
+      if (!stmt.is_if()) continue;
+      for (const auto& branch : stmt.if_stmt().branches) {
+        bool matched = branch.condition == nullptr;
+        if (!matched) {
+          auto eval = policy::evaluate_condition(*branch.condition, ctx);
+          matched = eval.ok() && *eval;
+        }
+        if (!matched) continue;
+        if (auto change = find_change_action(branch.body)) act(*change);
+        break;  // first matching branch only
+      }
+      break;  // one if-statement per monitoring rule
+    }
+  }
 }
 
 }  // namespace
@@ -160,7 +182,8 @@ WieraPeer::WieraPeer(sim::Simulation& sim, net::Network& network,
     lock_client_ = std::make_unique<coord::LockClient>(
         *endpoint_, config_.lock_service_node);
   }
-  queue_ = std::make_unique<sim::Channel<QueuedUpdate>>(sim, "peer.update-queue");
+  queue_ = std::make_unique<sim::Channel<ReplicateRequest>>(
+      sim, "peer.update-queue");
   unblocked_ = std::make_unique<sim::Event>(sim, "peer.unblocked");
   drained_ = std::make_unique<sim::Event>(sim, "peer.drained");
   unblocked_->set();
@@ -277,25 +300,9 @@ void WieraPeer::register_handlers() {
         // Serve locally; do not re-forward (avoids loops).
         GetRequest request = std::move(req).value();
         request.deadline = msg.deadline;
-        // NOTE: no ternary around co_await — GCC 12 miscompiles conditional
-        // operators whose branches both await (frame-slot corruption).
-        Result<tiera::GetResult> local = not_found("unset");
-        if (request.version == 0) {
-          local = co_await local_->get(
-              request.key,
-              {.direct = request.direct, .deadline = request.deadline});
-        } else {
-          local = co_await local_->get_version(
-              request.key, request.version,
-              {.direct = request.direct, .deadline = request.deadline});
-        }
-        if (!local.ok()) co_return local.status();
-        GetResponse out;
-        out.value = std::move(local->value);
-        out.version = local->version;
-        out.served_by = config_.instance_id;
-        out.checksum = object_checksum(request.key, out.version, out.value);
-        co_return encode(out);
+        auto out = co_await local_get(request);
+        if (!out.ok()) co_return out.status();
+        co_return encode(*out);
       });
   endpoint_->register_handler(
       method::kReplicate,
@@ -305,21 +312,7 @@ void WieraPeer::register_handlers() {
         // Verify before applying: a payload bit-flipped in transit must
         // never land in a replica. The sender sees the error, keeps the
         // update queued, and retries on the next flush tick.
-        if (config_.local.verify_checksums && req->checksum != 0 &&
-            object_checksum(req->key, req->version, req->value) !=
-                req->checksum) {
-          wire_checksum_failures_->inc();
-          co_return data_loss("replicate of " + req->key + " to " +
-                              config_.instance_id +
-                              ": payload arrived corrupt");
-        }
-        tiera::TieraInstance::RemoteUpdate update;
-        update.key = req->key;
-        update.version = req->version;
-        update.value = req->value;
-        update.last_modified = req->last_modified;
-        update.origin = req->origin;
-        auto accepted = co_await local_->apply_remote_update(std::move(update));
+        auto accepted = co_await apply_update(*req, "replicate");
         if (!accepted.ok()) co_return accepted.status();
         co_return encode(ReplicateResponse{*accepted});
       });
@@ -333,26 +326,13 @@ void WieraPeer::register_handlers() {
         // the sender would otherwise have to re-send.
         ReplicateBatchResponse out;
         out.results.reserve(req->ops.size());
-        for (ReplicateRequest& op : req->ops) {
+        for (const ReplicateRequest& op : req->ops) {
           ReplicateBatchResult res;
-          if (config_.local.verify_checksums && op.checksum != 0 &&
-              object_checksum(op.key, op.version, op.value) != op.checksum) {
-            wire_checksum_failures_->inc();
-            res.code = StatusCode::kDataLoss;
+          auto accepted = co_await apply_update(op, "replicate");
+          if (!accepted.ok()) {
+            res.code = accepted.status().code();
           } else {
-            tiera::TieraInstance::RemoteUpdate update;
-            update.key = op.key;
-            update.version = op.version;
-            update.value = op.value;
-            update.last_modified = op.last_modified;
-            update.origin = op.origin;
-            auto accepted =
-                co_await local_->apply_remote_update(std::move(update));
-            if (!accepted.ok()) {
-              res.code = accepted.status().code();
-            } else {
-              res.accepted = *accepted;
-            }
+            res.accepted = *accepted;
           }
           out.results.push_back(res);
         }
@@ -405,28 +385,9 @@ void WieraPeer::register_handlers() {
         auto req = decode_sync_pull_request(msg);
         if (!req.ok()) co_return req.status();
         SyncPullResponse out;
-        for (const std::string& key : local_->meta().keys()) {
-          const metadb::ObjectMeta* obj = local_->meta().find(key);
-          if (obj == nullptr) continue;
-          const metadb::VersionMeta* vm = obj->latest_committed();
-          if (vm == nullptr) continue;
-          // Copy before suspending: a concurrent put/GC during get_version
-          // can erase this version's metadata out from under vm.
-          const int64_t version = vm->version;
-          const TimePoint last_modified = vm->last_modified;
-          const std::string origin = vm->origin;
-          auto value = co_await local_->get_version(key, version);
-          if (!value.ok()) continue;  // payload lost (volatile-only copy)
-          ReplicateRequest entry;
-          entry.key = key;
-          entry.version = version;
-          entry.value = std::move(value->value);
-          entry.last_modified = last_modified;
-          entry.origin = origin;
-          entry.checksum = object_checksum(entry.key, entry.version,
-                                           entry.value);
+        co_await for_each_latest([&out](ReplicateRequest entry) {
           out.entries.push_back(std::move(entry));
-        }
+        });
         co_return encode(out);
       });
   endpoint_->register_handler(
@@ -618,31 +579,18 @@ sim::Task<Result<PutResponse>> WieraPeer::put_primary_backup(
     // Forward to the primary (Fig. 3b else-branch). The forward is gated by
     // the per-peer breaker: once the primary has burned a few deadlines the
     // backup fails fast instead of parking every put until its deadline.
-    CircuitBreaker* brk = breaker_for(config_.primary_instance);
-    if (brk != nullptr && !brk->allow(sim_->now())) {
-      breaker_fast_fails_->inc();
-      tracer().annotate(request.trace,
-                        "breaker=open target=" + config_.primary_instance);
-      co_return unavailable("forward to " + config_.primary_instance +
-                            ": circuit open");
-    }
+    const std::string primary = config_.primary_instance;
+    Status open = breaker_gate(primary, "forward to", request.trace,
+                               "breaker=open target=" + primary);
+    if (!open.ok()) co_return open;
     PutRequest forwarded = request;
     forwarded.client = config_.instance_id;
     forwarded.forwarded = true;
     rpc::Message msg = encode(forwarded);
     auto resp = co_await endpoint_->call(
-        config_.primary_instance, method::kForwardPut, std::move(msg),
+        primary, method::kForwardPut, std::move(msg),
         ctx_for(request.deadline, request.trace));
-    // wiera-lint: allow(await-hazard) breakers_ is an emplace-only std::map; node references are stable
-    if (brk != nullptr) {
-      if (resp.ok() || (resp.status().code() != StatusCode::kUnavailable &&
-                        resp.status().code() !=
-                            StatusCode::kDeadlineExceeded)) {
-        brk->record_success();  // the primary answered (even with an error)
-      } else {
-        brk->record_failure(sim_->now());
-      }
-    }
+    breaker_record(primary, resp.status());
     if (!resp.ok()) co_return resp.status();
     co_return decode_put_response(*resp);
   }
@@ -679,9 +627,7 @@ sim::Task<Result<PutResponse>> WieraPeer::put_local_and_replicate(
         request.key, version, request.value,
         {.direct = request.direct, .deadline = request.deadline});
   }
-  const std::string_view tier_st_name =
-      tier_status.ok() ? "ok" : status_code_name(tier_status.code());
-  tracer().end_span(tier_span, tier_st_name);
+  tracer().end_span(tier_span, span_status(tier_status));
   if (!tier_status.ok()) co_return tier_status;
 
   ReplicateRequest update;
@@ -705,11 +651,14 @@ sim::Task<Result<PutResponse>> WieraPeer::put_local_and_replicate(
   const uint64_t response_checksum = update.checksum;
 
   if (synchronous) {
-    Status st = co_await replicate_to_all(std::move(update), request.deadline,
-                                          request.trace);
-    if (!st.ok()) co_return st;
+    // A synchronous copy is a replication chunk of one.
+    std::vector<ReplicateRequest> chunk;
+    chunk.push_back(std::move(update));
+    std::vector<Status> op_status =
+        co_await replicate_to_all(chunk, request.deadline, request.trace);
+    if (!op_status.front().ok()) co_return op_status.front();
   } else if (!storage_peer_ids_.empty()) {
-    queue_->send(QueuedUpdate{std::move(update)});
+    queue_->send(std::move(update));
     maybe_trigger_size_flush();
   }
   co_return PutResponse{version, response_checksum};
@@ -755,26 +704,16 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
   }
 
   if (!forward_target.empty()) {
-    CircuitBreaker* brk = breaker_for(forward_target);
-    if (brk != nullptr && !brk->allow(sim_->now())) {
-      breaker_fast_fails_->inc();
-      tracer().annotate(request.trace, "breaker=open target=" + forward_target);
-      result = unavailable("forward to " + forward_target +
-                           ": circuit open");
+    Status open = breaker_gate(forward_target, "forward to", request.trace,
+                               "breaker=open target=" + forward_target);
+    if (!open.ok()) {
+      result = open;
     } else {
       rpc::Message msg = encode(request);
       auto resp = co_await endpoint_->call(
           forward_target, method::kForwardGet, std::move(msg),
           ctx_for(request.deadline, request.trace));
-      if (brk != nullptr) {
-        if (resp.ok() || (resp.status().code() != StatusCode::kUnavailable &&
-                          resp.status().code() !=
-                              StatusCode::kDeadlineExceeded)) {
-          brk->record_success();  // the target answered (even with an error)
-        } else {
-          brk->record_failure(sim_->now());
-        }
-      }
+      breaker_record(forward_target, resp.status());
       if (!resp.ok()) {
         result = resp.status();
       } else {
@@ -806,26 +745,10 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
   } else {
     const TraceContext tier_span =
         tracer().start_span("tiera.get", config_.instance_id, request.trace);
-    Result<tiera::GetResult> local = not_found("unset");
-    if (request.version == 0) {
-      local = co_await local_->get(
-          request.key,
-          {.direct = request.direct, .deadline = request.deadline});
-    } else {
-      local = co_await local_->get_version(
-          request.key, request.version,
-          {.direct = request.direct, .deadline = request.deadline});
-    }
-    const std::string_view tier_st_name =
-        local.ok() ? "ok" : status_code_name(local.status().code());
-    tracer().end_span(tier_span, tier_st_name);
+    Result<GetResponse> local = co_await local_get(request);
+    tracer().end_span(tier_span, span_status(local.status()));
     if (local.ok()) {
-      GetResponse out;
-      out.value = std::move(local->value);
-      out.version = local->version;
-      out.served_by = config_.instance_id;
-      out.checksum = object_checksum(request.key, out.version, out.value);
-      result = std::move(out);
+      result = std::move(local);
     } else if (local.status().code() == StatusCode::kDataLoss &&
                !storage_peer_ids_.empty()) {
       // Every local copy failed its checksum and was quarantined: read-
@@ -914,90 +837,129 @@ sim::Task<Status> WieraPeer::remove_key(RemoveRequest request) {
 }
 
 // ---------------------------------------------------------------- replication
+//
+// One pipeline serves every consistency mode (§3.3): a synchronous copy is
+// a chunk of one, and a flush round drains the queue in chunks of up to
+// replicate_batch_max. The chunk size picks the wire format: one op rides a
+// kReplicate message, more ride one kReplicateBatch per target.
 
-sim::Task<Status> WieraPeer::replicate_to_all(ReplicateRequest update,
-                                              TimePoint deadline,
-                                              TraceContext trace) {
+sim::Task<std::vector<Status>> WieraPeer::replicate_to_all(
+    const std::vector<ReplicateRequest>& ops, TimePoint deadline,
+    TraceContext parent) {
   // Membership can widen while the fan-out is in flight (a recovered peer
   // rejoining). Keep sending until the acknowledged set covers the current
   // membership: a put must never report success while excluding a peer that
   // became a replication target again mid-flight — its catch-up snapshot may
   // predate this update, which would leave it permanently stale.
+  std::vector<Status> op_status(ops.size());
   FlatSet<std::string, 4> acked;
   while (true) {
     std::vector<std::string> targets;
     for (const std::string& peer_id : storage_peer_ids_) {
       if (acked.insert(peer_id).second) targets.push_back(peer_id);
     }
-    if (targets.empty()) co_return ok_status();
+    if (targets.empty()) co_return op_status;
     order_targets_by_health(targets);
-    std::vector<sim::Task<Status>> tasks;
+    std::vector<sim::Task<std::vector<Status>>> tasks;
     tasks.reserve(targets.size());
     for (const std::string& peer_id : targets) {
-      tasks.push_back(send_replicate(peer_id, update, deadline, trace));
+      tasks.push_back(send_replicate(peer_id, ops, deadline, parent));
     }
-    std::vector<Status> statuses =
+    std::vector<std::vector<Status>> per_target =
         co_await sim::when_all(*sim_, std::move(tasks));
-    for (const Status& st : statuses) {
-      if (!st.ok()) co_return st;
+    for (const std::vector<Status>& statuses : per_target) {
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (!statuses[i].ok() && op_status[i].ok()) op_status[i] = statuses[i];
+      }
+    }
+    // A round that failed every op ends the fan-out: the put fails, or the
+    // flush requeues the whole chunk, without waiting on new members.
+    if (std::none_of(op_status.begin(), op_status.end(),
+                     [](const Status& st) { return st.ok(); })) {
+      co_return op_status;
     }
   }
 }
 
-sim::Task<Status> WieraPeer::send_replicate(std::string peer_id,
-                                            ReplicateRequest update,
-                                            TimePoint deadline,
-                                            TraceContext trace) {
-  // One replication span per target covering every retry attempt, so a
-  // retried send shows up as one annotated span, not duplicate spans.
-  const TraceContext span = tracer().start_span(
-      "peer.replicate " + peer_id, config_.instance_id, trace);
-  Status st = co_await send_replicate_impl(std::move(peer_id),
-                                           std::move(update), deadline, span);
-  const std::string_view st_name = st.ok() ? "ok" : status_code_name(st.code());
-  tracer().end_span(span, st_name);
-  co_return st;
-}
+sim::Task<std::vector<Status>> WieraPeer::send_replicate(
+    std::string target, const std::vector<ReplicateRequest>& ops,
+    TimePoint deadline, TraceContext parent) {
+  const bool batched = ops.size() > 1;
+  const std::string batched_note =
+      batched ? "batched=" + std::to_string(ops.size()) : std::string();
+  // One replication span per op per target covering every retry attempt,
+  // so a retried send shows up as one annotated span, not duplicate spans.
+  // A coalesced send must not make replication lag invisible per update:
+  // its op spans are annotated batched=N and the wire-level batch gets its
+  // own span. The op spans close with their op's outcome.
+  SmallVec<TraceContext, 1> op_spans;
+  op_spans.reserve(ops.size());
+  for (const ReplicateRequest& op : ops) {
+    TraceContext span = tracer().start_span("peer.replicate " + target,
+                                            config_.instance_id, parent);
+    if (batched) {
+      tracer().annotate(span, batched_note);
+      tracer().annotate(span, "key=" + op.key);
+    }
+    op_spans.push_back(span);
+  }
+  // Retry, budget and breaker annotations land on the span of the wire
+  // message: the op's own span when it travels alone.
+  TraceContext wire_span = op_spans.front();
+  if (batched) {
+    wire_span = tracer().start_span("peer.replicate_batch " + target,
+                                    config_.instance_id, parent);
+    tracer().annotate(wire_span, batched_note);
+  }
 
-sim::Task<Status> WieraPeer::send_replicate_impl(std::string peer_id,
-                                                 ReplicateRequest update,
-                                                 TimePoint deadline,
-                                                 TraceContext span) {
-  const std::string target = std::move(peer_id);
   Status last = unavailable("replicate: no attempt made");
+  std::optional<rpc::Message> reply;
   for (int attempt = 0; attempt <= config_.replicate_retries; ++attempt) {
     if (attempt > 0) {
       // Retries spend the budget: under a sustained brownout the token
       // bucket drains and the send fails with its last error instead of
       // amplifying the overload (docs/OVERLOAD.md).
       if (!retry_budget_.try_spend(sim_->now())) {
-        tracer().annotate(span, "retry_budget=denied");
-        co_return last;
+        tracer().annotate(wire_span, "retry_budget=denied");
+        break;
       }
       replication_retries_->inc();
-      tracer().annotate(span, "retry=" + std::to_string(attempt));
+      tracer().annotate(wire_span, "retry=" + std::to_string(attempt));
       co_await sim_->delay(config_.replicate_backoff *
                            static_cast<double>(int64_t{1} << (attempt - 1)));
-      if (stopping_) co_return last;
+      if (stopping_) break;
     }
     if (deadline != TimePoint::max() && sim_->now() >= deadline) {
-      co_return deadline_exceeded("replicate to " + target +
-                                  ": deadline exceeded");
+      last = deadline_exceeded("replicate to " + target +
+                               ": deadline exceeded");
+      break;
     }
-    CircuitBreaker* brk = breaker_for(target);
-    if (brk != nullptr && !brk->allow(sim_->now())) {
-      // Fail fast; the backoff loop above still paces any retry attempts.
-      breaker_fast_fails_->inc();
-      tracer().annotate(span, "breaker=open");
-      last = unavailable("replicate to " + target + ": circuit open");
+    // Fail fast; the backoff loop above still paces any retry attempts.
+    Status open = breaker_gate(target, "replicate to", wire_span,
+                               "breaker=open");
+    if (!open.ok()) {
+      last = open;
       continue;
     }
-    rpc::Message msg = encode(update);
-    replications_sent_->inc();
+    // Payload blobs are ref-counted: rebuilding the request per attempt
+    // shares the bytes, it does not copy them.
+    rpc::Message msg;
+    if (batched) {
+      ReplicateBatchRequest req;
+      req.origin = config_.instance_id;
+      req.ops = ops;
+      msg = encode(req);
+      replication_batches_->inc();
+      replication_batched_ops_->inc(static_cast<int64_t>(ops.size()));
+    } else {
+      msg = encode(ops.front());
+    }
+    // One send per op per target, whichever wire format carries it.
+    replications_sent_->inc(static_cast<int64_t>(ops.size()));
     const TimePoint start = sim_->now();
-    auto resp = co_await endpoint_->call(target, method::kReplicate,
-                                         std::move(msg),
-                                         ctx_for(deadline, span));
+    auto resp = co_await endpoint_->call(
+        target, batched ? method::kReplicateBatch : method::kReplicate,
+        std::move(msg), ctx_for(deadline, wire_span));
     if (config_.network_monitor != nullptr) {
       config_.network_monitor->record_link_latency(config_.instance_id, target,
                                                    sim_->now() - start);
@@ -1007,29 +969,62 @@ sim::Task<Status> WieraPeer::send_replicate_impl(std::string peer_id,
       // deadline value instead of the peer's actual service time.
       config_.health->record_latency(target, sim_->now() - start, sim_->now());
     }
-    if (brk != nullptr) {
-      // Unreachability and timeouts mark the target unhealthy; any decoded
-      // response (even an application error) proves it is alive.
-      if (!resp.ok() && (resp.status().code() == StatusCode::kUnavailable ||
-                         resp.status().code() ==
-                             StatusCode::kDeadlineExceeded)) {
-        brk->record_failure(sim_->now());
-      } else {
-        brk->record_success();
-      }
-    }
+    breaker_record(target, resp.status());
     if (!resp.ok()) {
       last = resp.status();
       // Only unreachability is worth retrying; other errors are permanent.
       if (last.code() == StatusCode::kUnavailable) continue;
-      co_return last;
+      break;
     }
-    auto decoded = decode_replicate_response(*resp);
-    if (!decoded.ok()) co_return decoded.status();
-    if (decoded->accepted) replications_accepted_->inc();
-    co_return ok_status();
+    reply = std::move(*resp);
+    break;
   }
-  co_return last;
+
+  // Per-op outcomes; a lone op's response is its one result.
+  SmallVec<ReplicateBatchResult, 1> results;
+  bool delivered = false;
+  if (reply.has_value() && batched) {
+    auto decoded = decode_replicate_batch_response(*reply);
+    if (decoded.ok()) {
+      delivered = true;
+      for (const ReplicateBatchResult& res : decoded->results) {
+        results.push_back(res);
+      }
+    } else {
+      last = decoded.status();
+    }
+  } else if (reply.has_value()) {
+    auto decoded = decode_replicate_response(*reply);
+    if (decoded.ok()) {
+      delivered = true;
+      results.push_back({StatusCode::kOk, decoded->accepted});
+    } else {
+      last = decoded.status();
+    }
+  }
+  std::vector<Status> out;
+  out.reserve(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!delivered) {
+      out.push_back(last);
+    } else if (i >= results.size()) {
+      out.push_back(invalid_argument("batched replicate to " + target +
+                                     ": short response"));
+    } else if (results[i].code != StatusCode::kOk) {
+      out.push_back(Status(results[i].code,
+                           "batched replicate to " + target + ": op rejected"));
+    } else {
+      if (results[i].accepted) replications_accepted_->inc();
+      out.push_back(ok_status());
+    }
+  }
+  if (batched) {
+    tracer().end_span(wire_span, delivered ? "ok" : span_status(last));
+  }
+  for (size_t i = 0; i < ops.size(); ++i) {
+    tracer().end_span(op_spans[i], span_status(out[i]));
+  }
+  co_return out;
 }
 
 sim::Task<void> WieraPeer::queue_flusher() {
@@ -1054,220 +1049,40 @@ sim::Task<Status> WieraPeer::flush_queue() {
   if (budget > 0) {
     flush_trace = tracer().start_trace("peer.flush", config_.instance_id);
   }
-  if (config_.replicate_batch_max > 1) {
-    // Coalescing path (docs/PERFORMANCE.md): one wire message per target
-    // per chunk of up to replicate_batch_max queued updates.
-    Status batched = co_await flush_batched(budget, flush_trace);
-    const std::string_view batched_st =
-        batched.ok() ? "ok" : status_code_name(batched.code());
-    tracer().end_span(flush_trace, batched_st);
-    co_return batched;
-  }
-  Status first_error;
-  while (budget-- > 0 && !queue_->empty()) {
-    std::optional<QueuedUpdate> item = queue_->try_recv();
-    if (!item.has_value()) break;
-    const TimePoint start = sim_->now();
-    QueuedUpdate retry_copy = *item;  // kept in case the fan-out fails
-    Status st = co_await replicate_to_all(std::move(item->update),
-                                          TimePoint::max(), flush_trace);
-    // In eventual mode, background replication latency is the monitoring
-    // signal for switching back to strong consistency (Fig. 7 points 1, 2).
-    if (config_.mode == ConsistencyMode::kEventual) {
-      observe_put_latency(sim_->now() - start);
-    }
-    if (!st.ok()) {
-      // A replica was unreachable: requeue and retry next tick. Replicas
-      // that already accepted the update reject the duplicate via LWW, so
-      // the retry is idempotent.
-      queue_->send(std::move(retry_copy));
-      if (first_error.ok()) first_error = st;
-    }
-  }
-  const std::string_view flush_st =
-      first_error.ok() ? "ok" : status_code_name(first_error.code());
-  tracer().end_span(flush_trace, flush_st);
-  co_return first_error;
-}
-
-sim::Task<Status> WieraPeer::flush_batched(size_t budget,
-                                           TraceContext flush_trace) {
+  // Chunks of up to replicate_batch_max queued updates, one wire message
+  // per target per chunk (docs/PERFORMANCE.md).
+  const auto max_ops =
+      static_cast<size_t>(std::max(1, config_.replicate_batch_max));
   Status first_error;
   while (budget > 0 && !queue_->empty()) {
-    std::vector<QueuedUpdate> chunk;
-    const auto max_ops = static_cast<size_t>(config_.replicate_batch_max);
+    std::vector<ReplicateRequest> chunk;
     while (chunk.size() < max_ops && budget > 0) {
-      std::optional<QueuedUpdate> item = queue_->try_recv();
+      std::optional<ReplicateRequest> item = queue_->try_recv();
       if (!item.has_value()) break;
       budget--;
       chunk.push_back(std::move(*item));
     }
     if (chunk.empty()) break;
     const TimePoint start = sim_->now();
-    std::vector<Status> op_status(chunk.size(), ok_status());
-    Status st = co_await replicate_batch_to_all(chunk, op_status, flush_trace);
+    std::vector<Status> op_status =
+        co_await replicate_to_all(chunk, TimePoint::max(), flush_trace);
+    // In eventual mode, background replication latency is the monitoring
+    // signal for switching back to strong consistency (Fig. 7 points 1, 2).
     if (config_.mode == ConsistencyMode::kEventual) {
       observe_put_latency(sim_->now() - start);
     }
-    if (!st.ok() && first_error.ok()) first_error = st;
-    // Requeue exactly the ops that failed somewhere; accepted batch-mates
-    // are done (replicas reject their duplicates via LWW anyway, but not
-    // re-sending them is the point of per-op outcomes).
+    // A replica was unreachable: requeue exactly the ops that failed
+    // somewhere and retry them next tick. Replicas that already accepted
+    // an update reject the duplicate via LWW, so the retry is idempotent,
+    // and accepted batch-mates are not re-sent at all.
     for (size_t i = 0; i < chunk.size(); ++i) {
-      if (!op_status[i].ok()) queue_->send(std::move(chunk[i]));
+      if (op_status[i].ok()) continue;
+      queue_->send(std::move(chunk[i]));
+      if (first_error.ok()) first_error = op_status[i];
     }
   }
+  tracer().end_span(flush_trace, span_status(first_error));
   co_return first_error;
-}
-
-sim::Task<Status> WieraPeer::replicate_batch_to_all(
-    std::vector<QueuedUpdate>& chunk, std::vector<Status>& op_status,
-    TraceContext flush_trace) {
-  // Same membership-widening loop as replicate_to_all: keep sending until
-  // the acknowledged set covers current membership, so a peer that rejoins
-  // mid-flush still receives every update in this chunk.
-  FlatSet<std::string, 4> acked;
-  Status first_error;
-  while (true) {
-    std::vector<std::string> targets;
-    for (const std::string& peer_id : storage_peer_ids_) {
-      if (acked.insert(peer_id).second) targets.push_back(peer_id);
-    }
-    if (targets.empty()) break;
-    order_targets_by_health(targets);
-    std::vector<sim::Task<std::vector<Status>>> tasks;
-    tasks.reserve(targets.size());
-    for (const std::string& peer_id : targets) {
-      tasks.push_back(send_replicate_batch(peer_id, chunk, flush_trace));
-    }
-    std::vector<std::vector<Status>> per_target =
-        co_await sim::when_all(*sim_, std::move(tasks));
-    for (const std::vector<Status>& statuses : per_target) {
-      for (size_t i = 0; i < statuses.size() && i < op_status.size(); ++i) {
-        if (!statuses[i].ok()) {
-          if (op_status[i].ok()) op_status[i] = statuses[i];
-          if (first_error.ok()) first_error = statuses[i];
-        }
-      }
-    }
-  }
-  co_return first_error;
-}
-
-sim::Task<std::vector<Status>> WieraPeer::send_replicate_batch(
-    std::string peer_id, const std::vector<QueuedUpdate>& chunk,
-    TraceContext flush_trace) {
-  const std::string target = std::move(peer_id);
-  const std::string batched = "batched=" + std::to_string(chunk.size());
-  // One span per logical op, exactly as the per-op path has — a coalesced
-  // send must not make replication lag invisible per update. The wire-level
-  // batch gets its own span; the op spans close with their op's outcome.
-  std::vector<TraceContext> op_spans;
-  op_spans.reserve(chunk.size());
-  for (const QueuedUpdate& item : chunk) {
-    TraceContext span = tracer().start_span("peer.replicate " + target,
-                                            config_.instance_id, flush_trace);
-    tracer().annotate(span, batched);
-    tracer().annotate(span, "key=" + item.update.key);
-    op_spans.push_back(span);
-  }
-  const TraceContext batch_span = tracer().start_span(
-      "peer.replicate_batch " + target, config_.instance_id, flush_trace);
-  tracer().annotate(batch_span, batched);
-
-  std::vector<Status> out;
-  Status last = unavailable("replicate batch: no attempt made");
-  bool done = false;
-  for (int attempt = 0; attempt <= config_.replicate_retries && !done;
-       ++attempt) {
-    if (attempt > 0) {
-      // Same budget/backoff pacing as send_replicate_impl: a coalesced
-      // retry is still a retry and must drain the same token bucket.
-      if (!retry_budget_.try_spend(sim_->now())) {
-        tracer().annotate(batch_span, "retry_budget=denied");
-        break;
-      }
-      replication_retries_->inc();
-      tracer().annotate(batch_span, "retry=" + std::to_string(attempt));
-      co_await sim_->delay(config_.replicate_backoff *
-                           static_cast<double>(int64_t{1} << (attempt - 1)));
-      if (stopping_) break;
-    }
-    CircuitBreaker* brk = breaker_for(target);
-    if (brk != nullptr && !brk->allow(sim_->now())) {
-      breaker_fast_fails_->inc();
-      tracer().annotate(batch_span, "breaker=open");
-      last = unavailable("replicate to " + target + ": circuit open");
-      continue;
-    }
-    ReplicateBatchRequest req;
-    req.origin = config_.instance_id;
-    req.ops.reserve(chunk.size());
-    // Payload blobs are ref-counted: rebuilding the request per attempt
-    // shares the bytes, it does not copy them.
-    for (const QueuedUpdate& item : chunk) req.ops.push_back(item.update);
-    rpc::Message msg = encode(req);
-    replication_batches_->inc();
-    replication_batched_ops_->inc(static_cast<int64_t>(chunk.size()));
-    const TimePoint start = sim_->now();
-    auto resp = co_await endpoint_->call(target, method::kReplicateBatch,
-                                         std::move(msg),
-                                         ctx_for(TimePoint::max(), batch_span));
-    if (config_.network_monitor != nullptr) {
-      config_.network_monitor->record_link_latency(config_.instance_id, target,
-                                                   sim_->now() - start);
-    }
-    if (config_.health != nullptr && resp.ok()) {
-      config_.health->record_latency(target, sim_->now() - start, sim_->now());
-    }
-    if (brk != nullptr) {
-      if (!resp.ok() && (resp.status().code() == StatusCode::kUnavailable ||
-                         resp.status().code() ==
-                             StatusCode::kDeadlineExceeded)) {
-        brk->record_failure(sim_->now());
-      } else {
-        brk->record_success();
-      }
-    }
-    if (!resp.ok()) {
-      last = resp.status();
-      // Only unreachability is worth retrying; other errors are permanent.
-      if (last.code() == StatusCode::kUnavailable) continue;
-      break;
-    }
-    auto decoded = decode_replicate_batch_response(*resp);
-    if (!decoded.ok()) {
-      last = decoded.status();
-      break;
-    }
-    out.reserve(chunk.size());
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      if (i < decoded->results.size()) {
-        const ReplicateBatchResult& res = decoded->results[i];
-        if (res.code == StatusCode::kOk) {
-          if (res.accepted) replications_accepted_->inc();
-          out.push_back(ok_status());
-        } else {
-          out.push_back(Status(res.code, "batched replicate to " + target +
-                                             ": op rejected"));
-        }
-      } else {
-        out.push_back(invalid_argument("batched replicate to " + target +
-                                       ": short response"));
-      }
-    }
-    done = true;
-  }
-  if (!done) out.assign(chunk.size(), last);
-  const std::string_view batch_st =
-      done ? "ok" : status_code_name(last.code());
-  tracer().end_span(batch_span, batch_st);
-  for (size_t i = 0; i < op_spans.size(); ++i) {
-    const Status& st = out[i];
-    tracer().end_span(op_spans[i],
-                      st.ok() ? "ok" : status_code_name(st.code()));
-  }
-  co_return out;
 }
 
 void WieraPeer::maybe_trigger_size_flush() {
@@ -1394,6 +1209,51 @@ void WieraPeer::on_crash() {
   WLOG_INFO(kComponent) << id() << " crashed: volatile state lost";
 }
 
+sim::Task<Result<bool>> WieraPeer::apply_update(const ReplicateRequest& op,
+                                                std::string_view what,
+                                                bool require_checksum) {
+  const bool check = require_checksum ||
+                     (config_.local.verify_checksums && op.checksum != 0);
+  if (check && (op.checksum == 0 ||
+                object_checksum(op.key, op.version, op.value) != op.checksum)) {
+    wire_checksum_failures_->inc();
+    co_return data_loss(std::string(what) + " of " + op.key + " to " +
+                        config_.instance_id + ": payload arrived corrupt");
+  }
+  tiera::TieraInstance::RemoteUpdate update;
+  update.key = op.key;
+  update.version = op.version;
+  update.value = op.value;
+  update.last_modified = op.last_modified;
+  update.origin = op.origin;
+  co_return co_await local_->apply_remote_update(std::move(update));
+}
+
+sim::Task<void> WieraPeer::for_each_latest(
+    std::function<void(ReplicateRequest)> visit) {
+  for (const std::string& key : local_->meta().keys()) {
+    const metadb::ObjectMeta* obj = local_->meta().find(key);
+    if (obj == nullptr) continue;
+    const metadb::VersionMeta* vm = obj->latest_committed();
+    if (vm == nullptr) continue;
+    // Copy before suspending: a concurrent put/GC during get_version can
+    // erase this version's metadata out from under vm.
+    const int64_t version = vm->version;
+    const TimePoint last_modified = vm->last_modified;
+    const std::string origin = vm->origin;
+    auto value = co_await local_->get_version(key, version);
+    if (!value.ok()) continue;  // payload lost (volatile-only copy)
+    ReplicateRequest entry;
+    entry.key = key;
+    entry.version = version;
+    entry.value = std::move(value->value);
+    entry.last_modified = last_modified;
+    entry.origin = origin;
+    entry.checksum = object_checksum(entry.key, entry.version, entry.value);
+    visit(std::move(entry));
+  }
+}
+
 sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
   Status last = unavailable("catch-up: no source available");
   for (const std::string& source : sources) {
@@ -1411,24 +1271,10 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
       last = decoded.status();
       continue;
     }
-    for (ReplicateRequest& entry : decoded->entries) {
+    for (const ReplicateRequest& entry : decoded->entries) {
       // A snapshot entry corrupted in transit must not be merged: skip it
       // (the scrubber's digest exchange repairs the gap later).
-      if (config_.local.verify_checksums && entry.checksum != 0 &&
-          object_checksum(entry.key, entry.version, entry.value) !=
-              entry.checksum) {
-        wire_checksum_failures_->inc();
-        WLOG_WARN(kComponent) << id() << " catch-up entry " << entry.key
-                              << " arrived corrupt; skipped";
-        continue;
-      }
-      tiera::TieraInstance::RemoteUpdate update;
-      update.key = entry.key;
-      update.version = entry.version;
-      update.value = entry.value;
-      update.last_modified = entry.last_modified;
-      update.origin = entry.origin;
-      auto accepted = co_await local_->apply_remote_update(std::move(update));
+      auto accepted = co_await apply_update(entry, "catch-up");
       if (!accepted.ok()) {
         WLOG_WARN(kComponent) << id() << " catch-up merge of " << entry.key
                               << " failed: " << accepted.status().to_string();
@@ -1436,27 +1282,9 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
     }
     // Push survivors the other way: any durable local write the outage kept
     // from replicating goes back on the queue for the flusher.
-    for (const std::string& key : local_->meta().keys()) {
-      const metadb::ObjectMeta* obj = local_->meta().find(key);
-      if (obj == nullptr) continue;
-      const metadb::VersionMeta* vm = obj->latest_committed();
-      if (vm == nullptr) continue;
-      // Copy before suspending: get_version can interleave with a put/GC
-      // that erases this version's metadata out from under vm.
-      const int64_t version = vm->version;
-      const TimePoint last_modified = vm->last_modified;
-      const std::string origin = vm->origin;
-      auto value = co_await local_->get_version(key, version);
-      if (!value.ok()) continue;
-      ReplicateRequest entry;
-      entry.key = key;
-      entry.version = version;
-      entry.value = std::move(value->value);
-      entry.last_modified = last_modified;
-      entry.origin = origin;
-      entry.checksum = object_checksum(entry.key, entry.version, entry.value);
-      queue_->send(QueuedUpdate{std::move(entry)});
-    }
+    co_await for_each_latest([this](ReplicateRequest entry) {
+      queue_->send(std::move(entry));
+    });
     catch_ups_completed_->inc();
     journal()
         .event("peer", "catch_up")
@@ -1495,47 +1323,31 @@ sim::Task<Status> WieraPeer::drain(TimePoint deadline, bool flush_only) {
   // replication path (breakers, retry budget, batching) and re-queues what
   // it could not deliver, so we loop with a pause until the queue is empty
   // or the deadline passes.
-  while (queue_->size() > 0) {
-    if (sim_->now() >= deadline) {
-      co_return deadline_exceeded(config_.instance_id + " drain: " +
-                                  std::to_string(queue_->size()) +
-                                  " updates still queued at the deadline");
-    }
-    const Status flushed = co_await flush_queue();
-    if (!flushed.ok() && queue_->size() > 0) {
-      co_await sim_->delay(msec(200));
-    }
-  }
-  if (flush_only) co_return ok_status();
+  Status flushed = co_await flush_until_empty(deadline, "drain");
+  if (!flushed.ok() || flush_only) co_return flushed;
   // Phase 2: enqueue the latest committed version of every local key —
   // catch_up's push-back half — so replicas that missed an update (or that
   // LWW-lost one we hold) converge before this peer detaches. Replicas drop
   // duplicates by version, so re-sending the already-replicated majority is
   // idle work, not corruption.
-  for (const std::string& key : local_->meta().keys()) {
-    const metadb::ObjectMeta* obj = local_->meta().find(key);
-    if (obj == nullptr) continue;
-    const metadb::VersionMeta* vm = obj->latest_committed();
-    if (vm == nullptr) continue;
-    // Copy before suspending: get_version can interleave with GC that
-    // erases this version's metadata out from under vm.
-    const int64_t version = vm->version;
-    const TimePoint last_modified = vm->last_modified;
-    const std::string origin = vm->origin;
-    auto value = co_await local_->get_version(key, version);
-    if (!value.ok()) continue;
-    ReplicateRequest entry;
-    entry.key = key;
-    entry.version = version;
-    entry.value = std::move(value->value);
-    entry.last_modified = last_modified;
-    entry.origin = origin;
-    entry.checksum = object_checksum(entry.key, entry.version, entry.value);
-    queue_->send(QueuedUpdate{std::move(entry)});
-  }
+  co_await for_each_latest([this](ReplicateRequest entry) {
+    queue_->send(std::move(entry));
+  });
+  flushed = co_await flush_until_empty(deadline, "drain hand-off");
+  if (!flushed.ok()) co_return flushed;
+  journal()
+      .event("peer", "drain_complete")
+      .str("instance", config_.instance_id);
+  WLOG_INFO(kComponent) << id() << " drain hand-off complete";
+  co_return ok_status();
+}
+
+sim::Task<Status> WieraPeer::flush_until_empty(TimePoint deadline,
+                                               std::string_view phase) {
   while (queue_->size() > 0) {
     if (sim_->now() >= deadline) {
-      co_return deadline_exceeded(config_.instance_id + " drain hand-off: " +
+      co_return deadline_exceeded(config_.instance_id + " " +
+                                  std::string(phase) + ": " +
                                   std::to_string(queue_->size()) +
                                   " updates still queued at the deadline");
     }
@@ -1544,10 +1356,6 @@ sim::Task<Status> WieraPeer::drain(TimePoint deadline, bool flush_only) {
       co_await sim_->delay(msec(200));
     }
   }
-  journal()
-      .event("peer", "drain_complete")
-      .str("instance", config_.instance_id);
-  WLOG_INFO(kComponent) << id() << " drain hand-off complete";
   co_return ok_status();
 }
 
@@ -1598,6 +1406,30 @@ const CircuitBreaker* WieraPeer::breaker(const std::string& target) const {
   return it == breakers_.end() ? nullptr : &it->second;
 }
 
+Status WieraPeer::breaker_gate(const std::string& target,
+                               std::string_view what, TraceContext trace,
+                               const std::string& note) {
+  CircuitBreaker* brk = breaker_for(target);
+  if (brk == nullptr || brk->allow(sim_->now())) return ok_status();
+  breaker_fast_fails_->inc();
+  tracer().annotate(trace, note);
+  return unavailable(std::string(what) + " " + target + ": circuit open");
+}
+
+void WieraPeer::breaker_record(const std::string& target,
+                               const Status& outcome) {
+  CircuitBreaker* brk = breaker_for(target);
+  if (brk == nullptr) return;
+  // Unreachability and timeouts mark the target unhealthy; any decoded
+  // response (even an application error) proves it is alive.
+  if (outcome.code() == StatusCode::kUnavailable ||
+      outcome.code() == StatusCode::kDeadlineExceeded) {
+    brk->record_failure(sim_->now());
+  } else {
+    brk->record_success();
+  }
+}
+
 Context WieraPeer::ctx_for(TimePoint deadline, TraceContext trace) {
   Context ctx;
   if (deadline != TimePoint::max()) ctx = Context::with_deadline(deadline);
@@ -1610,8 +1442,9 @@ bool WieraPeer::stale_read_allowed() const {
   return sim_->now() - last_contact_ <= stale_bound_;
 }
 
-sim::Task<Result<GetResponse>> WieraPeer::stale_local_get(
-    const GetRequest& request) {
+sim::Task<Result<GetResponse>> WieraPeer::local_get(const GetRequest& request) {
+  // NOTE: no ternary around co_await — GCC 12 miscompiles conditional
+  // operators whose branches both await (frame-slot corruption).
   Result<tiera::GetResult> local = not_found("unset");
   if (request.version == 0) {
     local = co_await local_->get(
@@ -1627,7 +1460,14 @@ sim::Task<Result<GetResponse>> WieraPeer::stale_local_get(
   out.version = local->version;
   out.served_by = config_.instance_id;
   out.checksum = object_checksum(request.key, out.version, out.value);
-  out.stale = true;
+  co_return out;
+}
+
+sim::Task<Result<GetResponse>> WieraPeer::stale_local_get(
+    const GetRequest& request) {
+  Result<GetResponse> out = co_await local_get(request);
+  if (!out.ok()) co_return out;
+  out->stale = true;
   stale_serves_->inc();
   tracer().annotate(request.trace, "stale=true");
   journal()
@@ -1656,20 +1496,8 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
   // A repair payload must prove itself unconditionally (not gated by
   // verify_checksums): installing an unverified "repair" would spread
   // corruption instead of healing it.
-  if (entry->checksum == 0 ||
-      object_checksum(entry->key, entry->version, entry->value) !=
-          entry->checksum) {
-    wire_checksum_failures_->inc();
-    co_return data_loss("repair fetch of " + key + " from " + source +
-                        " arrived corrupt");
-  }
-  tiera::TieraInstance::RemoteUpdate update;
-  update.key = entry->key;
-  update.version = entry->version;
-  update.value = entry->value;
-  update.last_modified = entry->last_modified;
-  update.origin = entry->origin;
-  auto accepted = co_await local_->apply_remote_update(std::move(update));
+  auto accepted = co_await apply_update(*entry, "repair fetch",
+                                        /*require_checksum=*/true);
   if (!accepted.ok()) co_return accepted.status();
   if (*accepted) {
     if (from_scrub) {
@@ -1713,26 +1541,9 @@ sim::Task<Result<GetResponse>> WieraPeer::repair_get(GetRequest request) {
     }
     // Serve the repaired object through the normal (checksum-verified)
     // local read path rather than echoing the fetched bytes.
-    Result<tiera::GetResult> local = not_found("unset");
-    if (request.version == 0) {
-      local = co_await local_->get(
-          request.key,
-          {.direct = request.direct, .deadline = request.deadline});
-    } else {
-      local = co_await local_->get_version(
-          request.key, request.version,
-          {.direct = request.direct, .deadline = request.deadline});
-    }
-    if (!local.ok()) {
-      last = local.status();
-      continue;
-    }
-    GetResponse out;
-    out.value = std::move(local->value);
-    out.version = local->version;
-    out.served_by = config_.instance_id;
-    out.checksum = object_checksum(request.key, out.version, out.value);
-    co_return out;
+    Result<GetResponse> local = co_await local_get(request);
+    if (local.ok()) co_return local;
+    last = local.status();
   }
   co_return last;
 }
@@ -1823,29 +1634,16 @@ void WieraPeer::observe_put_latency(Duration latency) {
   ctx.set("threshold.latency", policy::Value::duration_of(latency));
   ctx.set("threshold.period", policy::Value::duration_of(period));
 
-  for (const auto& rule : config_.dynamic_consistency_policy->events) {
-    for (const auto& stmt : rule.response) {
-      if (!stmt.is_if()) continue;
-      for (const auto& branch : stmt.if_stmt().branches) {
-        bool matched = branch.condition == nullptr;
-        if (!matched) {
-          auto eval = policy::evaluate_condition(*branch.condition, ctx);
-          matched = eval.ok() && *eval;
+  for_each_fired_change(
+      *config_.dynamic_consistency_policy, ctx,
+      [this](const ChangeAction& change) {
+        if (change.what != "consistency") return;
+        auto target = consistency_mode_from_name(change.to);
+        if (target.ok() && *target != config_.mode &&
+            control_.request_policy_change) {
+          control_.request_policy_change(change.to);
         }
-        if (!matched) continue;
-        auto change = find_change_action(branch.body);
-        if (change.has_value() && change->what == "consistency") {
-          auto target = consistency_mode_from_name(change->to);
-          if (target.ok() && *target != config_.mode &&
-              control_.request_policy_change) {
-            control_.request_policy_change(change->to);
-          }
-        }
-        break;  // first matching branch only
-      }
-      break;  // one if-statement per monitoring rule
-    }
-  }
+      });
 }
 
 void WieraPeer::record_put_source(const std::string& origin, bool forwarded) {
@@ -1911,27 +1709,15 @@ void WieraPeer::evaluate_requests_monitor() {
           policy::Value::number_of(static_cast<double>(direct)));
   ctx.set("threshold.period", policy::Value::duration_of(period));
 
-  for (const auto& rule : config_.change_primary_policy->events) {
-    for (const auto& stmt : rule.response) {
-      if (!stmt.is_if()) continue;
-      for (const auto& branch : stmt.if_stmt().branches) {
-        bool matched = branch.condition == nullptr;
-        if (!matched) {
-          auto eval = policy::evaluate_condition(*branch.condition, ctx);
-          matched = eval.ok() && *eval;
-        }
-        if (!matched) continue;
-        auto change = find_change_action(branch.body);
-        if (change.has_value() && change->what == "primary_instance" &&
+  for_each_fired_change(
+      *config_.change_primary_policy, ctx,
+      [this, &top_origin](const ChangeAction& change) {
+        if (change.what == "primary_instance" &&
             control_.request_primary_change && !top_origin.empty() &&
             top_origin != config_.instance_id) {
           control_.request_primary_change(top_origin);
         }
-        break;
-      }
-      break;
-    }
-  }
+      });
 }
 
 // ---------------------------------------------------------------- cold data

@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/breaker.h"
@@ -53,13 +54,14 @@ class WieraPeer : public tiera::InstanceHooks {
     std::string lock_service_node;           // ZooKeeper stand-in location
     Duration queue_flush_interval = msec(100);
     // ---- replication coalescing (docs/PERFORMANCE.md) ----
-    // Max queued updates coalesced into one kReplicateBatch wire message
-    // per target per flush round. 1 = no coalescing (seed behaviour: one
-    // kReplicate message per update per target). With coalescing on, a
-    // flush also triggers as soon as the queue reaches this size — batches
-    // flush on size or deadline, whichever comes first. Breaker, retry
-    // budget, and per-op trace spans behave exactly as in the per-op path;
-    // op outcomes are returned per-op so a failed op is requeued without
+    // Max queued updates per chunk of a flush round. A chunk of one travels
+    // as a kReplicate message, a larger chunk as one kReplicateBatch per
+    // target. 1 = no coalescing (seed behaviour: one kReplicate message per
+    // update per target). With coalescing on, a flush also triggers as soon
+    // as the queue reaches this size — batches flush on size or deadline,
+    // whichever comes first. Every chunk, sync puts included, rides the
+    // same pipeline (breaker, retry budget, per-op trace spans); op
+    // outcomes are returned per-op so a failed op is requeued without
     // re-sending its accepted batch-mates.
     int replicate_batch_max = 1;
     // ---- fault recovery (chaos harness) ----
@@ -276,10 +278,6 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<bool> on_cold_object(const std::string& key) override;
 
  private:
-  struct QueuedUpdate {
-    ReplicateRequest update;
-  };
-
   void register_handlers();
 
   sim::Task<Result<PutResponse>> put_multi_primaries(PutRequest& request);
@@ -288,15 +286,30 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<Result<PutResponse>> put_local_and_replicate(PutRequest& request,
                                                          bool synchronous);
 
-  sim::Task<Status> replicate_to_all(ReplicateRequest update,
-                                     TimePoint deadline = TimePoint::max(),
-                                     TraceContext trace = {});
-  sim::Task<Status> send_replicate(std::string peer_id, ReplicateRequest update,
-                                   TimePoint deadline, TraceContext trace);
-  // send_replicate minus the span bracket (one span covers all retries).
-  sim::Task<Status> send_replicate_impl(std::string peer_id,
-                                        ReplicateRequest update,
-                                        TimePoint deadline, TraceContext span);
+  // ---- the replication pipeline (docs/PERFORMANCE.md) ----
+  // One chunk to every storage peer: a sync put is a chunk of one, a flush
+  // round a chunk of up to replicate_batch_max queued updates. Membership
+  // may widen mid-flight; the fan-out stops early once every op has failed.
+  // Element i is the first failure of ops[i] across targets (ok if none).
+  sim::Task<std::vector<Status>> replicate_to_all(
+      const std::vector<ReplicateRequest>& ops, TimePoint deadline,
+      TraceContext parent);
+  // The chunk to one target, every attempt (retry budget, backoff, breaker,
+  // network monitor, health EWMA) inside one span per op; returns per-op
+  // status (size == ops.size()).
+  sim::Task<std::vector<Status>> send_replicate(
+      std::string target, const std::vector<ReplicateRequest>& ops,
+      TimePoint deadline, TraceContext parent);
+  // Verify a received update's wire checksum (per local.verify_checksums,
+  // or always when `require_checksum`), then LWW-merge it; true when
+  // applied. A corrupt payload is counted and refused with kDataLoss.
+  sim::Task<Result<bool>> apply_update(const ReplicateRequest& op,
+                                       std::string_view what,
+                                       bool require_checksum = false);
+  // Each local key's latest committed version as a ReplicateRequest, handed
+  // to `visit` as soon as it is read (versions whose payload is gone are
+  // skipped): the kSyncPull snapshot and the catch-up/drain push-back.
+  sim::Task<void> for_each_latest(std::function<void(ReplicateRequest)> visit);
 
   // Telemetry shorthands (sim-wide tracer / event journal).
   obs::Tracer& tracer() { return sim_->telemetry().tracer(); }
@@ -305,6 +318,12 @@ class WieraPeer : public tiera::InstanceHooks {
   // Overload robustness helpers.
   // Breaker for a send target; nullptr when breakers are disabled.
   CircuitBreaker* breaker_for(const std::string& target);
+  // The per-target breaker around one call (replication attempt, put- or
+  // get-forward): while it is open breaker_gate fails fast (counted, `note`
+  // annotated on `trace`); breaker_record feeds the call's outcome back.
+  Status breaker_gate(const std::string& target, std::string_view what,
+                      TraceContext trace, const std::string& note);
+  void breaker_record(const std::string& target, const Status& outcome);
   // Probation-last fan-out ordering (docs/HEALTH.md): stable-partition
   // healthy targets first so a slow peer's sends queue behind the healthy
   // acks on the shared NIC instead of ahead of them. No-op when health
@@ -316,26 +335,18 @@ class WieraPeer : public tiera::InstanceHooks {
   // primary/forward-target right now (degradation policy present, local
   // data not wiped by a crash, authority contact within the bound).
   bool stale_read_allowed() const;
+  // Local get / get_version of the request, as this peer's GetResponse.
+  sim::Task<Result<GetResponse>> local_get(const GetRequest& request);
   // Local read for the bounded-staleness path; flags the response stale.
   sim::Task<Result<GetResponse>> stale_local_get(const GetRequest& request);
   sim::Task<void> queue_flusher();
+  // One flush round: drains the updates queued when it starts, in chunks
+  // of replicate_batch_max; failed ops are requeued individually.
   sim::Task<Status> flush_queue();
-  // ---- replication coalescing (docs/PERFORMANCE.md) ----
-  // Batched flush body: drains up to `budget` queued updates in chunks of
-  // replicate_batch_max, one wire message per target per chunk. Failed ops
-  // are requeued individually.
-  sim::Task<Status> flush_batched(size_t budget, TraceContext flush_trace);
-  // One coalesced fan-out: `chunk` to every storage peer (membership may
-  // widen mid-flight, same loop as replicate_to_all). op_status[i] is the
-  // worst outcome of chunk[i] across targets.
-  sim::Task<Status> replicate_batch_to_all(std::vector<QueuedUpdate>& chunk,
-                                           std::vector<Status>& op_status,
-                                           TraceContext flush_trace);
-  // One batch message to one target, with the send_replicate_impl retry/
-  // breaker/budget semantics; returns per-op status (size == chunk size).
-  sim::Task<std::vector<Status>> send_replicate_batch(
-      std::string peer_id, const std::vector<QueuedUpdate>& chunk,
-      TraceContext flush_trace);
+  // Flush rounds, pausing after a failed one, until the queue is empty;
+  // kDeadlineExceeded naming `phase` if `deadline` passes first.
+  sim::Task<Status> flush_until_empty(TimePoint deadline,
+                                      std::string_view phase);
   // Size-based flush trigger: when coalescing is on and the queue reached
   // replicate_batch_max, flush now instead of waiting for the timer.
   void maybe_trigger_size_flush();
@@ -380,7 +391,7 @@ class WieraPeer : public tiera::InstanceHooks {
   std::vector<std::string> storage_peer_ids_;  // replication targets
   ControlPlane control_;
 
-  std::unique_ptr<sim::Channel<QueuedUpdate>> queue_;
+  std::unique_ptr<sim::Channel<ReplicateRequest>> queue_;
   bool started_ = false;
   bool stopping_ = false;
 

@@ -257,10 +257,6 @@ std::function<void(WieraPeer::Config&)> self_heal_tweak() {
   return [](WieraPeer::Config& config) { config.scrub_interval = sec(3); };
 }
 
-// Replication coalescing armed (docs/PERFORMANCE.md). The flush interval is
-// stretched so queued updates actually pool up into multi-op batches — at
-// the default 100ms tick this workload rarely has two updates queued at
-// once and the batched wire path would go untested.
 // Health-scored failure detection armed (docs/HEALTH.md): φ-accrual over
 // the heartbeat plus per-target latency EWMAs drive the probation
 // lifecycle. Everything else keeps its default, so these runs measure what
@@ -269,8 +265,15 @@ std::function<void(WieraController::Config&)> health_tweak() {
   return [](WieraController::Config& config) { config.health.enabled = true; };
 }
 
+// Replication coalescing armed (docs/PERFORMANCE.md). The flush interval is
+// stretched so queued updates actually pool up into multi-op batches — at
+// the default 100ms tick this workload rarely has two updates queued at
+// once and the batched wire path would go untested. Each peer queues only
+// its nearest client's puts, one every ~1.3s, so the tick must be longer
+// than that for a fault-free run (the spike class) to pool two updates; a
+// chunk of one travels as a plain kReplicate and is no batch.
 std::function<void(WieraPeer::Config&)> batching_tweak(
-    int batch_max = 4, Duration flush_interval = msec(600)) {
+    int batch_max = 4, Duration flush_interval = msec(1500)) {
   return [batch_max, flush_interval](WieraPeer::Config& config) {
     config.replicate_batch_max = batch_max;
     config.queue_flush_interval = flush_interval;
@@ -340,6 +343,9 @@ struct RunResult {
   // — coalescing ships default-off.
   int64_t replication_batches = 0;
   int64_t replication_batched_ops = 0;
+  // Replication sends counted once per op per target, whichever wire format
+  // carried them.
+  int64_t replications_sent = 0;
   // Gray-failure detection (docs/HEALTH.md). The probation counters stay
   // zero unless the run arms health_tweak() — health detection ships
   // default-off.
@@ -499,6 +505,7 @@ RunResult run_chaos(
       reg.counter_sum("wiera_replication_batches_total");
   result.replication_batched_ops =
       reg.counter_sum("wiera_replication_batched_ops_total");
+  result.replications_sent = reg.counter_sum("wiera_replications_sent_total");
   // Torn-write accounting stays at the storage-tier layer (not registered).
   for (const char* node : kStorageNodes) {
     WieraPeer* p = cluster.controller.peer(node);
@@ -1220,8 +1227,9 @@ TEST(TelemetryTraceTest, BatchedFlushRacingDropsClosesEverySpan) {
   // A burst of puts pools into the primary's queue and flushes as coalesced
   // batches while one replica drops everything: the batch send must retry
   // inside its one wire span, every per-op span must close with its op's
-  // outcome and carry the batched=N annotation, and nothing may stay open
-  // once the retries resolve.
+  // outcome, the ops that rode a multi-op message carry batched=N (N >= 2)
+  // and nothing may stay open once the retries resolve. A chunk of one
+  // travels as a plain kReplicate and carries no batched= annotation.
   ChaosCluster cluster(/*seed=*/23);
   auto peers = cluster.controller.start_instances(
       "w1", cluster.options_for(ConsistencyMode::kEventual,
@@ -1256,8 +1264,18 @@ TEST(TelemetryTraceTest, BatchedFlushRacingDropsClosesEverySpan) {
   const obs::Tracer& tracer = cluster.sim.telemetry().tracer();
   int batch_spans = 0;
   int op_spans = 0;
-  bool coalesced = false;
+  // Ops carried per batch wire span vs op spans annotated as batched: each
+  // multi-op message accounts for exactly its own op spans.
+  int64_t ops_in_batches = 0;
+  int64_t batched_op_spans = 0;
   bool batch_retried = false;
+  // batched=N as N; 0 when the span carries no batched= annotation.
+  auto batched_n = [](const obs::Span& span) -> int64_t {
+    for (const std::string& a : span.annotations) {
+      if (a.rfind("batched=", 0) == 0) return std::stoll(a.substr(8));
+    }
+    return 0;
+  };
   // Span ids are sequential from 1; evicted ids return nullptr.
   const uint64_t total = tracer.span_count() +
                          static_cast<uint64_t>(tracer.dropped());
@@ -1267,27 +1285,118 @@ TEST(TelemetryTraceTest, BatchedFlushRacingDropsClosesEverySpan) {
     EXPECT_FALSE(span->open()) << span->name << " never closed";
     if (span->name.rfind("peer.replicate_batch ", 0) == 0) {
       batch_spans++;
+      EXPECT_GE(batched_n(*span), 2) << "a batch message carried one op";
+      ops_in_batches += batched_n(*span);
       for (const std::string& a : span->annotations) {
-        if (a.rfind("batched=", 0) == 0 && a != "batched=1") coalesced = true;
         if (a.rfind("retry=", 0) == 0) batch_retried = true;
       }
     } else if (span->name.rfind("peer.replicate ", 0) == 0) {
       op_spans++;
-      bool annotated = false;
-      for (const std::string& a : span->annotations) {
-        if (a.rfind("batched=", 0) == 0) annotated = true;
-      }
-      EXPECT_TRUE(annotated)
-          << span->name << " missing batched= (op sent outside a batch?)";
+      const int64_t n = batched_n(*span);
+      EXPECT_NE(n, 1) << span->name << " annotated batched=1";
+      if (n > 0) batched_op_spans++;
     }
   }
-  EXPECT_GT(batch_spans, 0) << "no batch wire span recorded";
+  EXPECT_GT(batch_spans, 0) << "no batch ever carried more than one update";
+  EXPECT_EQ(batched_op_spans, ops_in_batches);
   // One per-op span per update per target, exactly as the per-op path.
   EXPECT_GE(op_spans, 6);
-  EXPECT_TRUE(coalesced) << "no batch ever carried more than one update";
   EXPECT_TRUE(batch_retried) << "drop window never forced a batch retry";
   EXPECT_EQ(tracer.open_count(), 0)
       << ::testing::PrintToString(tracer.open_span_names());
+}
+
+// Spans recorded so far, by exact name (span ids are sequential from 1).
+std::map<std::string, int> span_counts(const obs::Tracer& tracer) {
+  std::map<std::string, int> out;
+  const uint64_t total = tracer.span_count() +
+                         static_cast<uint64_t>(tracer.dropped());
+  for (uint64_t id = 1; id <= total; ++id) {
+    const obs::Span* span = tracer.find_span(id);
+    if (span != nullptr) out[span->name]++;
+  }
+  return out;
+}
+
+// Spans whose name starts with `prefix`.
+int count_prefixed(const std::map<std::string, int>& counts,
+                   const std::string& prefix) {
+  int n = 0;
+  for (const auto& [name, count] : counts) {
+    if (name.rfind(prefix, 0) == 0) n += count;
+  }
+  return n;
+}
+
+// One replication pipeline, wire format by chunk size: a chunk of one is a
+// kReplicate per target with one `peer.replicate <target>` span and no
+// batch span; a chunk of N >= 2 is one kReplicateBatch per target.
+TEST(ReplicationPipelineTest, SyncPutSendsOneReplicatePerTarget) {
+  ChaosCluster cluster(/*seed=*/29);
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(ConsistencyMode::kMultiPrimaries, {}));
+  ASSERT_TRUE(peers.ok()) << peers.status().to_string();
+  cluster.controller.start();
+  WieraClient us(cluster.sim, cluster.network, cluster.registry, "app-us",
+                 "client-us-west", *peers);
+  bool put_ok = false;
+  auto workload = [&put_ok](sim::Simulation& sim,
+                            WieraClient& c) -> sim::Task<void> {
+    co_await sim.delay(sec(1));
+    auto put = co_await c.put("k0", Blob("v"));
+    put_ok = put.ok();
+  };
+  cluster.sim.spawn(workload(cluster.sim, us));
+  cluster.sim.run_until(TimePoint(sec(5).us()));
+  ASSERT_TRUE(put_ok);
+
+  const auto counts = span_counts(cluster.sim.telemetry().tracer());
+  EXPECT_EQ(count_prefixed(counts, "rpc.call peer.replicate_batch"), 0);
+  EXPECT_EQ(count_prefixed(counts, "peer.replicate_batch "), 0);
+  const auto calls = counts.find("rpc.call peer.replicate");
+  ASSERT_NE(calls, counts.end());
+  EXPECT_EQ(calls->second, 3);
+  EXPECT_EQ(count_prefixed(counts, "peer.replicate "), 3);
+}
+
+TEST(ReplicationPipelineTest, ChunkSizePicksTheWireFormat) {
+  ChaosCluster cluster(/*seed=*/31);
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(ConsistencyMode::kEventual,
+                                batching_tweak(4, msec(400))));
+  ASSERT_TRUE(peers.ok()) << peers.status().to_string();
+  cluster.controller.start();
+  WieraClient us(cluster.sim, cluster.network, cluster.registry, "app-us",
+                 "client-us-west", *peers);
+  const obs::Tracer& tracer = cluster.sim.telemetry().tracer();
+
+  // Four puts just after a flush tick: the queue reaches
+  // replicate_batch_max and the size trigger flushes one chunk of four.
+  int puts_ok = 0;
+  auto burst = [&puts_ok](WieraClient& c, int n) -> sim::Task<void> {
+    for (int i = 0; i < n; ++i) {
+      auto put = co_await c.put(kKeys[i % 2], Blob("v" + std::to_string(i)));
+      if (put.ok()) puts_ok++;
+    }
+  };
+  cluster.sim.run_until(TimePoint(msec(1210).us()));
+  cluster.sim.spawn(burst(us, 4));
+  cluster.sim.run_until(TimePoint(sec(3).us()));
+  ASSERT_EQ(puts_ok, 4);
+  auto counts = span_counts(tracer);
+  EXPECT_EQ(counts["rpc.call peer.replicate_batch"], 3);
+  EXPECT_EQ(count_prefixed(counts, "peer.replicate_batch "), 3);
+  EXPECT_EQ(counts["rpc.call peer.replicate"], 0);
+  EXPECT_EQ(count_prefixed(counts, "peer.replicate "), 12);
+
+  // A lone update flushes on the timer as a chunk of one: plain kReplicate.
+  cluster.sim.spawn(burst(us, 1));
+  cluster.sim.run_until(TimePoint(sec(5).us()));
+  ASSERT_EQ(puts_ok, 5);
+  counts = span_counts(tracer);
+  EXPECT_EQ(counts["rpc.call peer.replicate_batch"], 3);
+  EXPECT_EQ(counts["rpc.call peer.replicate"], 3);
+  EXPECT_EQ(count_prefixed(counts, "peer.replicate "), 15);
 }
 
 // ------------------------------------------------------- randomized sweeps
@@ -1359,11 +1468,13 @@ TEST_P(BatchingChaosSuite, OracleHoldsWithCoalescingArmed) {
   const int seeds = seed_count();
   int64_t batches = 0;
   int64_t batched_ops = 0;
+  int64_t sent = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     RunResult r = run_chaos(c.mode, c.fault, static_cast<uint64_t>(seed),
                             batching_tweak());
     batches += r.replication_batches;
     batched_ops += r.replication_batched_ops;
+    sent += r.replications_sent;
     EXPECT_GT(r.completed_ok, 0) << "seed " << seed << ": no op completed";
     EXPECT_GT(r.events_applied, 0) << "seed " << seed << ": no fault fired";
     if (!r.violations.empty()) {
@@ -1378,6 +1489,10 @@ TEST_P(BatchingChaosSuite, OracleHoldsWithCoalescingArmed) {
   // The sweep only proves something if coalescing actually engaged.
   EXPECT_GT(batches, 0) << "no batch sent across " << seeds << " seeds";
   EXPECT_GE(batched_ops, batches);
+  // Every op a batch carried is also a replication send: the sends counter
+  // covers both wire formats.
+  EXPECT_GT(sent, 0);
+  EXPECT_GE(sent, batched_ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -372,15 +372,6 @@ TEST(CircuitBreakerTest, TransitionHookSeesEveryStateChange) {
   EXPECT_EQ(seen[2].second, CircuitBreaker::State::kClosed);
 }
 
-TEST(TimeSeriesTest, RecordsInOrder) {
-  TimeSeries ts;
-  ts.record(TimePoint(100), 1.5);
-  ts.record(TimePoint(200), 2.5);
-  ASSERT_EQ(ts.samples().size(), 2u);
-  EXPECT_EQ(ts.samples()[0].time.us(), 100);
-  EXPECT_EQ(ts.samples()[1].value, 2.5);
-}
-
 // ---------------------------------------------------------------- Bytes
 
 TEST(BlobTest, EmptyBlob) {
