@@ -1,17 +1,22 @@
 #include "sim/attribution.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/strings.h"
 
 namespace wiera::sim {
 
-void AttributionReport::set_context(std::string suite, std::string name,
-                                    uint64_t seed, uint64_t trace_hash) {
-  suite_ = std::move(suite);
-  name_ = std::move(name);
-  seed_ = seed;
-  trace_hash_ = trace_hash;
+std::string render_events_json(
+    const std::vector<std::pair<TimePoint, std::string>>& events) {
+  std::string out = "[";
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (i > 0) out += ",";
+    out += str_format("{\"at_us\":%lld,\"event\":\"%s\"}",
+                      static_cast<long long>(events[i].first.us()),
+                      json_escape(events[i].second).c_str());
+  }
+  return out + "]";
 }
 
 void AttributionReport::set_window(TimePoint start, TimePoint end) {
@@ -111,93 +116,22 @@ std::vector<const FaultEvent*> AttributionReport::overlapping_faults() const {
   return out;
 }
 
-std::string AttributionReport::render_text() const {
-  const auto [w_start, w_end] = effective_window();
-  std::string out = str_format(
-      "ATTRIBUTION-REPORT suite=%s name=%s seed=%llu hash=0x%016llx "
-      "window=[%lldus,%lldus]\n",
-      suite_.c_str(), name_.c_str(),
-      static_cast<unsigned long long>(seed_),
-      static_cast<unsigned long long>(trace_hash_),
-      static_cast<long long>(w_start.us()),
-      static_cast<long long>(w_end.us()));
-
-  out += "violations:\n";
-  for (const SloViolation& v : violations_) {
-    out += "  [" + v.check + "] " + v.message;
-    out += " at=" + std::to_string(v.at.us()) + "us";
-    if (v.trace_id != 0) {
-      out += str_format(" trace=0x%016llx",
-                        static_cast<unsigned long long>(v.trace_id));
-    }
-    out += "\n";
-  }
-
-  out += "alerts:\n";
-  for (const obs::AlertFiring& f : alerts_) {
-    out += str_format("  %lldus %s clause=%s long=%.2fx short=%.2fx\n",
-                      static_cast<long long>(f.at.us()), f.rule.c_str(),
-                      f.clause.c_str(), f.long_burn, f.short_burn);
-  }
-
-  const std::vector<const FaultEvent*> overlap = overlapping_faults();
-  out += "overlapping-faults:\n";
-  for (const FaultEvent* e : overlap) {
-    out += "  " + e->describe() + "\n";
-  }
-  if (faults_.size() > overlap.size()) {
-    out += str_format("  (+%zu applied fault(s) outside the window)\n",
-                      faults_.size() - overlap.size());
-  }
-
-  if (!scenario_events_.empty()) {
-    out += "scenario-events:\n";
-    for (const auto& [at, desc] : scenario_events_) {
-      out += "  " + std::to_string(at.us()) + "us " + desc + "\n";
-    }
-  }
-
-  out += "hot-keys:\n";
-  for (const HotEntry& h : hot_) {
-    out += str_format("  %s %s=%s count=%lld rate=%.2f/s\n",
-                      h.instance.c_str(), h.is_tenant ? "tenant" : "key",
-                      h.entry.id.c_str(),
-                      static_cast<long long>(h.entry.count),
-                      h.entry.rate_per_sec);
-  }
-
-  out += "worst-spans:\n";
-  for (const WorstSpan& s : worst_spans_) {
-    out += str_format("  [%s] %s host=%s start=%lldus dur=%lldus "
-                      "trace=0x%016llx\n",
-                      s.status.c_str(), s.name.c_str(), s.host.c_str(),
-                      static_cast<long long>(s.start.us()),
-                      static_cast<long long>(s.duration.us()),
-                      static_cast<unsigned long long>(s.trace_id));
-  }
-  out += "END-ATTRIBUTION-REPORT\n";
-  return out;
-}
-
 std::string AttributionReport::render_json() const {
   const auto [w_start, w_end] = effective_window();
-  std::string out = str_format(
-      "{\"suite\":\"%s\",\"name\":\"%s\",\"seed\":%llu,"
-      "\"hash\":\"0x%016llx\",\"window_us\":[%lld,%lld]",
-      json_escape(suite_).c_str(), json_escape(name_).c_str(),
-      static_cast<unsigned long long>(seed_),
-      static_cast<unsigned long long>(trace_hash_),
-      static_cast<long long>(w_start.us()),
-      static_cast<long long>(w_end.us()));
+  std::string out = str_format("{\"window_us\":[%lld,%lld]",
+                               static_cast<long long>(w_start.us()),
+                               static_cast<long long>(w_end.us()));
 
   out += ",\"violations\":[";
   for (size_t i = 0; i < violations_.size(); ++i) {
     const SloViolation& v = violations_[i];
     if (i > 0) out += ",";
-    out += str_format("{\"check\":\"%s\",\"message\":\"%s\",\"at_us\":%lld}",
-                      json_escape(v.check).c_str(),
-                      json_escape(v.message).c_str(),
-                      static_cast<long long>(v.at.us()));
+    out += str_format(
+        "{\"check\":\"%s\",\"message\":\"%s\",\"at_us\":%lld,"
+        "\"trace\":\"0x%016llx\"}",
+        json_escape(v.check).c_str(), json_escape(v.message).c_str(),
+        static_cast<long long>(v.at.us()),
+        static_cast<unsigned long long>(v.trace_id));
   }
 
   out += "],\"alerts\":[";
@@ -217,15 +151,12 @@ std::string AttributionReport::render_json() const {
     out += "\"" + json_escape(overlap[i]->describe()) + "\"";
   }
 
-  out += "],\"scenario_events\":[";
-  for (size_t i = 0; i < scenario_events_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += str_format("{\"at_us\":%lld,\"event\":\"%s\"}",
-                      static_cast<long long>(scenario_events_[i].first.us()),
-                      json_escape(scenario_events_[i].second).c_str());
-  }
+  // Applied faults that missed the window are counted, not listed.
+  out += str_format("],\"faults_outside_window\":%zu",
+                    faults_.size() - overlap.size());
+  out += ",\"scenario_events\":" + render_events_json(scenario_events_);
 
-  out += "],\"hot\":[";
+  out += ",\"hot\":[";
   for (size_t i = 0; i < hot_.size(); ++i) {
     const HotEntry& h = hot_[i];
     if (i > 0) out += ",";
@@ -251,6 +182,78 @@ std::string AttributionReport::render_json() const {
   }
   out += "]}";
   return out;
+}
+
+void RunReport::add_violation(std::string check, std::string message) {
+  violations_.push_back({std::move(check), std::move(message)});
+}
+
+void RunReport::expect(bool ok, std::string check, std::string message) {
+  if (!ok) add_violation(std::move(check), std::move(message));
+}
+
+void RunReport::set_counter(std::string_view name, int64_t value) {
+  counters_.emplace_back(std::string(name), value);
+}
+
+void RunReport::set_json(std::string key, std::string json) {
+  json_.emplace_back(std::move(key), std::move(json));
+}
+
+const std::string& RunReport::json(std::string_view key) const {
+  static const std::string kNone;
+  for (const auto& [k, json] : json_) {
+    if (k == key) return json;
+  }
+  return kNone;
+}
+
+int64_t RunReport::counter(std::string_view name) const {
+  for (const auto& [key, value] : counters_) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+std::string RunReport::describe() const {
+  std::string out = "replay: " + replay_ + "\n";
+  for (const Violation& v : violations_) {
+    out += "  [" + v.check + "] " + v.message + "\n";
+  }
+  return out;
+}
+
+std::string RunReport::render_json() const {
+  std::string out = str_format(
+      "{\"suite\":\"%s\",\"case\":\"%s\",\"seed\":%llu,"
+      "\"trace\":\"0x%016llx\",\"replay\":\"%s\",\"verdict\":\"%s\"",
+      json_escape(suite_).c_str(), json_escape(name_).c_str(),
+      static_cast<unsigned long long>(seed_),
+      static_cast<unsigned long long>(trace_), json_escape(replay_).c_str(),
+      passed() ? "pass" : "fail");
+  out += ",\"violations\":[";
+  for (size_t i = 0; i < violations_.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "{\"check\":\"" + json_escape(violations_[i].check) +
+           "\",\"message\":\"" + json_escape(violations_[i].message) + "\"}";
+  }
+  out += "],\"counters\":{";
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    if (i > 0) out += ",";
+    out += str_format("\"%s\":%lld", json_escape(counters_[i].first).c_str(),
+                      static_cast<long long>(counters_[i].second));
+  }
+  out += "}";
+  for (const auto& [key, json] : json_) {
+    out += ",\"" + json_escape(key) + "\":" + json;
+  }
+  out += "}";
+  return out;
+}
+
+void RunReport::print() const {
+  std::printf("RUN-REPORT %s\n", render_json().c_str());
+  std::fflush(stdout);
 }
 
 }  // namespace wiera::sim

@@ -90,7 +90,7 @@ class HealthTracker {
   // Deterministically ordered list of peers currently in probation.
   std::vector<std::string> probation_peers() const;
 
-  // ---- counters (HEALTH-STATS; registered only when enabled) ----
+  // ---- counters (RUN-REPORT counters; registered only when enabled) ----
   int64_t probation_entries() const {
     return probation_entries_ ? probation_entries_->value() : 0;
   }

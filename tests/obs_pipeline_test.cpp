@@ -602,7 +602,6 @@ TEST(DetectionGapTest, GuardedClauseWithoutAlertAppendsDetectionGap) {
 
 TEST(AttributionReportTest, RenderNamesFaultsHotKeysAlertsAndWorstSpans) {
   sim::AttributionReport report;
-  report.set_context("scenario", "grayprimary:slownode", 13, 0xabcdefull);
   report.set_window(at_ms(8000), at_ms(20000));
   report.add_violation("get-p99", "p99 over bound", at_ms(20000), 0x77);
 
@@ -643,37 +642,36 @@ TEST(AttributionReportTest, RenderNamesFaultsHotKeysAlertsAndWorstSpans) {
   report.set_tracer(tracer, /*keep=*/2);
 
   EXPECT_FALSE(report.empty());
-  const std::string text = report.render_text();
-  EXPECT_NE(text.find("ATTRIBUTION-REPORT suite=scenario "
-                      "name=grayprimary:slownode seed=13"),
+  const std::string json = report.render_json();
+  EXPECT_NE(json.find("\"window_us\":[8000000,20000000]"),
             std::string::npos);
-  EXPECT_NE(text.find("[get-p99] p99 over bound"), std::string::npos);
-  EXPECT_NE(text.find("slow-node node=tiera-us-west"), std::string::npos);
-  // The out-of-window crash is summarized, not listed.
-  EXPECT_EQ(text.find("crash node=tiera-eu-west"), std::string::npos);
-  EXPECT_NE(text.find("(+1 applied fault(s) outside the window)"),
+  EXPECT_NE(
+      json.find("\"check\":\"get-p99\",\"message\":\"p99 over bound\""),
+      std::string::npos);
+  // The in-window slow node is listed; the out-of-window crash is counted.
+  EXPECT_NE(
+      json.find("\"overlapping_faults\":[\"slow-node node=tiera-us-west"),
+      std::string::npos);
+  EXPECT_EQ(json.find("crash node=tiera-eu-west"), std::string::npos);
+  EXPECT_NE(json.find("\"faults_outside_window\":1"), std::string::npos);
+  EXPECT_NE(json.find("drain tiera-asia-east"), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"key\",\"id\":\"hot-0\""),
             std::string::npos);
-  EXPECT_NE(text.find("drain tiera-asia-east"), std::string::npos);
-  EXPECT_NE(text.find("key=hot-0"), std::string::npos);
-  EXPECT_NE(text.find("tenant=app-0"), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"tenant\",\"id\":\"app-0\""),
+            std::string::npos);
   // Error-status spans outrank longer ok spans.
-  const size_t err_pos = text.find("[UNAVAILABLE] client.put");
-  const size_t ok_pos = text.find("[ok] client.get");
+  const size_t err_pos =
+      json.find("\"name\":\"client.put\",\"host\":\"app-1\","
+                "\"status\":\"UNAVAILABLE\"");
+  const size_t ok_pos = json.find(
+      "\"name\":\"client.get\",\"host\":\"app-0\",\"status\":\"ok\"");
   EXPECT_NE(err_pos, std::string::npos);
   EXPECT_NE(ok_pos, std::string::npos);
   EXPECT_LT(err_pos, ok_pos);
-  EXPECT_NE(text.find("END-ATTRIBUTION-REPORT"), std::string::npos);
-
-  const std::string json = report.render_json();
-  EXPECT_NE(json.find("\"suite\":\"scenario\""), std::string::npos);
-  EXPECT_NE(json.find("\"overlapping_faults\":[\"slow-node"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"id\":\"hot-0\""), std::string::npos);
 }
 
 TEST(AttributionReportTest, WindowDefaultsToViolationEvidenceSpan) {
   sim::AttributionReport report;
-  report.set_context("chaos", "eventual:crash", 3, 0x1);
   report.add_violation("no-failed-ops", "put failed", at_ms(10000), 0);
 
   sim::FaultEvent near_fault;
@@ -690,10 +688,11 @@ TEST(AttributionReportTest, WindowDefaultsToViolationEvidenceSpan) {
 
   // Evidence at 10s: the implied window is [8s, 12s], so the 11s crash
   // overlaps and the 30s one does not.
-  const std::string text = report.render_text();
-  EXPECT_NE(text.find("window=[8000000us,12000000us]"), std::string::npos);
-  EXPECT_NE(text.find("crash node=n1"), std::string::npos);
-  EXPECT_EQ(text.find("crash node=n2"), std::string::npos);
+  const std::string json = report.render_json();
+  EXPECT_NE(json.find("\"window_us\":[8000000,12000000]"),
+            std::string::npos);
+  EXPECT_NE(json.find("crash node=n1"), std::string::npos);
+  EXPECT_EQ(json.find("crash node=n2"), std::string::npos);
 }
 
 TEST(AttributionReportTest, EmptyKeyStatsAndDisabledSketchesAreSkipped) {
@@ -704,9 +703,7 @@ TEST(AttributionReportTest, EmptyKeyStatsAndDisabledSketchesAreSkipped) {
   on.enabled = true;
   KeyStats enabled_but_empty(on);
   report.add_key_stats("LA", enabled_but_empty, at_ms(100));
-  const std::string text = report.render_text();
-  EXPECT_EQ(text.find("NYC"), std::string::npos);
-  EXPECT_EQ(text.find("LA"), std::string::npos);
+  EXPECT_NE(report.render_json().find("\"hot\":[]"), std::string::npos);
 }
 
 }  // namespace

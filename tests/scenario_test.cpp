@@ -9,49 +9,41 @@
 //     bounded availability gap through evacuations)
 // Scenarios compose with random FaultPlans (an evacuation *while* a
 // partition or crash is live) and every run folds its applied events into
-// the determinism trace hash, so a failing run prints
-// "SCENARIO-FAIL seed=... scenario=... fault=... trace=..." and
-// scripts/scenario_sweep.sh can replay it exactly with
-// `scenario_test --seed N --scenario NAME[:FAULT]`.
+// the determinism trace hash. Every run prints one RUN-REPORT line
+// (docs/OBSERVABILITY.md#run-report) whose `replay` command re-runs it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <initializer_list>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/units.h"
+#include "fault_suite.h"
 #include "obs/alerts.h"
 #include "obs/telemetry.h"
-#include "policy/builtin_policies.h"
-#include "policy/parser.h"
-#include "sim/attribution.h"
-#include "sim/faults.h"
-#include "sim/obs_pipeline.h"
-#include "sim/oracle.h"
 #include "sim/scenario.h"
 #include "sim/slo.h"
 #include "wiera/chaos.h"
 #include "wiera/client.h"
-#include "wiera/controller.h"
 #include "wiera/scenario_host.h"
 
 namespace wiera::geo {
 namespace {
 
-const char* const kStorageNodes[] = {"tiera-us-west", "tiera-us-east",
-                                     "tiera-eu-west", "tiera-asia-east"};
+using suite::kClientNodes;
+using suite::kStorageNodes;
+
 // Spare capacity for kAddRegion: a registered Tiera server that is not a
 // member until a scenario brings it up live.
 const char* const kSpareNode = "tiera-spare";
-const char* const kClientNodes[] = {"client-us-west", "client-eu-west",
-                                    "client-asia-east"};
 constexpr int kKeyCount = 6;
 
 enum class ComposedFault {
@@ -64,22 +56,14 @@ enum class ComposedFault {
   kSlowNode,
 };
 
+// The FAULT tokens of `--scenario NAME[:FAULT]`, in enum order: every
+// report's replay command is rendered from this table and the replay parser
+// reads it back.
+const char* const kFaultTokens[] = {"none",    "partition", "crash",
+                                    "stutter", "flakylink", "slownode"};
+
 const char* fault_name(ComposedFault fault) {
-  switch (fault) {
-    case ComposedFault::kNone:
-      return "none";
-    case ComposedFault::kPartition:
-      return "partition";
-    case ComposedFault::kCrash:
-      return "crash";
-    case ComposedFault::kStutter:
-      return "stutter";
-    case ComposedFault::kFlakyLink:
-      return "flakylink";
-    case ComposedFault::kSlowNode:
-      return "slownode";
-  }
-  return "?";
+  return kFaultTokens[static_cast<size_t>(fault)];
 }
 
 bool is_gray_fault(ComposedFault fault) {
@@ -94,84 +78,18 @@ bool is_gray_scenario(const std::string& name) {
   return name.rfind("gray", 0) == 0;
 }
 
-// ChaosCluster's deployment plus the knobs scenario runs rely on: a spare
-// storage server (live-add target), a ping deadline so the serial heartbeat
-// loop keeps detecting failures while a composed fault blackholes a peer,
-// and the same leased-lock / serve-lease configuration as the chaos suite.
-struct ScenarioCluster {
-  sim::Simulation sim;
-  net::Network network;
-  rpc::Registry registry;
-  WieraController controller;
-  std::vector<std::unique_ptr<TieraServer>> servers;
-
-  explicit ScenarioCluster(
-      uint64_t seed,
-      std::function<void(WieraController::Config&)> config_tweak = nullptr)
-      : sim(seed),
-        network(sim, make_topology()),
-        controller(sim, network, registry,
-                   controller_config(std::move(config_tweak))) {
-    for (const char* node : kStorageNodes) {
-      servers.push_back(
-          std::make_unique<TieraServer>(sim, network, registry, node));
-      controller.register_server(servers.back().get());
-    }
-    servers.push_back(
-        std::make_unique<TieraServer>(sim, network, registry, kSpareNode));
-    controller.register_server(servers.back().get());
-  }
-
-  static WieraController::Config controller_config(
-      std::function<void(WieraController::Config&)> tweak = nullptr) {
-    WieraController::Config config;
-    config.node = "wiera-controller";
-    config.heartbeat_interval = sec(1);
-    config.lock_lease = sec(20);
-    config.serve_lease = msec(1500);
-    config.ping_deadline = msec(800);
-    if (tweak) tweak(config);
-    return config;
-  }
-
-  static net::Topology make_topology() {
-    net::Topology topo = net::Topology::paper_default();
-    topo.set_jitter_fraction(0.0);
-    topo.add_node("wiera-controller", "aws-us-east");
-    topo.add_node("tiera-us-west", "aws-us-west");
-    topo.add_node("tiera-us-east", "aws-us-east");
-    topo.add_node("tiera-eu-west", "aws-eu-west");
-    topo.add_node("tiera-asia-east", "aws-asia-east");
-    topo.add_node(kSpareNode, "aws-us-east");
-    topo.add_node("client-us-west", "aws-us-west");
-    topo.add_node("client-eu-west", "aws-eu-west");
-    topo.add_node("client-asia-east", "aws-asia-east");
-    return topo;
-  }
-
-  WieraController::StartOptions options_for(
-      ConsistencyMode mode,
-      std::function<void(WieraPeer::Config&)> peer_tweak = {}) {
-    WieraController::StartOptions options;
-    auto doc = policy::parse_policy(
-        mode == ConsistencyMode::kEventual
-            ? policy::builtin::eventual_consistency()
-            : policy::builtin::primary_backup_consistency());
-    EXPECT_TRUE(doc.ok()) << doc.status().to_string();
-    options.global = std::move(doc).value();
-    options.local_params["t"] = policy::Value::duration_of(sec(10));
-    options.customize = [peer_tweak =
-                             std::move(peer_tweak)](WieraPeer::Config& config) {
-      config.local.tier_tweak = [](const std::string&,
-                                   store::TierSpec& spec) {
-        spec.jitter_fraction = 0;
-      };
-      config.replicate_retries = 8;
-      config.replicate_backoff = msec(50);
-      if (peer_tweak) peer_tweak(config);
-    };
-    return options;
-  }
+// The chaos suite's cluster plus the knobs scenario runs rely on: a spare
+// storage server (live-add target) and a ping deadline, so the serial
+// heartbeat loop keeps detecting failures while a composed fault blackholes
+// a peer.
+struct ScenarioCluster : suite::Cluster {
+  explicit ScenarioCluster(uint64_t seed, suite::ControllerTweak tweak = {})
+      : Cluster(seed,
+                fault_tolerant([&tweak](WieraController::Config& config) {
+                  config.ping_deadline = msec(800);
+                  if (tweak) tweak(config);
+                }),
+                kSpareNode) {}
 };
 
 sim::ScenarioPlan::BuiltinOptions builtin_options() {
@@ -281,64 +199,14 @@ sim::SloContract contract_for(const std::string& name, ComposedFault fault) {
   return contract;
 }
 
-std::string hex_trace(uint64_t hash) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
+sim::RunReport scenario_report(const std::string& name, ComposedFault fault,
+                               uint64_t seed) {
+  const std::string spec = name + ":" + fault_name(fault);
+  sim::RunReport report("scenario", spec, seed);
+  report.set_replay(
+      suite::replay_command("scenario_test", seed, "--scenario " + spec));
+  return report;
 }
-
-bool dump_telemetry_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TELEMETRY");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// Time-series capture (docs/METRICS_PIPELINE.md): arms the ObsPipeline
-// scraper and per-peer hot-key sketches for the run. Off by default — an
-// armed pipeline adds timer events, so replay hashes from a timeseries run
-// only compare against other timeseries runs.
-bool dump_timeseries_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TIMESERIES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-void dump_telemetry(sim::Simulation& sim, std::set<uint64_t> traces) {
-  std::printf("TELEMETRY-SNAPSHOT\n%s",
-              sim.telemetry().registry().render_text().c_str());
-  traces.erase(0);
-  for (uint64_t id : traces) {
-    obs::TraceView view(sim.telemetry().tracer(), id);
-    if (view.empty()) continue;
-    std::printf("TELEMETRY-TRACE trace=%s\n%s", hex_trace(id).c_str(),
-                view.render().c_str());
-  }
-}
-
-struct ScenarioRunResult {
-  std::vector<sim::SloViolation> slo_violations;
-  std::vector<sim::OracleViolation> violations;
-  std::vector<sim::OracleViolation> convergence_violations;
-  uint64_t trace_hash = 0;
-  int64_t ops = 0;
-  int64_t ok = 0;
-  int64_t not_found = 0;
-  int64_t shed = 0;
-  int64_t failed = 0;
-  int64_t plan_events = 0;
-  int64_t events_applied = 0;
-  int64_t fault_events = 0;
-  int64_t drains = 0;
-  int64_t added = 0;
-  int64_t restarts = 0;
-  int64_t host_failures = 0;  // operational events that errored out
-  int64_t attempt_timeouts = 0;
-  // Health lifecycle counters (0 unless the run armed the tracker).
-  int64_t probation_entries = 0;
-  int64_t probation_exits = 0;
-  std::string timeline;
-  // Rendered ATTRIBUTION-REPORT block; empty when no clause tripped.
-  std::string attribution;
-};
 
 // One client: put/get rounds whose key choice, tenant class and cadence all
 // come from the engine's LoadModel, so scenario load shapes actually steer
@@ -400,69 +268,35 @@ sim::Task<void> scenario_workload(sim::Simulation& sim,
   }
 }
 
-// Final replica states over the *current* member set — after an evacuation
-// the retired peer no longer counts, after a live add the new peer must
-// agree too.
-sim::Task<void> harvest_finals(WieraController& controller,
-                               sim::ConsistencyOracle& oracle, bool& done) {
-  auto members = controller.get_instances("w1");
-  if (members.ok()) {
-    for (const std::string& node : *members) {
-      WieraPeer* peer = controller.peer(node);
-      if (peer == nullptr) continue;
-      for (int k = 0; k < kKeyCount; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        const metadb::ObjectMeta* obj = peer->local().meta().find(key);
-        const metadb::VersionMeta* vm =
-            obj == nullptr ? nullptr : obj->latest_committed();
-        if (vm == nullptr) {
-          oracle.record_replica_value(node, key, 0, TimePoint(), "", "");
-          continue;
-        }
-        const int64_t version = vm->version;
-        const TimePoint last_modified = vm->last_modified;
-        const std::string origin = vm->origin;
-        auto value = co_await peer->local().get_version(key, version);
-        oracle.record_replica_value(node, key, version, last_modified, origin,
-                                    value.ok() ? value->value.to_string()
-                                               : "");
-      }
-    }
-  }
-  done = true;
-}
-
-ScenarioRunResult run_scenario(const std::string& name, ComposedFault fault,
-                               uint64_t seed, bool telemetry_on = true) {
+// One schedule of scenario `name` composed with `fault`; prints and returns
+// its RUN-REPORT. The verdict: ops ran and completed, the driver applied
+// every planned event, the SLO contract and both consistency checks held,
+// and a fault-free run completed its operational events.
+sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
+                            uint64_t seed, bool telemetry_on = true) {
   // Gray runs (gray fault class or gray builtin) arm health detection;
   // every other run keeps the seed controller config, so pre-existing
   // scenario trace hashes stay byte-identical.
-  std::function<void(WieraController::Config&)> controller_tweak;
+  suite::ControllerTweak controller_tweak;
   if (is_gray_fault(fault) || is_gray_scenario(name)) {
     controller_tweak = [](WieraController::Config& config) {
       config.health.enabled = true;
     };
   }
   ScenarioCluster cluster(seed, std::move(controller_tweak));
+  sim::RunReport report = scenario_report(name, fault, seed);
   if (!telemetry_on) cluster.sim.telemetry().set_enabled(false);
-  // Timeseries runs additionally arm the per-peer hot-key sketches; default
-  // runs keep the seed peer config so telemetry dumps stay byte-identical.
-  std::function<void(WieraPeer::Config&)> peer_tweak;
-  if (dump_timeseries_enabled()) {
-    peer_tweak = [](WieraPeer::Config& config) {
-      config.key_stats.enabled = true;
-    };
-  }
+  // Timeseries runs additionally arm the per-peer hot-key sketches.
   auto peers = cluster.controller.start_instances(
-      "w1",
-      cluster.options_for(ConsistencyMode::kEventual, std::move(peer_tweak)));
+      "w1", cluster.options_for(ConsistencyMode::kEventual,
+                                suite::with_key_stats(nullptr)));
   EXPECT_TRUE(peers.ok()) << peers.status().to_string();
-  if (!peers.ok()) return {};
+  if (!peers.ok()) return report;
   cluster.controller.start();
 
   auto plan = sim::ScenarioPlan::builtin(name, seed, builtin_options());
   EXPECT_TRUE(plan.ok()) << plan.status().to_string();
-  if (!plan.ok()) return {};
+  if (!plan.ok()) return report;
   const auto window = slo_window(*plan);
   const int64_t plan_events = static_cast<int64_t>(plan->events().size());
 
@@ -475,16 +309,10 @@ ScenarioRunResult run_scenario(const std::string& name, ComposedFault fault,
   engine.load().set_key_count(kKeyCount);
   engine.arm(std::move(plan).value());
 
-  // Metrics pipeline (docs/METRICS_PIPELINE.md): unarmed by default — it
-  // spawns nothing and the schedule stays byte-identical. Timeseries runs
-  // scrape every 100ms until the workload horizon.
+  // Metrics pipeline (docs/METRICS_PIPELINE.md): timeseries runs scrape
+  // until the workload horizon.
   sim::ObsPipeline pipeline(cluster.sim);
-  if (dump_timeseries_enabled()) {
-    sim::ObsPipeline::Config obs_config;
-    obs_config.interval = msec(100);
-    obs_config.until = TimePoint::origin() + sec(35);
-    pipeline.arm(obs_config);
-  }
+  suite::arm_timeseries(pipeline, TimePoint::origin() + sec(35));
 
   WieraClient::Config client_config;
   client_config.op_deadline = sec(3);
@@ -510,188 +338,132 @@ ScenarioRunResult run_scenario(const std::string& name, ComposedFault fault,
   }
 
   // Workload, scenario and fault windows are over by ~35s; 45s leaves room
-  // for recovery/catch-up to settle before finals are harvested.
+  // for recovery/catch-up to settle before finals are harvested — over the
+  // *current* member set: after an evacuation the retired peer no longer
+  // counts, after a live add the new peer must agree too.
   cluster.sim.run_until(TimePoint(sec(45).us()));
-  bool harvested = false;
-  cluster.sim.spawn(harvest_finals(cluster.controller, oracle, harvested));
-  cluster.sim.run_until(TimePoint(sec(50).us()));
-  EXPECT_TRUE(harvested);
+  auto members = cluster.controller.get_instances("w1");
+  cluster.harvest(members.ok() ? *members : std::vector<std::string>{},
+                  kKeyCount, oracle, TimePoint(sec(50).us()));
 
-  ScenarioRunResult result;
-  result.slo_violations =
+  const auto slo_violations =
       slo.check(contract_for(name, fault), cluster.sim.telemetry().registry(),
                 {"app-0", "app-1", "app-2"});
-  result.violations = oracle.check(sim::CheckMode::kEventual);
-  result.convergence_violations = oracle.check_convergence();
-  result.trace_hash = cluster.sim.checker().trace_hash();
-  result.ops = slo.ops();
-  result.ok = slo.ok();
-  result.not_found = slo.not_found();
-  result.shed = slo.shed();
-  result.failed = slo.failed();
-  result.plan_events = plan_events;
-  result.events_applied = engine.events_applied();
-  result.fault_events = injector.events_applied();
-  result.drains = cluster.controller.drains_completed();
-  result.added = cluster.controller.peers_added();
-  result.restarts = cluster.controller.rolling_restarts_completed();
-  result.host_failures = scenario_host.failed_operations();
-  result.probation_entries = cluster.controller.health().probation_entries();
-  result.probation_exits = cluster.controller.health().probation_exits();
+  const auto violations = oracle.check(sim::CheckMode::kEventual);
+  const auto convergence = oracle.check_convergence();
+  report.set_trace(cluster.sim.checker().trace_hash());
+  report.set_counter("ops", slo.ops());
+  report.set_counter("ok", slo.ok());
+  report.set_counter("notfound", slo.not_found());
+  report.set_counter("shed", slo.shed());
+  report.set_counter("failed", slo.failed());
+  report.set_counter("plan_events", plan_events);
+  report.set_counter("events", engine.events_applied());
+  report.set_counter("fault_events", injector.events_applied());
+  report.set_counter("drains", cluster.controller.drains_completed());
+  report.set_counter("added", cluster.controller.peers_added());
+  report.set_counter("restarts",
+                     cluster.controller.rolling_restarts_completed());
+  // Operational events that errored out.
+  report.set_counter("host_failures", scenario_host.failed_operations());
+  int64_t attempt_timeouts = 0;
+  int64_t client_failovers = 0;
   for (const auto& client : clients) {
-    result.attempt_timeouts += client->attempt_timeouts();
+    attempt_timeouts += client->attempt_timeouts();
+    client_failovers += client->failovers();
   }
-  result.timeline = engine.render_timeline();
+  report.set_counter("attempt_timeouts", attempt_timeouts);
+  // Health lifecycle counters (0 unless the run armed the tracker).
+  const HealthTracker& health = cluster.controller.health();
+  report.set_counter("probation_entries", health.probation_entries());
+  report.set_counter("probation_exits", health.probation_exits());
+  report.set_counter("primary_changes", cluster.controller.primary_changes());
+  report.set_counter("client_failovers", client_failovers);
+  report.set_json("timeline", sim::render_events_json(engine.timeline()));
 
-  // Failure attribution (docs/METRICS_PIPELINE.md): any tripped clause gets
-  // one report correlating the violating window with the fault/scenario
-  // timelines, alert firings, per-peer hot keys and the worst spans.
-  if (!result.slo_violations.empty() || !result.violations.empty() ||
-      !result.convergence_violations.empty()) {
-    sim::AttributionReport report;
-    report.set_context("scenario", name + ":" + fault_name(fault), seed,
-                       result.trace_hash);
-    report.set_window(window.first, window.second);
-    report.add_violations(result.slo_violations);
-    for (const auto& v : result.violations) {
-      report.add_violation("consistency", v.key + ": " + v.message,
-                           window.second, v.trace_id);
-    }
-    for (const auto& v : result.convergence_violations) {
-      report.add_violation("convergence", v.key + ": " + v.message,
-                           window.second, v.trace_id);
-    }
-    report.set_fault_timeline(injector.timeline());
-    report.set_scenario_timeline(engine.timeline());
-    report.set_alerts(pipeline.alerts());
-    const TimePoint now = cluster.sim.now();
-    for (const std::string& node : *peers) {
-      const WieraPeer* peer = cluster.controller.peer(node);
-      if (peer != nullptr) report.add_key_stats(node, peer->key_stats(), now);
-    }
-    report.set_tracer(cluster.sim.telemetry().tracer());
-    result.attribution = report.render_text();
-    std::printf("%s", result.attribution.c_str());
+  report.expect(slo.ops() > 0, "progress", "no op ever ran");
+  report.expect(slo.ok() > 0, "progress", "no op ever completed");
+  report.expect(engine.events_applied() == plan_events, "events",
+                "scenario driver dropped events");
+  for (const auto& v : slo_violations) report.add_violation(v.check, v.message);
+  for (const auto& v : violations) {
+    report.add_violation("consistency", v.key + ": " + v.message);
   }
-
-  if (dump_telemetry_enabled()) {
-    std::set<uint64_t> traces{oracle.sample_put_trace()};
-    for (const auto& v : result.slo_violations) traces.insert(v.trace_id);
-    for (const auto& v : result.violations) traces.insert(v.trace_id);
-    std::printf("SCENARIO-TIMELINE\n%s", result.timeline.c_str());
-    dump_telemetry(cluster.sim, std::move(traces));
-  }
-  if (dump_timeseries_enabled() && pipeline.sampler() != nullptr) {
-    std::printf("TIMESERIES-SNAPSHOT\n%s\n",
-                pipeline.sampler()->render_json().c_str());
-    const TimePoint now = cluster.sim.now();
-    for (const std::string& node : *peers) {
-      const WieraPeer* peer = cluster.controller.peer(node);
-      if (peer == nullptr || peer->key_stats().total_accesses() == 0) continue;
-      std::printf("KEYSTATS instance=%s %s\n", node.c_str(),
-                  peer->key_stats().render_json(now).c_str());
-    }
-  }
-  return result;
-}
-
-int seed_count() {
-  const char* env = std::getenv("WIERA_SCENARIO_SEED_COUNT");
-  if (env == nullptr) return 20;
-  int n = std::atoi(env);
-  return n > 0 ? n : 20;
-}
-
-// CI greps these counters out of a failing sweep (scripts/scenario_sweep.sh).
-void print_scenario_stats(const std::string& name, ComposedFault fault,
-                          uint64_t seed, const ScenarioRunResult& r) {
-  std::printf(
-      "SCENARIO-STATS seed=%llu scenario=%s fault=%s ops=%lld ok=%lld "
-      "notfound=%lld shed=%lld failed=%lld events=%lld fault_events=%lld "
-      "drains=%lld added=%lld restarts=%lld attempt_timeouts=%lld trace=%s\n",
-      static_cast<unsigned long long>(seed), name.c_str(), fault_name(fault),
-      static_cast<long long>(r.ops), static_cast<long long>(r.ok),
-      static_cast<long long>(r.not_found), static_cast<long long>(r.shed),
-      static_cast<long long>(r.failed),
-      static_cast<long long>(r.events_applied),
-      static_cast<long long>(r.fault_events),
-      static_cast<long long>(r.drains), static_cast<long long>(r.added),
-      static_cast<long long>(r.restarts),
-      static_cast<long long>(r.attempt_timeouts),
-      hex_trace(r.trace_hash).c_str());
-}
-
-// Companion line for gray runs: the health lifecycle counters CI greps out
-// of a failing gray sweep (scripts/gray_sweep.sh, docs/HEALTH.md).
-void print_health_stats(const std::string& name, ComposedFault fault,
-                        uint64_t seed, const ScenarioRunResult& r) {
-  std::printf(
-      "HEALTH-STATS seed=%llu scenario=%s fault=%s probation_entries=%lld "
-      "probation_exits=%lld trace=%s\n",
-      static_cast<unsigned long long>(seed), name.c_str(), fault_name(fault),
-      static_cast<long long>(r.probation_entries),
-      static_cast<long long>(r.probation_exits),
-      hex_trace(r.trace_hash).c_str());
-}
-
-void check_run(const std::string& name, ComposedFault fault, uint64_t seed,
-               const ScenarioRunResult& r) {
-  const std::string tag = "SCENARIO-FAIL seed=" + std::to_string(seed) +
-                          " scenario=" + name +
-                          " fault=" + fault_name(fault) +
-                          " trace=" + hex_trace(r.trace_hash);
-  EXPECT_GT(r.ops, 0) << tag << " no op ever ran";
-  EXPECT_GT(r.ok, 0) << tag << " no op ever completed";
-  EXPECT_EQ(r.events_applied, r.plan_events)
-      << tag << " scenario driver dropped events";
-  if (!r.slo_violations.empty()) {
-    ADD_FAILURE() << tag << "\n"
-                  << sim::SloOracle::describe(r.slo_violations)
-                  << r.timeline << r.attribution;
-  }
-  if (!r.violations.empty()) {
-    ADD_FAILURE() << tag << " (consistency)\n"
-                  << sim::ConsistencyOracle::describe(r.violations)
-                  << r.timeline << r.attribution;
-  }
-  if (!r.convergence_violations.empty()) {
-    ADD_FAILURE() << tag << " (convergence)\n"
-                  << sim::ConsistencyOracle::describe(
-                         r.convergence_violations)
-                  << r.timeline << r.attribution;
+  for (const auto& v : convergence) {
+    report.add_violation("convergence", v.key + ": " + v.message);
   }
   if (fault == ComposedFault::kNone) {
     // Fault-free runs must complete their operational events; composed runs
     // may legitimately abort a drain at its deadline (the peer is restored
     // to membership) — there the SLO contract is the acceptance bar.
-    EXPECT_EQ(r.host_failures, 0) << tag << " operational event failed";
-    if (name == "evacuation") {
-      EXPECT_EQ(r.drains, 1) << tag;
+    const int64_t drains = cluster.controller.drains_completed();
+    report.expect(scenario_host.failed_operations() == 0, "operational",
+                  "operational event failed");
+    if (name == "evacuation" || name == "addregion") {
+      report.expect(drains == 1, "operational", "drains != 1");
     }
     if (name == "addregion") {
-      EXPECT_EQ(r.drains, 1) << tag;
-      EXPECT_EQ(r.added, 1) << tag;
+      report.expect(cluster.controller.peers_added() == 1, "operational",
+                    "added != 1");
     }
     if (name == "rolling") {
-      EXPECT_EQ(r.restarts, 1) << tag;
+      report.expect(cluster.controller.rolling_restarts_completed() == 1,
+                    "operational", "restarts != 1");
     }
   }
+
+  // Failure attribution (docs/METRICS_PIPELINE.md): a failing run's report
+  // correlates the violating window with the fault/scenario timelines,
+  // alert firings, per-peer hot keys and the worst spans.
+  if (!report.passed()) {
+    sim::AttributionReport attribution;
+    attribution.set_window(window.first, window.second);
+    attribution.add_violations(slo_violations);
+    for (const auto& v : violations) {
+      attribution.add_violation("consistency", v.key + ": " + v.message,
+                                window.second, v.trace_id);
+    }
+    for (const auto& v : convergence) {
+      attribution.add_violation("convergence", v.key + ": " + v.message,
+                                window.second, v.trace_id);
+    }
+    attribution.set_scenario_timeline(engine.timeline());
+    suite::add_evidence(attribution, cluster, injector, &pipeline, *peers);
+    report.set_json("attribution", attribution.render_json());
+  }
+  std::set<uint64_t> traces{oracle.sample_put_trace()};
+  for (const auto& v : slo_violations) traces.insert(v.trace_id);
+  for (const auto& v : violations) traces.insert(v.trace_id);
+  suite::attach_dumps(report, cluster, std::move(traces), &pipeline, *peers);
+  report.print();
+  return report;
 }
 
-void sweep(const std::string& name,
-           std::initializer_list<ComposedFault> faults) {
-  const int seeds = seed_count();
-  for (ComposedFault fault : faults) {
+// The sweep matrix: every builtin holds its SLO contract fault-free AND
+// composed with at least one fault class; the evacuation scenario — the
+// acceptance bar — composes with both partitions and crashes, and the gray
+// builtins with gray classes.
+const std::map<std::string, std::vector<ComposedFault>> kSweeps = {
+    {"diurnal", {ComposedFault::kNone, ComposedFault::kPartition}},
+    {"zipfshift", {ComposedFault::kNone, ComposedFault::kCrash}},
+    {"flashcrowd", {ComposedFault::kNone, ComposedFault::kPartition}},
+    {"tenantmix", {ComposedFault::kNone, ComposedFault::kCrash}},
+    {"evacuation",
+     {ComposedFault::kNone, ComposedFault::kPartition, ComposedFault::kCrash}},
+    {"addregion", {ComposedFault::kNone, ComposedFault::kPartition}},
+    {"rolling", {ComposedFault::kNone, ComposedFault::kCrash}},
+    {"grayprimary",
+     {ComposedFault::kNone, ComposedFault::kSlowNode, ComposedFault::kStutter}},
+    {"graylink", {ComposedFault::kNone, ComposedFault::kFlakyLink}}};
+
+void sweep(const std::string& name) {
+  for (ComposedFault fault : kSweeps.at(name)) {
     int64_t probation_entries = 0;
-    for (int seed = 1; seed <= seeds; ++seed) {
-      ScenarioRunResult r =
+    for (int seed = 1; seed <= suite::seed_count(); ++seed) {
+      const sim::RunReport r =
           run_scenario(name, fault, static_cast<uint64_t>(seed));
-      print_scenario_stats(name, fault, static_cast<uint64_t>(seed), r);
-      if (is_gray_fault(fault) || is_gray_scenario(name)) {
-        print_health_stats(name, fault, static_cast<uint64_t>(seed), r);
-      }
-      probation_entries += r.probation_entries;
-      check_run(name, fault, static_cast<uint64_t>(seed), r);
+      EXPECT_TRUE(r.passed()) << r.describe();
+      probation_entries += r.counter("probation_entries");
     }
     // A sustained slowdown must actually register with the detector
     // somewhere across the sweep; the milder gray classes may stay under
@@ -705,76 +477,57 @@ void sweep(const std::string& name,
 
 // ------------------------------------------------------------- seed sweeps
 //
-// Every built-in holds its SLO contract fault-free AND composed with at
-// least one fault class; the evacuation scenario — the acceptance bar —
-// composes with both partitions and crashes.
+// One test per builtin, each sweeping its kSweeps row.
 
-TEST(ScenarioSweepTest, DiurnalLoadHoldsSloAcrossSeeds) {
-  sweep("diurnal", {ComposedFault::kNone, ComposedFault::kPartition});
-}
+TEST(ScenarioSweepTest, DiurnalLoadHoldsSloAcrossSeeds) { sweep("diurnal"); }
 
-TEST(ScenarioSweepTest, ZipfShiftHoldsSloAcrossSeeds) {
-  sweep("zipfshift", {ComposedFault::kNone, ComposedFault::kCrash});
-}
+TEST(ScenarioSweepTest, ZipfShiftHoldsSloAcrossSeeds) { sweep("zipfshift"); }
 
-TEST(ScenarioSweepTest, FlashCrowdHoldsSloAcrossSeeds) {
-  sweep("flashcrowd", {ComposedFault::kNone, ComposedFault::kPartition});
-}
+TEST(ScenarioSweepTest, FlashCrowdHoldsSloAcrossSeeds) { sweep("flashcrowd"); }
 
-TEST(ScenarioSweepTest, TenantMixHoldsSloAcrossSeeds) {
-  sweep("tenantmix", {ComposedFault::kNone, ComposedFault::kCrash});
-}
+TEST(ScenarioSweepTest, TenantMixHoldsSloAcrossSeeds) { sweep("tenantmix"); }
 
 TEST(ScenarioSweepTest, EvacuationHoldsSloUnderPartitionAndCrash) {
-  sweep("evacuation", {ComposedFault::kNone, ComposedFault::kPartition,
-                       ComposedFault::kCrash});
+  sweep("evacuation");
 }
 
-TEST(ScenarioSweepTest, AddRegionHoldsSloAcrossSeeds) {
-  sweep("addregion", {ComposedFault::kNone, ComposedFault::kPartition});
-}
+TEST(ScenarioSweepTest, AddRegionHoldsSloAcrossSeeds) { sweep("addregion"); }
 
-TEST(ScenarioSweepTest, RollingRestartHoldsSloAcrossSeeds) {
-  sweep("rolling", {ComposedFault::kNone, ComposedFault::kCrash});
-}
+TEST(ScenarioSweepTest, RollingRestartHoldsSloAcrossSeeds) { sweep("rolling"); }
 
 // Gray-failure scenarios (docs/HEALTH.md): health detection is armed, the
 // contract adds the p99-inflation clause, and the degraded peer/link must
 // never cost consistency, convergence or the served tail.
 
 TEST(ScenarioSweepTest, GrayPrimaryUnderDiurnalHoldsTheInflationBound) {
-  sweep("grayprimary", {ComposedFault::kNone, ComposedFault::kSlowNode,
-                        ComposedFault::kStutter});
+  sweep("grayprimary");
 }
 
 TEST(ScenarioSweepTest, FlakyLinkDuringFlashCrowdStaysConvergent) {
-  sweep("graylink", {ComposedFault::kNone, ComposedFault::kFlakyLink});
+  sweep("graylink");
 }
 
 // ------------------------------------------------------------ determinism
 
 TEST(ScenarioDeterminismTest, EveryBuiltinReplaysBitIdentical) {
   for (const std::string& name : sim::ScenarioPlan::builtin_names()) {
-    ScenarioRunResult a = run_scenario(name, ComposedFault::kNone, 5);
-    ScenarioRunResult b = run_scenario(name, ComposedFault::kNone, 5);
-    EXPECT_EQ(a.trace_hash, b.trace_hash) << name;
-    EXPECT_EQ(a.ops, b.ops) << name;
-    EXPECT_EQ(a.ok, b.ok) << name;
-    EXPECT_EQ(a.events_applied, b.events_applied) << name;
-    ScenarioRunResult c = run_scenario(name, ComposedFault::kNone, 6);
-    EXPECT_NE(a.trace_hash, c.trace_hash) << name;
+    const sim::RunReport a = run_scenario(name, ComposedFault::kNone, 5);
+    const sim::RunReport b = run_scenario(name, ComposedFault::kNone, 5);
+    EXPECT_EQ(a.trace(), b.trace()) << name;
+    EXPECT_EQ(a.counters(), b.counters()) << name;
+    EXPECT_NE(a.trace(), run_scenario(name, ComposedFault::kNone, 6).trace())
+        << name;
   }
 }
 
 TEST(ScenarioDeterminismTest, TelemetryOffLeavesScenarioHashIdentical) {
-  ScenarioRunResult on = run_scenario("evacuation", ComposedFault::kPartition,
-                                      /*seed=*/7);
-  ScenarioRunResult off = run_scenario("evacuation", ComposedFault::kPartition,
-                                       /*seed=*/7, /*telemetry_on=*/false);
-  EXPECT_EQ(on.trace_hash, off.trace_hash);
-  EXPECT_EQ(on.ops, off.ops);
-  EXPECT_EQ(on.ok, off.ok);
-  EXPECT_EQ(on.drains, off.drains);
+  const sim::RunReport on =
+      run_scenario("evacuation", ComposedFault::kPartition, /*seed=*/7);
+  const sim::RunReport off = run_scenario(
+      "evacuation", ComposedFault::kPartition, /*seed=*/7,
+      /*telemetry_on=*/false);
+  EXPECT_EQ(on.trace(), off.trace());
+  EXPECT_EQ(on.counters(), off.counters());
 }
 
 // ------------------------------------------------------------ plan basics
@@ -1234,25 +987,32 @@ sim::Task<void> hot_key_workload(sim::Simulation& sim, sim::SloOracle& slo,
   }
 }
 
-std::string run_attribution_probe(uint64_t seed) {
+// The forced-failure probe for one seed; prints and returns its RUN-REPORT,
+// whose attribution is the product under test. It passes once the bound
+// tripped and the report was built.
+sim::RunReport run_attribution_probe(uint64_t seed) {
   ScenarioCluster cluster(seed, [](WieraController::Config& config) {
     config.ping_deadline = sec(5);
   });
+  // Alternate the injected class by seed so the sweep exercises both
+  // describe() spellings in the report.
+  const bool slow = (seed % 2) == 0;
+  sim::RunReport report("scenario", slow ? "probe:slownode" : "probe:spike",
+                        seed);
+  report.set_replay(
+      suite::replay_command("scenario_test", seed, "--attribution-sample"));
   auto peers = cluster.controller.start_instances(
       "w1", cluster.options_for(ConsistencyMode::kEventual,
                                 [](WieraPeer::Config& config) {
                                   config.key_stats.enabled = true;
                                 }));
   EXPECT_TRUE(peers.ok()) << peers.status().to_string();
-  if (!peers.ok()) return {};
+  if (!peers.ok()) return report;
   cluster.controller.start();
 
   ChaosHost chaos_host(cluster.network, cluster.controller);
   sim::FaultInjector injector(cluster.sim, chaos_host);
   sim::FaultPlan plan;
-  // Alternate the injected class by seed so the sweep exercises both
-  // describe() spellings in the report.
-  const bool slow = (seed % 2) == 0;
   if (slow) {
     plan.slow_node("tiera-us-west", 10.0, TimePoint::origin() + sec(3),
                    TimePoint::origin() + sec(8));
@@ -1280,40 +1040,38 @@ std::string run_attribution_probe(uint64_t seed) {
   contract.max_get_p99 = usec(1);
   auto violations =
       slo.check(contract, cluster.sim.telemetry().registry(), {"app-0"});
-  EXPECT_FALSE(violations.empty()) << "seed " << seed;
+  report.set_trace(cluster.sim.checker().trace_hash());
+  report.expect(!violations.empty(), "attribution",
+                "the impossible bound never tripped");
 
-  sim::AttributionReport report;
-  report.set_context("scenario", slow ? "probe:slownode" : "probe:spike",
-                     seed, cluster.sim.checker().trace_hash());
-  report.set_window(TimePoint::origin() + sec(1),
-                    TimePoint::origin() + sec(10));
-  report.add_violations(violations);
-  report.set_fault_timeline(injector.timeline());
-  const TimePoint now = cluster.sim.now();
-  for (const std::string& node : *peers) {
-    const WieraPeer* peer = cluster.controller.peer(node);
-    if (peer != nullptr) report.add_key_stats(node, peer->key_stats(), now);
-  }
-  report.set_tracer(cluster.sim.telemetry().tracer());
-  return report.render_text();
+  sim::AttributionReport attribution;
+  attribution.set_window(TimePoint::origin() + sec(1),
+                         TimePoint::origin() + sec(10));
+  attribution.add_violations(violations);
+  suite::add_evidence(attribution, cluster, injector, nullptr, *peers);
+  report.set_json("attribution", attribution.render_json());
+  report.print();
+  return report;
 }
 
 TEST(AttributionSweepTest, ReportNamesTheFaultAndTheHotKeyAcrossSeeds) {
-  const int seeds = seed_count();
-  for (int seed = 1; seed <= seeds; ++seed) {
-    const std::string text =
+  for (int seed = 1; seed <= suite::seed_count(); ++seed) {
+    const sim::RunReport r =
         run_attribution_probe(static_cast<uint64_t>(seed));
-    const char* fault_tag =
-        (seed % 2) == 0 ? "slow-node node=tiera-us-west"
-                        : "latency-spike node=tiera-us-west";
-    EXPECT_NE(text.find(fault_tag), std::string::npos)
+    EXPECT_TRUE(r.passed()) << r.describe();
+    const std::string& attribution = r.json("attribution");
+    const char* fault_tag = (seed % 2) == 0
+                                ? "[\"slow-node node=tiera-us-west"
+                                : "[\"latency-spike node=tiera-us-west";
+    EXPECT_NE(attribution.find(std::string("\"overlapping_faults\":") +
+                               fault_tag),
+              std::string::npos)
         << "seed " << seed << ": report missed the injected fault\n"
-        << text;
-    EXPECT_NE(text.find("key=hot-0"), std::string::npos)
+        << attribution;
+    EXPECT_NE(attribution.find("\"kind\":\"key\",\"id\":\"hot-0\""),
+              std::string::npos)
         << "seed " << seed << ": report missed the hot key\n"
-        << text;
-    EXPECT_NE(text.find("END-ATTRIBUTION-REPORT"), std::string::npos)
-        << "seed " << seed;
+        << attribution;
   }
 }
 
@@ -1525,126 +1283,64 @@ TEST(ScenarioOperationalTest, EvacuatingTheSyncPrimaryKeepsClientsWhole) {
 
 // ------------------------------------------------------------------ replay
 //
-// scenario_test --seed N --scenario NAME[:FAULT]   (FAULT: none|partition|
-// crash|stutter|flakylink|slownode; default none) replays one schedule and
-// exits 0 iff it is clean —
-// the reproducer line scripts/scenario_sweep.sh prints for a failing seed.
-// Add --dump-telemetry (or WIERA_DUMP_TELEMETRY=1) for the timeline,
-// metrics snapshot and span trees of the replayed run, and
-// --dump-timeseries (WIERA_DUMP_TIMESERIES=1) to arm the ObsPipeline
-// scraper + per-peer hot-key sketches and print TIMESERIES-SNAPSHOT /
-// KEYSTATS blocks (docs/METRICS_PIPELINE.md).
+// `scenario_test --seed N --scenario NAME[:FAULT]` (FAULT one of
+// kFaultTokens; default none) replays one schedule — the `replay` command
+// of every scenario RUN-REPORT — and `scenario_test --seed N
+// --attribution-sample` runs the forced-failure attribution probe for one
+// seed (docs/METRICS_PIPELINE.md). --dump-telemetry and --dump-timeseries
+// add the metrics, span trees, time series and hot-key sketches of the
+// replayed run to its report.
 
-int replay_main(uint64_t seed, const std::string& spec) {
-  std::string name = spec;
-  ComposedFault fault = ComposedFault::kNone;
-  const size_t colon = spec.find(':');
+std::optional<sim::RunReport> replay(uint64_t seed,
+                                     const std::vector<std::string>& spec) {
+  if (spec.size() == 1 && spec[0] == "--attribution-sample") {
+    return run_attribution_probe(seed);
+  }
+  std::string name = spec.size() == 2 && spec[0] == "--scenario" ? spec[1] : "";
+  size_t fault = 0;
+  const size_t colon = name.find(':');
   if (colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    const std::string fault_spec = spec.substr(colon + 1);
-    if (fault_spec == "partition") {
-      fault = ComposedFault::kPartition;
-    } else if (fault_spec == "crash") {
-      fault = ComposedFault::kCrash;
-    } else if (fault_spec == "stutter") {
-      fault = ComposedFault::kStutter;
-    } else if (fault_spec == "flakylink") {
-      fault = ComposedFault::kFlakyLink;
-    } else if (fault_spec == "slownode") {
-      fault = ComposedFault::kSlowNode;
-    } else if (fault_spec != "none") {
-      std::fprintf(stderr, "unknown fault class '%s'\n", fault_spec.c_str());
-      return 2;
+    while (fault < std::size(kFaultTokens) &&
+           name.substr(colon + 1) != kFaultTokens[fault]) {
+      fault++;
     }
+    name.resize(colon);
   }
-  bool known = false;
-  for (const std::string& builtin : sim::ScenarioPlan::builtin_names()) {
-    if (builtin == name) known = true;
+  const auto& builtins = sim::ScenarioPlan::builtin_names();
+  if (fault == std::size(kFaultTokens) ||
+      std::find(builtins.begin(), builtins.end(), name) == builtins.end()) {
+    std::fprintf(stderr,
+                 "usage: scenario_test --seed N --scenario NAME[:FAULT] | "
+                 "--attribution-sample\n");
+    return std::nullopt;
   }
-  if (!known) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-    return 2;
-  }
-  ScenarioRunResult r = run_scenario(name, fault, seed);
-  print_scenario_stats(name, fault, seed, r);
-  if (is_gray_fault(fault) || is_gray_scenario(name)) {
-    print_health_stats(name, fault, seed, r);
-  }
-  bool clean = true;
-  if (!r.slo_violations.empty()) {
-    std::printf("%s", sim::SloOracle::describe(r.slo_violations).c_str());
-    clean = false;
-  }
-  if (!r.violations.empty()) {
-    std::printf("%s",
-                sim::ConsistencyOracle::describe(r.violations).c_str());
-    clean = false;
-  }
-  if (!r.convergence_violations.empty()) {
-    std::printf(
-        "%s",
-        sim::ConsistencyOracle::describe(r.convergence_violations).c_str());
-    clean = false;
-  }
-  if (!clean) {
-    std::printf("%s", r.timeline.c_str());
-    return 1;
-  }
-  std::printf("replay clean\n");
-  return 0;
+  return run_scenario(name, static_cast<ComposedFault>(fault), seed);
 }
 
-// scenario_test --attribution-sample [--seed N]: run the forced-failure
-// attribution probe for one seed and print the rendered report — the sample
-// artifact scripts/obs_sweep.sh generates for CI upload
-// (docs/METRICS_PIPELINE.md). Exits 0 iff a complete report was produced.
-int attribution_sample_main(uint64_t seed) {
-  const std::string text = run_attribution_probe(seed);
-  std::printf("%s", text.c_str());
-  const bool complete =
-      text.find("END-ATTRIBUTION-REPORT") != std::string::npos;
-  return complete ? 0 : 1;
-}
-
-// scenario_test --list-scenarios: one valid --scenario name per line, so
-// sweep scripts validate their matrix against the binary instead of
-// grepping source (scripts/sweep_lib.sh sweep_validate_tokens).
-int list_scenarios_main() {
-  for (const std::string& name : sim::ScenarioPlan::builtin_names()) {
-    std::printf("%s\n", name.c_str());
+// Seed 1 of every builtin, fault-free and with its first composed fault,
+// plus the attribution probe: each run the way its sweep runs it and again
+// through its report's replay command must land on the same trace.
+TEST(ScenarioReplayTest, EverySweptScenarioReplaysToItsOwnTrace) {
+  EXPECT_EQ(kSweeps.size(), sim::ScenarioPlan::builtin_names().size())
+      << "a builtin scenario is missing from the sweep matrix";
+  std::vector<sim::RunReport> swept;
+  for (const auto& [name, faults] : kSweeps) {
+    swept.push_back(run_scenario(name, faults[0], 1));
+    swept.push_back(run_scenario(name, faults[1], 1));
   }
-  return 0;
+  swept.push_back(run_attribution_probe(1));
+  for (const sim::RunReport& r : swept) {
+    const std::optional<sim::RunReport> replayed =
+        suite::run_replay(r.replay(), replay);
+    ASSERT_TRUE(replayed.has_value()) << r.replay();
+    EXPECT_EQ(replayed->name(), r.name());
+    EXPECT_EQ(replayed->trace(), r.trace()) << r.replay();
+  }
 }
 
 }  // namespace
 }  // namespace wiera::geo
 
-// Custom main (gtest_main is deliberately not linked, see tests/CMakeLists):
-// with --scenario the binary replays a single schedule and exits, with
-// --list-scenarios it prints the valid scenario names; otherwise it runs
-// the whole suite.
 int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  uint64_t seed = 1;
-  std::string scenario;
-  bool attribution_sample = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      scenario = argv[++i];
-    } else if (arg == "--list-scenarios") {
-      return wiera::geo::list_scenarios_main();
-    } else if (arg == "--attribution-sample") {
-      attribution_sample = true;
-    } else if (arg == "--dump-telemetry") {
-      setenv("WIERA_DUMP_TELEMETRY", "1", 1);
-    } else if (arg == "--dump-timeseries") {
-      setenv("WIERA_DUMP_TIMESERIES", "1", 1);
-    }
-  }
-  if (attribution_sample) return wiera::geo::attribution_sample_main(seed);
-  if (!scenario.empty()) return wiera::geo::replay_main(seed, scenario);
-  return RUN_ALL_TESTS();
+  return wiera::geo::suite::run_main(argc, argv, wiera::geo::replay);
 }

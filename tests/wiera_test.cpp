@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/units.h"
+#include "fault_suite.h"
 #include "policy/builtin_policies.h"
 #include "policy/parser.h"
 #include "wiera/client.h"
@@ -15,57 +16,10 @@
 namespace wiera::geo {
 namespace {
 
-// Four-region AWS deployment matching the paper's §5 setup, with the Wiera
-// controller (and its lock service) in US East.
-struct Cluster {
-  sim::Simulation sim;
-  net::Network network;
-  rpc::Registry registry;
-  WieraController controller;
-  std::vector<std::unique_ptr<TieraServer>> servers;
-
-  explicit Cluster(uint64_t seed = 1)
-      : sim(seed),
-        network(sim, make_topology()),
-        controller(sim, network, registry,
-                   WieraController::Config{"wiera-controller", sec(1), 0}) {
-    for (const char* node :
-         {"tiera-us-west", "tiera-us-east", "tiera-eu-west",
-          "tiera-asia-east"}) {
-      servers.push_back(
-          std::make_unique<TieraServer>(sim, network, registry, node));
-      controller.register_server(servers.back().get());
-    }
-  }
-
-  static net::Topology make_topology() {
-    net::Topology topo = net::Topology::paper_default();
-    topo.set_jitter_fraction(0.0);
-    topo.add_node("wiera-controller", "aws-us-east");
-    topo.add_node("tiera-us-west", "aws-us-west");
-    topo.add_node("tiera-us-east", "aws-us-east");
-    topo.add_node("tiera-eu-west", "aws-eu-west");
-    topo.add_node("tiera-asia-east", "aws-asia-east");
-    topo.add_node("client-us-west", "aws-us-west");
-    topo.add_node("client-eu-west", "aws-eu-west");
-    topo.add_node("client-asia-east", "aws-asia-east");
-    return topo;
-  }
-
-  WieraController::StartOptions options_for(std::string_view policy_src) {
-    WieraController::StartOptions options;
-    auto doc = policy::parse_policy(policy_src);
-    EXPECT_TRUE(doc.ok()) << doc.status().to_string();
-    options.global = std::move(doc).value();
-    options.local_params["t"] =
-        policy::Value::duration_of(sec(10));
-    options.customize = [](WieraPeer::Config& config) {
-      config.local.tier_tweak = [](const std::string&, store::TierSpec& spec) {
-        spec.jitter_fraction = 0;
-      };
-    };
-    return options;
-  }
+// The shared four-region deployment (fault_suite.h) with the plain
+// controller config: no leased locks, no serve leases.
+struct Cluster : suite::Cluster {
+  explicit Cluster(uint64_t seed = 1) : suite::Cluster(seed, {}) {}
 
   // Run `body` then stop the loop (timers would otherwise spin forever).
   template <typename F>
