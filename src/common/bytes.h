@@ -306,15 +306,33 @@ class BodyView {
   size_t size_ = 0;
 };
 
-// FNV-1a 64-bit — stable content hash for dedup checks and key scrambling.
-inline uint64_t fnv1a64(const void* data, size_t len) {
+// FNV-1a 64-bit — the one stable hash behind object checksums, dedup
+// checks, key scrambling and the determinism trace. Inline: it runs over
+// every payload byte and on every simulated event.
+inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
+inline constexpr uint64_t kFnv1aPrime = 1099511628211ull;
+
+// Continues `hash` over `len` bytes.
+inline uint64_t fnv1a64(uint64_t hash, const void* data, size_t len) {
   const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xCBF29CE484222325ull;
   for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
+    hash ^= p[i];
+    hash *= kFnv1aPrime;
   }
-  return h;
+  return hash;
+}
+
+// Continues `hash` over the eight bytes of `v`, least significant first.
+inline uint64_t fnv1a64_u64(uint64_t hash, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (v >> (8 * i)) & 0xFF;
+    hash *= kFnv1aPrime;
+  }
+  return hash;
+}
+
+inline uint64_t fnv1a64(const void* data, size_t len) {
+  return fnv1a64(kFnv1aBasis, data, len);
 }
 
 inline uint64_t fnv1a64(std::string_view s) {

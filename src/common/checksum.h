@@ -19,21 +19,12 @@ namespace wiera {
 // binding checksum once the version is known.
 inline uint64_t object_checksum(std::string_view key, int64_t version,
                                 std::string_view payload) {
-  uint64_t h = 0xCBF29CE484222325ull;
-  auto mix = [&h](const void* data, size_t len) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001B3ull;
-    }
-  };
-  mix(key.data(), key.size());
+  uint64_t h = fnv1a64(key.data(), key.size());
   // Separator keeps ("ab", "c") distinct from ("a", "bc").
   const uint8_t sep = 0xFF;
-  mix(&sep, 1);
-  mix(&version, sizeof(version));
-  mix(payload.data(), payload.size());
-  return h;
+  h = fnv1a64(h, &sep, 1);
+  h = fnv1a64_u64(h, static_cast<uint64_t>(version));
+  return fnv1a64(h, payload.data(), payload.size());
 }
 
 inline uint64_t object_checksum(std::string_view key, int64_t version,

@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+
 #ifndef WIERA_SIM_CHECKER_ENABLED
 #define WIERA_SIM_CHECKER_ENABLED 1
 #endif
@@ -211,7 +213,7 @@ class SimChecker {
   uint64_t current_ = kNoTask;
   uint64_t tasks_spawned_ = 0;
   uint64_t tasks_completed_ = 0;
-  uint64_t trace_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
+  uint64_t trace_hash_ = kFnv1aBasis;
 
   std::unordered_map<uint64_t, TaskInfo> tasks_;          // live tasks
   std::unordered_map<const void*, uint64_t> handle_task_; // suspended → task

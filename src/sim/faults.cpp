@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 
 namespace wiera::sim {
@@ -24,22 +25,6 @@ const char* kind_name(FaultEvent::Kind k) {
     case FaultEvent::Kind::kSlowNode: return "slow-node";
   }
   return "?";
-}
-
-uint64_t fnv1a(uint64_t hash, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (v >> (8 * i)) & 0xFF;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
-uint64_t fnv1a_str(uint64_t hash, const std::string& s) {
-  for (const char c : s) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -95,27 +80,27 @@ std::string FaultEvent::describe() const {
 }
 
 uint64_t FaultEvent::hash() const {
-  uint64_t h = 0xCBF29CE484222325ull;
-  h = fnv1a(h, static_cast<uint64_t>(kind));
-  h = fnv1a(h, static_cast<uint64_t>(at.us()));
-  h = fnv1a(h, static_cast<uint64_t>(until.us()));
-  h = fnv1a_str(h, node);
-  h = fnv1a(h, static_cast<uint64_t>(direction));
-  h = fnv1a(h, static_cast<uint64_t>(drop_prob * 1e6));
-  h = fnv1a(h, static_cast<uint64_t>(dup_prob * 1e6));
-  h = fnv1a(h, static_cast<uint64_t>(max_extra_delay.us()));
-  h = fnv1a(h, static_cast<uint64_t>(extra_delay.us()));
-  h = fnv1a_str(h, tier_label);
-  h = fnv1a(h, static_cast<uint64_t>(slowdown * 1e6));
-  h = fnv1a(h, enospc ? 1 : 0);
-  h = fnv1a_str(h, object_key);
-  h = fnv1a(h, static_cast<uint64_t>(corrupt_prob * 1e6));
-  // Gray-failure fields fold only when set: fnv1a_str over "" is a no-op
+  uint64_t h = kFnv1aBasis;
+  h = fnv1a64_u64(h, static_cast<uint64_t>(kind));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(at.us()));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(until.us()));
+  h = fnv1a64(h, node.data(), node.size());
+  h = fnv1a64_u64(h, static_cast<uint64_t>(direction));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(drop_prob * 1e6));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(dup_prob * 1e6));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(max_extra_delay.us()));
+  h = fnv1a64_u64(h, static_cast<uint64_t>(extra_delay.us()));
+  h = fnv1a64(h, tier_label.data(), tier_label.size());
+  h = fnv1a64_u64(h, static_cast<uint64_t>(slowdown * 1e6));
+  h = fnv1a64_u64(h, enospc ? 1 : 0);
+  h = fnv1a64(h, object_key.data(), object_key.size());
+  h = fnv1a64_u64(h, static_cast<uint64_t>(corrupt_prob * 1e6));
+  // Gray-failure fields fold only when set: folding "" is a no-op
   // already, and slow_factor folds conditionally so every pre-existing
   // event (slow_factor == 1.0) keeps its exact historical hash.
-  h = fnv1a_str(h, peer_node);
+  h = fnv1a64(h, peer_node.data(), peer_node.size());
   if (slow_factor != 1.0) {
-    h = fnv1a(h, static_cast<uint64_t>(slow_factor * 1e6));
+    h = fnv1a64_u64(h, static_cast<uint64_t>(slow_factor * 1e6));
   }
   return h;
 }

@@ -62,17 +62,6 @@ Duration extract_staleness_threshold(const policy::PolicyDoc& doc) {
   return bound;
 }
 
-// FNV-1a over a small string, used to fold breaker transitions into the
-// determinism trace hash (same recipe as the fault injector).
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Find the first change_policy action in a statement list whose condition
 // (already checked by the caller) matched; returns its what/to words.
 struct ChangeAction {
@@ -1383,7 +1372,7 @@ CircuitBreaker* WieraPeer::breaker_for(const std::string& target) {
     it->second.set_transition_hook(
         [this, target](CircuitBreaker::State, CircuitBreaker::State to) {
           sim_->checker().fold_trace(
-              fnv1a(config_.instance_id + "|" + target + "|" +
+              fnv1a64(config_.instance_id + "|" + target + "|" +
                     CircuitBreaker::state_name(to)));
           metrics_
               ->counter("wiera_breaker_transitions_total",
@@ -1508,7 +1497,7 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
     // Fold every applied repair into the determinism trace: a replayed
     // corruption run must heal the same objects in the same order.
     sim_->checker().fold_trace(
-        fnv1a(config_.instance_id + "|repair|" + entry->key + "#" +
+        fnv1a64(config_.instance_id + "|repair|" + entry->key + "#" +
               std::to_string(entry->version)));
     journal()
         .event("peer", "repair")

@@ -7,6 +7,7 @@
 
 #include "common/breaker.h"
 #include "common/bytes.h"
+#include "common/checksum.h"
 #include "common/context.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -407,10 +408,24 @@ TEST(BlobTest, CopyShares) {
 }
 
 TEST(BytesTest, Fnv1aStable) {
-  // Known FNV-1a 64 vectors.
+  // The published FNV-1a 64 parameters and test vectors.
+  EXPECT_EQ(kFnv1aBasis, 0xCBF29CE484222325ull);
+  EXPECT_EQ(kFnv1aPrime, 0x100000001B3ull);
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ull);
   EXPECT_EQ(fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171F73967E8ull);
   EXPECT_NE(fnv1a64("abc"), fnv1a64("acb"));
+  // Continuing a hash equals hashing the concatenation.
+  EXPECT_EQ(fnv1a64(fnv1a64("foo"), "bar", 3), fnv1a64("foobar"));
+  // The u64 fold hashes the eight bytes least significant first.
+  EXPECT_EQ(fnv1a64_u64(kFnv1aBasis, 0x6162636465666768ull),
+            0xA588FA95F595C3D5ull);
+  EXPECT_EQ(fnv1a64_u64(kFnv1aBasis, 0x6162636465666768ull),
+            fnv1a64("hgfedcba"));
+  // Object checksums are FNV-1a over key, 0xFF, the version's eight bytes
+  // and the payload: the value every stored and replicated copy carries.
+  EXPECT_EQ(object_checksum("k", 1, std::string_view("v")),
+            0xFD40DCF1F9308E68ull);
 }
 
 // ---------------------------------------------------------------- Units
