@@ -60,17 +60,17 @@ class Context {
 // re-sends) spend a token; the bucket refills at `tokens_per_sec` up to
 // `capacity`. Under a brownout the first retries go through and the rest are
 // denied, so backoff loops cannot amplify the overload into a retry storm.
-// A default-constructed budget is disabled and always allows.
 class RetryBudget {
  public:
-  RetryBudget() = default;
+  // The budget every WieraClient and WieraPeer runs with.
+  static constexpr double kTokensPerSec = 5;
+  static constexpr double kCapacity = 10;
+
+  RetryBudget() : RetryBudget(kTokensPerSec, kCapacity) {}
   RetryBudget(double tokens_per_sec, double capacity)
       : rate_(tokens_per_sec), capacity_(capacity), tokens_(capacity) {}
 
-  bool enabled() const { return rate_ > 0; }
-
   bool try_spend(TimePoint now) {
-    if (!enabled()) return true;
     tokens_ = std::min(capacity_,
                        tokens_ + rate_ * (now - last_).seconds());
     last_ = now;

@@ -61,7 +61,7 @@ sim::Task<void> LockService::lease_reaper_loop(Duration check_interval) {
     if (!reaping_) break;
     for (auto& [name, lock] : locks_) {
       if (lock->holder.empty()) continue;
-      if (sim_->now() - lock->granted_at > lease_) {
+      if (sim_->now() - lock->granted_at > kLease) {
         // The holder exceeded its lease (crashed or wedged): evict it so
         // queued writers make progress. A late release from the old holder
         // will fail with a holder mismatch, like an expired ZK session.

@@ -38,13 +38,12 @@ class LockService {
   int64_t leases_expired() const { return leases_expired_; }
 
   // ---- leases (ZooKeeper ephemeral-node semantics) ----
-  // A grant is held at most `lease`; a holder that neither releases nor
+  // A grant is held at most kLease; a holder that neither releases nor
   // re-acquires within the lease (e.g. it crashed mid-critical-section) is
-  // forcibly evicted so waiters make progress. Call start_lease_reaper()
-  // to activate; without it locks are held indefinitely (the paper's
-  // prototype behaviour).
-  void set_lease(Duration lease) { lease_ = lease; }
-  void start_lease_reaper(Duration check_interval = sec(1));
+  // forcibly evicted so waiters make progress. The reaper checks every
+  // `check_interval`; WieraController::start() runs it on the heartbeat.
+  static constexpr Duration kLease = sec(20);
+  void start_lease_reaper(Duration check_interval);
   void stop_lease_reaper() { reaping_ = false; }
 
   static constexpr const char* kAcquireMethod = "lock.acquire";
@@ -71,7 +70,6 @@ class LockService {
   std::map<std::string, std::unique_ptr<LockState>> locks_;
   int64_t acquires_served_ = 0;
   int64_t leases_expired_ = 0;
-  Duration lease_ = sec(30);
   bool reaping_ = false;
 };
 

@@ -12,9 +12,7 @@ WieraClient::WieraClient(sim::Simulation& sim, net::Network& network,
                          std::string node, std::vector<std::string> peer_ids,
                          Config config)
     : sim_(&sim), client_id_(std::move(client_id)), config_(config),
-      peer_ids_(std::move(peer_ids)),
-      retry_budget_(config.retry_budget_per_sec,
-                    config.retry_budget_capacity) {
+      peer_ids_(std::move(peer_ids)) {
   endpoint_ = std::make_unique<rpc::Endpoint>(network, registry, node);
   metrics_ = &sim.telemetry().registry();
   const obs::LabelSet labels{{"client", client_id_}};

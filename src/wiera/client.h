@@ -35,9 +35,6 @@ class WieraClient {
     // Absolute budget for one client operation including failovers.
     // Zero = no deadline (seed behaviour).
     Duration op_deadline = Duration::zero();
-    // Token bucket spent by failover retries. 0 = unlimited.
-    double retry_budget_per_sec = 0;
-    double retry_budget_capacity = 10;
     // Hedged GETs: after hedge_min_samples observed gets, a get that is
     // still pending past the hedge_percentile latency (never sooner than
     // hedge_min_delay) sends one backup request to the second peer.

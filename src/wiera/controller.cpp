@@ -13,6 +13,10 @@ namespace {
 constexpr char kComponent[] = "wiera";
 constexpr char kChangePolicyMethod[] = "wui.change_policy";
 constexpr char kChangePrimaryMethod[] = "wui.change_primary";
+// Heartbeat flap damping (docs/HEALTH.md): a peer is declared down only
+// after this many *consecutive* failed pings, so one chaos-dropped ping
+// cannot trigger failover.
+constexpr int kPingFailureThreshold = 2;
 
 // Default local-policy resolver: built-ins plus an empty ForwardingInstance
 // (Fig. 6b declares regions whose instances only forward).
@@ -168,10 +172,7 @@ Result<std::vector<std::string>> WieraController::start_instances(
     peer_config.is_primary = region.primary();
     peer_config.lock_service_node = config_.node;
     peer_config.queue_flush_interval = options.queue_flush_interval;
-    if (config_.serve_lease > Duration::zero()) {
-      peer_config.serve_lease = config_.serve_lease;
-      peer_config.lease_authority = config_.node;
-    }
+    peer_config.serve_lease = config_.serve_lease;
     peer_config.forwarding_only =
         region.instance_name() == "ForwardingInstance";
     peer_config.dynamic_consistency_policy = options.dynamic_consistency;
@@ -492,18 +493,15 @@ sim::Task<void> WieraController::heartbeat_loop() {
         const bool was_alive = prev == node_alive_.end() || prev->second;
         const bool ping_ok = resp.ok();
         health_.record_ping(id, ping_ok, sim_->now());
-        // Flap damping (docs/HEALTH.md): liveness flips only after
-        // ping_failure_threshold *consecutive* failures, so one
-        // chaos-dropped ping cannot trigger failover. Threshold 1 is the
-        // seed behaviour (the first failure counts).
+        // Flap damping: liveness flips only after kPingFailureThreshold
+        // consecutive failures.
         if (ping_ok) {
           ping_failures_.erase(id);
         } else {
           ping_failures_[id]++;
         }
         const bool alive =
-            ping_ok ||
-            ping_failures_[id] < std::max(config_.ping_failure_threshold, 1);
+            ping_ok || ping_failures_[id] < kPingFailureThreshold;
         node_alive_[id] = alive;
         if (alive) {
           down_handled_.erase(id);
@@ -1016,10 +1014,7 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
 void WieraController::start() {
   if (running_) return;
   running_ = true;
-  if (config_.lock_lease > Duration::zero()) {
-    lock_service_->set_lease(config_.lock_lease);
-    lock_service_->start_lease_reaper(config_.heartbeat_interval);
-  }
+  lock_service_->start_lease_reaper(config_.heartbeat_interval);
   sim_->spawn(heartbeat_loop(), "controller.heartbeat");
 }
 

@@ -70,10 +70,6 @@ class WieraController {
     Duration heartbeat_interval = sec(1);
     // Minimum live replicas per Wiera instance; 0 disables maintenance.
     int min_replicas = 0;
-    // When nonzero, locks are leased: a holder that crashes mid-critical-
-    // section is evicted after this long so waiters make progress
-    // (ZooKeeper ephemeral-node semantics). Zero keeps locks indefinite.
-    Duration lock_lease = Duration::zero();
     // When nonzero, every launched peer gets this serve lease (it refuses
     // strong-mode client ops once it has gone this long without a
     // successful lease renewal against this controller). The controller in
@@ -87,10 +83,6 @@ class WieraController {
     // unreachable timeout; with one, failure detection keeps its cadence
     // under brownouts. Zero = no deadline (seed behaviour).
     Duration ping_deadline = Duration::zero();
-    // Heartbeat flap damping (docs/HEALTH.md): a peer is declared down only
-    // after this many *consecutive* failed pings, so one chaos-dropped ping
-    // cannot trigger failover. 1 = seed behaviour (first failure counts).
-    int ping_failure_threshold = 1;
     // Health-scored failure detection (docs/HEALTH.md). Disabled by
     // default: the tracker records nothing and every peer ranks neutral.
     HealthTracker::Config health = {};
@@ -193,7 +185,7 @@ class WieraController {
 
   WieraPeer* peer(const std::string& instance_id);
 
-  // Begin heartbeat monitoring.
+  // Begin heartbeat monitoring and lock-lease reaping.
   void start();
   void stop();
 

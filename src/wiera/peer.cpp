@@ -12,6 +12,19 @@ namespace wiera::geo {
 namespace {
 constexpr char kComponent[] = "peer";
 
+// A sync put's chunk of one retries a send that failed kUnavailable up to
+// kSyncRetries times, backing off from kSyncBackoff and doubling: ~12.7 s,
+// longer than the seconds-long fault windows of the chaos plans.
+constexpr int kSyncRetries = 8;
+constexpr Duration kSyncBackoff = msec(50);
+// A MultiPrimaries put holds its key lock through the whole retry chain:
+// 12.75 s of backoff plus 9 attempts of net::Network::kUnreachableDelay
+// (17.25 s) against an unreachable target. The lock lease must outlast it,
+// or the lock service evicts a live holder mid-critical-section.
+static_assert(kSyncBackoff * ((1 << kSyncRetries) - 1) +
+                  net::Network::kUnreachableDelay * (kSyncRetries + 1) <
+              coord::LockService::kLease);
+
 // Every duration literal a policy's event rules compare `path` against
 // (`threshold.latency > 800 ms`), in rule order.
 std::vector<Duration> threshold_literals(const policy::PolicyDoc& doc,
@@ -183,8 +196,6 @@ WieraPeer::WieraPeer(sim::Simulation& sim, net::Network& network,
   if (config_.max_inflight > 0) {
     endpoint_->set_admission(config_.max_inflight, config_.max_queue);
   }
-  retry_budget_ = RetryBudget(config_.retry_budget_per_sec,
-                              config_.retry_budget_capacity);
   if (config_.degradation_policy.has_value()) {
     stale_bound_ = extract_staleness_threshold(*config_.degradation_policy);
     allow_stale_ = stale_bound_ > Duration::zero();
@@ -643,8 +654,8 @@ sim::Task<Result<PutResponse>> WieraPeer::put_local_and_replicate(
     // A synchronous copy is a replication chunk of one.
     std::vector<ReplicateRequest> chunk;
     chunk.push_back(std::move(update));
-    std::vector<Status> op_status =
-        co_await replicate_to_all(chunk, request.deadline, request.trace);
+    std::vector<Status> op_status = co_await replicate_to_all(
+        chunk, request.deadline, request.trace, /*sync=*/true);
     if (!op_status.front().ok()) co_return op_status.front();
   } else if (!storage_peer_ids_.empty()) {
     queue_->send(std::move(update));
@@ -834,7 +845,7 @@ sim::Task<Status> WieraPeer::remove_key(RemoveRequest request) {
 
 sim::Task<std::vector<Status>> WieraPeer::replicate_to_all(
     const std::vector<ReplicateRequest>& ops, TimePoint deadline,
-    TraceContext parent) {
+    TraceContext parent, bool sync) {
   // Membership can widen while the fan-out is in flight (a recovered peer
   // rejoining). Keep sending until the acknowledged set covers the current
   // membership: a put must never report success while excluding a peer that
@@ -852,7 +863,7 @@ sim::Task<std::vector<Status>> WieraPeer::replicate_to_all(
     std::vector<sim::Task<std::vector<Status>>> tasks;
     tasks.reserve(targets.size());
     for (const std::string& peer_id : targets) {
-      tasks.push_back(send_replicate(peer_id, ops, deadline, parent));
+      tasks.push_back(send_replicate(peer_id, ops, deadline, parent, sync));
     }
     std::vector<std::vector<Status>> per_target =
         co_await sim::when_all(*sim_, std::move(tasks));
@@ -872,7 +883,7 @@ sim::Task<std::vector<Status>> WieraPeer::replicate_to_all(
 
 sim::Task<std::vector<Status>> WieraPeer::send_replicate(
     std::string target, const std::vector<ReplicateRequest>& ops,
-    TimePoint deadline, TraceContext parent) {
+    TimePoint deadline, TraceContext parent, bool sync) {
   const bool batched = ops.size() > 1;
   const std::string batched_note =
       batched ? "batched=" + std::to_string(ops.size()) : std::string();
@@ -903,7 +914,8 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
 
   Status last = unavailable("replicate: no attempt made");
   std::optional<rpc::Message> reply;
-  for (int attempt = 0; attempt <= config_.replicate_retries; ++attempt) {
+  const int retries = sync ? kSyncRetries : 0;
+  for (int attempt = 0; attempt <= retries; ++attempt) {
     if (attempt > 0) {
       // Retries spend the budget: under a sustained brownout the token
       // bucket drains and the send fails with its last error instead of
@@ -914,7 +926,7 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
       }
       replication_retries_->inc();
       tracer().annotate(wire_span, "retry=" + std::to_string(attempt));
-      co_await sim_->delay(config_.replicate_backoff *
+      co_await sim_->delay(kSyncBackoff *
                            static_cast<double>(int64_t{1} << (attempt - 1)));
       if (stopping_) break;
     }
@@ -1053,8 +1065,8 @@ sim::Task<Status> WieraPeer::flush_queue() {
     }
     if (chunk.empty()) break;
     const TimePoint start = sim_->now();
-    std::vector<Status> op_status =
-        co_await replicate_to_all(chunk, TimePoint::max(), flush_trace);
+    std::vector<Status> op_status = co_await replicate_to_all(
+        chunk, TimePoint::max(), flush_trace, /*sync=*/false);
     // In eventual mode, background replication latency is the monitoring
     // signal for switching back to strong consistency (Fig. 7 points 1, 2).
     if (config_.mode == ConsistencyMode::kEventual) {
@@ -1167,10 +1179,7 @@ Status WieraPeer::availability_gate() {
 }
 
 sim::Task<void> WieraPeer::availability_loop() {
-  const std::string authority = config_.lease_authority.empty()
-                                    ? config_.lock_service_node
-                                    : config_.lease_authority;
-  if (authority.empty()) co_return;
+  if (config_.lock_service_node.empty()) co_return;
   const Duration interval = config_.serve_lease / 3;
   while (!stopping_) {
     co_await sim_->delay(interval);
@@ -1178,8 +1187,8 @@ sim::Task<void> WieraPeer::availability_loop() {
     rpc::WireWriter w;
     w.put_string(config_.instance_id);
     rpc::Message renew{w.take()};
-    auto resp = co_await endpoint_->call(authority, method::kLeaseRenew,
-                                         std::move(renew));
+    auto resp = co_await endpoint_->call(config_.lock_service_node,
+                                         method::kLeaseRenew, std::move(renew));
     if (resp.ok()) last_contact_ = sim_->now();
   }
 }
@@ -1359,8 +1368,7 @@ void WieraPeer::order_targets_by_health(
                         });
 }
 
-CircuitBreaker* WieraPeer::breaker_for(const std::string& target) {
-  if (config_.breaker_failures <= 0) return nullptr;
+CircuitBreaker& WieraPeer::breaker_for(const std::string& target) {
   auto it = breakers_.find(target);
   if (it == breakers_.end()) {
     CircuitBreaker::Options options;
@@ -1387,19 +1395,13 @@ CircuitBreaker* WieraPeer::breaker_for(const std::string& target) {
               .str("state", CircuitBreaker::state_name(to));
         });
   }
-  return &it->second;
-}
-
-const CircuitBreaker* WieraPeer::breaker(const std::string& target) const {
-  auto it = breakers_.find(target);
-  return it == breakers_.end() ? nullptr : &it->second;
+  return it->second;
 }
 
 Status WieraPeer::breaker_gate(const std::string& target,
                                std::string_view what, TraceContext trace,
                                const std::string& note) {
-  CircuitBreaker* brk = breaker_for(target);
-  if (brk == nullptr || brk->allow(sim_->now())) return ok_status();
+  if (breaker_for(target).allow(sim_->now())) return ok_status();
   breaker_fast_fails_->inc();
   tracer().annotate(trace, note);
   return unavailable(std::string(what) + " " + target + ": circuit open");
@@ -1407,15 +1409,14 @@ Status WieraPeer::breaker_gate(const std::string& target,
 
 void WieraPeer::breaker_record(const std::string& target,
                                const Status& outcome) {
-  CircuitBreaker* brk = breaker_for(target);
-  if (brk == nullptr) return;
+  CircuitBreaker& brk = breaker_for(target);
   // Unreachability and timeouts mark the target unhealthy; any decoded
   // response (even an application error) proves it is alive.
   if (outcome.code() == StatusCode::kUnavailable ||
       outcome.code() == StatusCode::kDeadlineExceeded) {
-    brk->record_failure(sim_->now());
+    brk.record_failure(sim_->now());
   } else {
-    brk->record_success();
+    brk.record_success();
   }
 }
 

@@ -64,19 +64,12 @@ class WieraPeer : public tiera::InstanceHooks {
     // outcomes are returned per-op so a failed op is requeued without
     // re-sending its accepted batch-mates.
     int replicate_batch_max = 1;
-    // ---- fault recovery (chaos harness) ----
-    // Retry budget for replication sends that fail kUnavailable (dropped
-    // messages, transient partitions). 0 = fail fast (seed behaviour).
-    int replicate_retries = 0;
-    Duration replicate_backoff = msec(100);  // doubles per attempt
-    // Serve lease: when nonzero, the peer pings the lease authority every
-    // serve_lease/3 and — in the strong consistency modes — refuses client
-    // operations once the lease lapses, so a partitioned replica cannot
-    // serve stale data. Zero disables the lease (seed behaviour).
+    // Serve lease: when nonzero, the peer pings lock_service_node (the
+    // controller's node) every serve_lease/3 and — in the strong
+    // consistency modes — refuses client operations once the lease lapses,
+    // so a partitioned replica cannot serve stale data. Zero disables the
+    // lease (seed behaviour).
     Duration serve_lease = Duration::zero();
-    // Node pinged to refresh the serve lease (the controller's node).
-    // Empty = fall back to lock_service_node.
-    std::string lease_authority;
     // §5.4: forward all gets to this instance (remote fast tier). Empty =
     // serve locally.
     std::string get_forward_target;
@@ -113,15 +106,9 @@ class WieraPeer : public tiera::InstanceHooks {
     int max_queue = 0;
     // Per-target circuit breaker on replication / forwarding sends: after
     // breaker_failures consecutive failures the target is failed fast for
-    // breaker_open_for, then probed (half-open). 0 = disabled.
-    int breaker_failures = 0;
+    // breaker_open_for, then probed (half-open).
+    int breaker_failures = 5;
     Duration breaker_open_for = sec(1);
-    // Token-bucket budget for replication *retries* (the PR-2 backoff
-    // loop): refills at retry_budget_per_sec up to retry_budget_capacity;
-    // a denied retry fails the send with its last error instead of piling
-    // more traffic onto a browned-out peer. 0 = unlimited.
-    double retry_budget_per_sec = 0;
-    double retry_budget_capacity = 10;
     // Bounded-staleness escape hatch: a parsed BoundedStaleness policy
     // (policy::builtin::bounded_staleness()). When set, a replica whose
     // serve lease lapsed — or whose forward target is unreachable — may
@@ -220,9 +207,9 @@ class WieraPeer : public tiera::InstanceHooks {
   // Hand this peer's data off to the remaining replicas: flush the outbound
   // queue to empty, then (unless flush_only) enqueue the latest committed
   // version of every local key — catch_up's push-back half — and flush
-  // again, so nothing this peer acked exists only here. Flush failures back
-  // off and retry until `deadline`, riding the replication path's breaker /
-  // retry-budget machinery underneath.
+  // again, so nothing this peer acked exists only here. A round whose sends
+  // failed requeues them, and drain re-flushes every 200 ms until
+  // `deadline`.
   sim::Task<Status> drain(TimePoint deadline, bool flush_only = false);
   // All remaining counter accessors are thin views over the sim-wide
   // metrics registry (wiera_*_total{instance=<id>}; docs/OBSERVABILITY.md).
@@ -248,8 +235,6 @@ class WieraPeer : public tiera::InstanceHooks {
   int64_t stale_serves() const { return stale_serves_->value(); }
   int64_t breaker_fast_fails() const { return breaker_fast_fails_->value(); }
   int64_t retry_budget_denials() const { return retry_budget_.denied(); }
-  // nullptr when breakers are disabled or no traffic went to `target` yet.
-  const CircuitBreaker* breaker(const std::string& target) const;
 
   // ---- hot-key analytics (docs/METRICS_PIPELINE.md) ----
   // Disabled unless config_.key_stats.enabled; fed by client_put/client_get
@@ -288,18 +273,20 @@ class WieraPeer : public tiera::InstanceHooks {
 
   // ---- the replication pipeline (docs/PERFORMANCE.md) ----
   // One chunk to every storage peer: a sync put is a chunk of one, a flush
-  // round a chunk of up to replicate_batch_max queued updates. Membership
-  // may widen mid-flight; the fan-out stops early once every op has failed.
+  // round a chunk of up to replicate_batch_max queued updates. Only the
+  // sync chunk (`sync`) retries with backoff; a flush round sends once per
+  // target and requeues what failed for the next tick. Membership may
+  // widen mid-flight; the fan-out stops early once every op has failed.
   // Element i is the first failure of ops[i] across targets (ok if none).
   sim::Task<std::vector<Status>> replicate_to_all(
       const std::vector<ReplicateRequest>& ops, TimePoint deadline,
-      TraceContext parent);
+      TraceContext parent, bool sync);
   // The chunk to one target, every attempt (retry budget, backoff, breaker,
   // network monitor, health EWMA) inside one span per op; returns per-op
   // status (size == ops.size()).
   sim::Task<std::vector<Status>> send_replicate(
       std::string target, const std::vector<ReplicateRequest>& ops,
-      TimePoint deadline, TraceContext parent);
+      TimePoint deadline, TraceContext parent, bool sync);
   // Verify a received update's wire checksum (per local.verify_checksums,
   // or always when `require_checksum`), then LWW-merge it; true when
   // applied. A corrupt payload is counted and refused with kDataLoss.
@@ -316,8 +303,8 @@ class WieraPeer : public tiera::InstanceHooks {
   obs::Journal& journal() { return sim_->telemetry().journal(); }
 
   // Overload robustness helpers.
-  // Breaker for a send target; nullptr when breakers are disabled.
-  CircuitBreaker* breaker_for(const std::string& target);
+  // Breaker for a send target, created on first use.
+  CircuitBreaker& breaker_for(const std::string& target);
   // The per-target breaker around one call (replication attempt, put- or
   // get-forward): while it is open breaker_gate fails fast (counted, `note`
   // annotated on `trace`); breaker_record feeds the call's outcome back.
@@ -341,7 +328,8 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<Result<GetResponse>> stale_local_get(const GetRequest& request);
   sim::Task<void> queue_flusher();
   // One flush round: drains the updates queued when it starts, in chunks
-  // of replicate_batch_max; failed ops are requeued individually.
+  // of replicate_batch_max sent once to every target; ops that failed
+  // somewhere are requeued individually for the next round.
   sim::Task<Status> flush_queue();
   // Flush rounds, pausing after a failed one, until the queue is empty;
   // kDeadlineExceeded naming `phase` if `deadline` passes first.
@@ -410,7 +398,7 @@ class WieraPeer : public tiera::InstanceHooks {
 
   // Overload-robustness state (docs/OVERLOAD.md).
   std::map<std::string, CircuitBreaker> breakers_;  // per send target
-  RetryBudget retry_budget_;
+  RetryBudget retry_budget_;  // spent by sync replication retries
   Duration stale_bound_ = Duration::zero();  // from degradation_policy
   bool allow_stale_ = false;
   // Set on crash, cleared when recovery finishes: a crashed peer lost its

@@ -270,13 +270,6 @@ TEST(ContextTest, CancellationIsSharedAcrossCopies) {
 
 // ------------------------------------------------------------ RetryBudget
 
-TEST(RetryBudgetTest, DisabledBudgetAlwaysAllows) {
-  RetryBudget b;
-  EXPECT_FALSE(b.enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.try_spend(TimePoint(0)));
-  EXPECT_EQ(b.denied(), 0);
-}
-
 TEST(RetryBudgetTest, DrainsToDenialAndRefillsOverTime) {
   RetryBudget b(/*tokens_per_sec=*/1.0, /*capacity=*/3.0);
   TimePoint t(0);

@@ -186,7 +186,6 @@ TEST(LockServiceTest, ManyContendersAllServed) {
 
 TEST(LockServiceTest, LeaseExpiryEvictsCrashedHolder) {
   Fixture f;
-  f.service.set_lease(sec(5));
   f.service.start_lease_reaper(sec(1));
 
   rpc::Endpoint east(f.network, f.registry, "client-east");
@@ -212,11 +211,12 @@ TEST(LockServiceTest, LeaseExpiryEvictsCrashedHolder) {
   f.sim.spawn(waiter_task(c_west, west_got_lock));
 
   // Before the lease expires, west is still blocked.
-  f.sim.run_until(TimePoint(sec(4).us()));
+  const TimePoint expiry = TimePoint::origin() + LockService::kLease;
+  f.sim.run_until(expiry - sec(1));
   EXPECT_FALSE(west_got_lock);
   EXPECT_EQ(f.service.holder("k"), "client-east");
   // After expiry, the reaper evicts east and west proceeds.
-  f.sim.run_until(TimePoint(sec(10).us()));
+  f.sim.run_until(expiry + sec(5));
   EXPECT_TRUE(west_got_lock);
   EXPECT_GE(f.service.leases_expired(), 1);
 
@@ -235,7 +235,6 @@ TEST(LockServiceTest, LeaseExpiryEvictsCrashedHolder) {
 
 TEST(LockServiceTest, HealthyHolderUnaffectedByReaper) {
   Fixture f;
-  f.service.set_lease(sec(30));
   f.service.start_lease_reaper(sec(1));
   rpc::Endpoint east(f.network, f.registry, "client-east");
   LockClient client(east, "zk");

@@ -136,7 +136,6 @@ Cluster::Cluster(uint64_t seed, WieraController::Config config,
 
 WieraController::Config Cluster::fault_tolerant(ControllerTweak tweak) {
   WieraController::Config config;
-  config.lock_lease = sec(20);
   config.serve_lease = msec(1500);
   if (tweak) tweak(config);
   return config;
@@ -161,12 +160,7 @@ WieraController::StartOptions Cluster::options_for(
 
 WieraController::StartOptions Cluster::options_for(ConsistencyMode mode,
                                                    PeerTweak peer_tweak) {
-  return options_for(policy_for(mode), [peer_tweak = std::move(peer_tweak)](
-                                           WieraPeer::Config& config) {
-    config.replicate_retries = 8;
-    config.replicate_backoff = msec(50);
-    if (peer_tweak) peer_tweak(config);
-  });
+  return options_for(policy_for(mode), std::move(peer_tweak));
 }
 
 void Cluster::harvest(const std::vector<std::string>& nodes, int key_count,

@@ -43,17 +43,14 @@ struct Cluster {
   Cluster(uint64_t seed, WieraController::Config config,
           const char* spare = nullptr);
 
-  // What the fault suites arm on the controller: leased locks (a crashed
-  // holder is evicted) and serve leases (an isolated replica refuses
-  // strong-mode reads); `tweak` last.
+  // What the fault suites arm on the controller: serve leases (an isolated
+  // replica refuses strong-mode reads); `tweak` last.
   static WieraController::Config fault_tolerant(ControllerTweak tweak = {});
 
   // Start options for `policy_src` with tier jitter off; `peer_tweak` last.
   static WieraController::StartOptions options_for(
       std::string_view policy_src, PeerTweak peer_tweak = {});
-  // The builtin policy of `mode`, plus replication retries that outlast any
-  // fault window the random plans can generate (max 4s vs ~12.7s of
-  // backoff).
+  // The builtin policy of `mode`.
   static WieraController::StartOptions options_for(ConsistencyMode mode,
                                                    PeerTweak peer_tweak = {});
 

@@ -317,8 +317,6 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   WieraClient::Config client_config;
   client_config.op_deadline = sec(3);
   client_config.failover_attempt_timeout = msec(400);
-  client_config.retry_budget_per_sec = 5;
-  client_config.retry_budget_capacity = 10;
   // Safe to wire unconditionally: a disabled tracker records nothing and
   // ranks every peer neutral (verified by the determinism replays).
   client_config.health = &cluster.controller.health();
@@ -690,8 +688,6 @@ MutationResult run_drain_mutation(bool handoff) {
 
   WieraClient::Config client_config;
   client_config.op_deadline = sec(3);
-  client_config.retry_budget_per_sec = 5;
-  client_config.retry_budget_capacity = 10;
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app-0",
                      "client-us-west", *peers, client_config);
   EXPECT_EQ(client.closest_peer(), "tiera-us-west");
@@ -1119,8 +1115,6 @@ TEST(ClientFailoverTest, DrainingPeerFailsOverWithinRetryBudget) {
 
   WieraClient::Config config;
   config.op_deadline = sec(3);
-  config.retry_budget_per_sec = 5;
-  config.retry_budget_capacity = 10;
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app-0",
                      "client-us-west", *peers, config);
   ASSERT_EQ(client.closest_peer(), "tiera-us-west");
@@ -1171,8 +1165,6 @@ ProbeResult run_stalled(bool attempt_timeout, int64_t& attempt_timeouts) {
 
   WieraClient::Config config;
   config.op_deadline = sec(3);
-  config.retry_budget_per_sec = 5;
-  config.retry_budget_capacity = 10;
   if (attempt_timeout) config.failover_attempt_timeout = msec(400);
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app-0",
                      "client-us-west", *peers, config);
@@ -1251,8 +1243,6 @@ TEST(ScenarioOperationalTest, EvacuatingTheSyncPrimaryKeepsClientsWhole) {
   WieraClient::Config config;
   config.op_deadline = sec(3);
   config.failover_attempt_timeout = msec(400);
-  config.retry_budget_per_sec = 5;
-  config.retry_budget_capacity = 10;
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app-0",
                      "client-eu-west", *peers, config);
 

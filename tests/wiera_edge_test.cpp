@@ -518,6 +518,51 @@ TEST(QueueRetryTest, QueuedUpdatesSurviveReplicaOutage) {
   EXPECT_EQ(cluster.controller.peer("tiera-us-west")->queue_depth(), 0);
 }
 
+TEST(QueueRetryTest, OneDarkReplicaDoesNotStallTheOthers) {
+  // A flush round sends each update once per target and requeues what
+  // failed, so one dark replica costs each round one failed send and never
+  // holds back later updates bound for the healthy replicas.
+  Cluster cluster;
+  WieraController::StartOptions options;
+  options.global = std::move(policy::parse_policy(
+                                 policy::builtin::eventual_consistency()))
+                       .value();
+  options.local_params["t"] = policy::Value::duration_of(sec(60));
+  options.queue_flush_interval = msec(200);
+  auto peers = cluster.controller.start_instances("w", std::move(options));
+  ASSERT_TRUE(peers.ok());
+
+  cluster.network.topology().inject_outage("tiera-eu-west", TimePoint(0),
+                                           TimePoint(sec(10).us()));
+
+  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
+                     "client-us-west", *peers);
+  bool puts_done = false;
+  auto writer = [](sim::Simulation& s, WieraClient& c,
+                   bool& flag) -> sim::Task<void> {
+    auto k1 = co_await c.put("k1", Blob("v1"));
+    EXPECT_TRUE(k1.ok());
+    co_await s.delay(TimePoint(sec(3).us()) - s.now());
+    auto k2 = co_await c.put("k2", Blob("v2"));
+    EXPECT_TRUE(k2.ok());
+    flag = true;
+  };
+  cluster.sim.spawn(writer(cluster.sim, client, puts_done));
+
+  // k1 keeps failing towards EU, yet k2 reaches US East within two seconds
+  // of its ack.
+  cluster.sim.run_until(TimePoint(sec(5).us()));
+  ASSERT_TRUE(puts_done);
+  EXPECT_NE(cluster.controller.peer("tiera-us-east")->local().meta().find("k2"),
+            nullptr);
+  EXPECT_EQ(cluster.controller.peer("tiera-eu-west")->local().meta().find("k2"),
+            nullptr);
+
+  cluster.sim.run_until(TimePoint(sec(12).us()));
+  EXPECT_NE(cluster.controller.peer("tiera-eu-west")->local().meta().find("k2"),
+            nullptr);
+}
+
 // ------------------------------------------------------ deadline vs migration
 
 TEST(MigrationDeadlineTest, GetDuringPrimaryMigrationCompletesOrExpires) {
