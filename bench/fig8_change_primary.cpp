@@ -86,7 +86,6 @@ Wiera Fig8PrimaryBackup() {
     // Evaluate the migration condition on the paper's cadence rather than
     // every few seconds (avoids primary ping-pong between regions).
     config.requests_monitor_check = sec(30);
-    config.requests_monitor_window = sec(30);
   };
   if (changing_primary) {
     auto cp = policy::parse_policy(policy::builtin::change_primary());

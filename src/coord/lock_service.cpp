@@ -27,24 +27,6 @@ Result<LockRequest> decode_request(const rpc::Message& msg) {
   return req;
 }
 
-rpc::Message encode_status(const Status& st) {
-  rpc::WireWriter w;
-  w.put_bool(st.ok());
-  w.put_u32(static_cast<uint32_t>(st.code()));
-  w.put_string(st.message());
-  return rpc::Message{w.take()};
-}
-
-Status decode_status(const rpc::Message& msg) {
-  rpc::WireReader r(msg.body);
-  const bool ok = r.get_bool();
-  const auto code = static_cast<StatusCode>(r.get_u32());
-  std::string message = r.get_string();
-  if (!r.ok()) return r.status();
-  if (ok) return ok_status();
-  return Status(code, std::move(message));
-}
-
 }  // namespace
 
 LockService::~LockService() { reaping_ = false; }
@@ -106,7 +88,7 @@ sim::Task<Result<rpc::Message>> LockService::handle_acquire(
 
   LockState& lock = state_for(req->lock_name);
   if (lock.holder == req->requester) {
-    co_return encode_status(
+    co_return rpc::encode_status(
         failed_precondition("lock already held by requester (not reentrant)"));
   }
   lock.waiting++;
@@ -115,7 +97,7 @@ sim::Task<Result<rpc::Message>> LockService::handle_acquire(
   lock.holder = req->requester;
   lock.granted_at = sim_->now();
   acquires_served_++;
-  co_return encode_status(ok_status());
+  co_return rpc::encode_status(ok_status());
 }
 
 sim::Task<Result<rpc::Message>> LockService::handle_release(
@@ -125,17 +107,17 @@ sim::Task<Result<rpc::Message>> LockService::handle_release(
 
   auto it = locks_.find(req->lock_name);
   if (it == locks_.end() || it->second->holder.empty()) {
-    co_return encode_status(
+    co_return rpc::encode_status(
         failed_precondition("release of unheld lock " + req->lock_name));
   }
   if (it->second->holder != req->requester) {
-    co_return encode_status(failed_precondition(
+    co_return rpc::encode_status(failed_precondition(
         "lock " + req->lock_name + " held by " + it->second->holder +
         ", not " + req->requester));
   }
   it->second->holder.clear();
   it->second->mutex.unlock();
-  co_return encode_status(ok_status());
+  co_return rpc::encode_status(ok_status());
 }
 
 // NOTE: request messages are built into named locals before the co_await.
@@ -147,7 +129,7 @@ sim::Task<Status> LockClient::acquire(std::string lock_name) {
   auto resp = co_await client_->call(
       service_node_, LockService::kAcquireMethod, std::move(request));
   if (!resp.ok()) co_return resp.status();
-  co_return decode_status(*resp);
+  co_return rpc::decode_status(*resp);
 }
 
 sim::Task<Status> LockClient::release(std::string lock_name) {
@@ -156,7 +138,7 @@ sim::Task<Status> LockClient::release(std::string lock_name) {
   auto resp = co_await client_->call(
       service_node_, LockService::kReleaseMethod, std::move(request));
   if (!resp.ok()) co_return resp.status();
-  co_return decode_status(*resp);
+  co_return rpc::decode_status(*resp);
 }
 
 }  // namespace wiera::coord

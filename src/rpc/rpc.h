@@ -61,6 +61,12 @@ struct Message {
   }
 };
 
+// A Status as a message body, for acknowledgements and errors carried
+// in-band: a bool, the u32 code, then the message string. A truncated body
+// decodes to kInvalidArgument.
+Message encode_status(const Status& st);
+Status decode_status(const Message& msg);
+
 class Endpoint;
 
 // Name -> endpoint routing; one per simulation.

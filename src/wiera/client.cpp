@@ -7,6 +7,13 @@
 
 namespace wiera::geo {
 
+namespace {
+// A hedged get waits for this percentile of observed get latency before
+// sending its backup request, and never less than kHedgeMinDelay.
+constexpr double kHedgePercentile = 0.95;
+constexpr Duration kHedgeMinDelay = msec(10);
+}  // namespace
+
 WieraClient::WieraClient(sim::Simulation& sim, net::Network& network,
                          rpc::Registry& registry, std::string client_id,
                          std::string node, std::vector<std::string> peer_ids,
@@ -169,15 +176,14 @@ sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
                                                          TraceContext trace) {
   // Rank before choosing the trigger so peer_ids_.front() / [1] reflect
   // health: the backup request targets the best non-preferred replica, and
-  // a non-clean preferred replica hedges at hedge_min_delay instead of
+  // a non-clean preferred replica hedges at kHedgeMinDelay instead of
   // waiting out the latency percentile (docs/HEALTH.md).
   rank_peers_by_health();
   Duration trigger =
-      std::max(get_hist_->percentile(config_.hedge_percentile),
-               config_.hedge_min_delay);
+      std::max(get_hist_->percentile(kHedgePercentile), kHedgeMinDelay);
   if (config_.health != nullptr && config_.health->enabled() &&
       config_.health->rank_penalty(peer_ids_.front()) > 0) {
-    trigger = config_.hedge_min_delay;
+    trigger = kHedgeMinDelay;
   }
   auto promise = std::make_shared<sim::Promise<Result<rpc::Message>>>(
       *sim_, "client.hedged-get");
@@ -365,7 +371,7 @@ sim::Task<Status> WieraClient::remove_version_impl(std::string key,
   Result<rpc::Message> resp = co_await call_any(
       method::kRemove, [&] { return encode(req); }, op);
   if (!resp.ok()) co_return resp.status();
-  co_return decode_status(*resp);
+  co_return rpc::decode_status(*resp);
 }
 
 }  // namespace wiera::geo

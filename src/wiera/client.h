@@ -36,12 +36,10 @@ class WieraClient {
     // Zero = no deadline (seed behaviour).
     Duration op_deadline = Duration::zero();
     // Hedged GETs: after hedge_min_samples observed gets, a get that is
-    // still pending past the hedge_percentile latency (never sooner than
-    // hedge_min_delay) sends one backup request to the second peer.
+    // still pending past the p95 get latency (never sooner than 10 ms)
+    // sends one backup request to the second peer.
     bool hedge_gets = false;
     int hedge_min_samples = 20;
-    double hedge_percentile = 0.95;
-    Duration hedge_min_delay = msec(10);
     // Per-attempt bound inside the failover loop: an attempt still silent
     // after this long fails over to the next replica (spending a retry-
     // budget token) instead of letting one black-holed or draining peer
@@ -52,7 +50,7 @@ class WieraClient {
     // Health-scored replica ranking (docs/HEALTH.md): when set, each
     // operation stable-sorts the replica preference order by the tracker's
     // rank penalty (probation last), successful attempt latencies feed the
-    // per-target EWMA, and hedged GETs fire at hedge_min_delay — skipping
+    // per-target EWMA, and hedged GETs fire at the 10 ms floor — skipping
     // the percentile wait — when the preferred replica is not clean.
     // Null = seed behaviour.
     HealthTracker* health = nullptr;

@@ -1,6 +1,8 @@
 #include "wiera/controller.h"
 
 #include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -17,6 +19,8 @@ constexpr char kChangePrimaryMethod[] = "wui.change_primary";
 // after this many *consecutive* failed pings, so one chaos-dropped ping
 // cannot trigger failover.
 constexpr int kPingFailureThreshold = 2;
+// Pause between stop and restart of each peer in a rolling restart.
+constexpr Duration kRestartPause = msec(500);
 
 // Default local-policy resolver: built-ins plus an empty ForwardingInstance
 // (Fig. 6b declares regions whose instances only forward).
@@ -36,6 +40,33 @@ Result<policy::PolicyDoc> default_resolve(const std::string& name) {
 
 std::string default_node_for_region(const std::string& region) {
   return "tiera-" + to_lower(region);
+}
+
+// A peer's monitor asks the controller's WUI for a run-time change (so the
+// request itself pays a WAN hop): `target` is the consistency policy or the
+// new primary. Fire-and-forget from the peer's view.
+sim::Task<void> request_change(WieraPeer* peer, std::string controller,
+                               std::string method, std::string wiera_id,
+                               std::string target) {
+  rpc::WireWriter w;
+  w.put_string(wiera_id);
+  w.put_string(target);
+  rpc::Message msg{w.take()};
+  auto resp = co_await peer->endpoint().call(std::move(controller), method,
+                                             std::move(msg));
+  if (!resp.ok()) {
+    WLOG_WARN(kComponent) << method << " request failed: "
+                          << resp.status().to_string();
+  }
+}
+
+// One peer's ack: the call's own failure, or the status the peer answered.
+sim::Task<Status> call_for_status(rpc::Endpoint* endpoint, std::string target,
+                                  std::string method, rpc::Message msg) {
+  auto resp = co_await endpoint->call(std::move(target), std::move(method),
+                                      std::move(msg));
+  if (!resp.ok()) co_return resp.status();
+  co_return rpc::decode_status(*resp);
 }
 
 }  // namespace
@@ -96,14 +127,44 @@ WieraController::WieraController(sim::Simulation& sim, net::Network& network,
   register_handlers();
 }
 
+WieraController::PeerState WieraController::state(
+    const std::string& id) const {
+  auto it = peer_state_.find(id);
+  return it == peer_state_.end() ? PeerState{} : it->second;
+}
+
+bool WieraController::alive(const std::string& id, bool unknown) const {
+  return state(id).alive.value_or(unknown);
+}
+
+TieraServer* WieraController::server_on(const std::string& node) const {
+  for (TieraServer* server : servers_) {
+    if (server->node() == node) return server;
+  }
+  return nullptr;
+}
+
+TieraServer* WieraController::host_of(const std::string& peer_id) const {
+  for (TieraServer* server : servers_) {
+    if (server->peer(peer_id) != nullptr) return server;
+  }
+  return nullptr;
+}
+
+WieraPeer* WieraController::peer(const std::string& instance_id) {
+  TieraServer* host = host_of(instance_id);
+  return host == nullptr ? nullptr : host->peer(instance_id);
+}
+
 void WieraController::register_server(TieraServer* server) {
   servers_.push_back(server);
-  node_alive_[server->node()] = true;
+  peer_state_[server->node()].alive = true;
 }
 
 bool WieraController::server_alive(const std::string& node) const {
-  auto it = node_alive_.find(node);
-  return it != node_alive_.end() && it->second;
+  // Unlike a member, a node the controller has no verdict on (never
+  // registered, or evacuated) is not a live server.
+  return alive(node, /*unknown=*/false);
 }
 
 Result<std::vector<std::string>> WieraController::start_instances(
@@ -151,13 +212,7 @@ Result<std::vector<std::string>> WieraController::start_instances(
     }
 
     const std::string node = node_for(region.region());
-    TieraServer* server = nullptr;
-    for (TieraServer* candidate : servers_) {
-      if (candidate->node() == node) {
-        server = candidate;
-        break;
-      }
-    }
+    TieraServer* server = server_on(node);
     if (server == nullptr) {
       return not_found("no Tiera server registered on node " + node +
                        " for region " + region.region());
@@ -184,7 +239,7 @@ Result<std::vector<std::string>> WieraController::start_instances(
 
     const bool can_store =
         !peer_config.forwarding_only && !peer_config.local.policy.tiers.empty();
-    record.templates.push_back(peer_config);  // kept for §4.4 replacement
+    record.templates.push_back(peer_config);
     WieraPeer* peer = server->spawn_peer(std::move(peer_config));
     record.peer_ids.push_back(peer->id());
     if (can_store) record.storage_peer_ids.push_back(peer->id());
@@ -196,52 +251,33 @@ Result<std::vector<std::string>> WieraController::start_instances(
     record.primary = record.peer_ids.front();
   }
 
-  // Propagate membership + primary, wire the control plane, start peers.
-  for (const std::string& id : record.peer_ids) {
-    lease_seen_[id] = sim_->now();
-    WieraPeer* p = peer_by_id_internal(id);
-    p->set_peers(record.peer_ids);
-    p->set_storage_peers(record.storage_peer_ids);
-    p->apply_primary_change(record.primary);
-    // apply_primary_change resets is_primary from the id comparison.
+  // Propagate membership + primary (apply_primary_change resets is_primary
+  // from the id comparison), then wire the control plane and start peers.
+  InstanceRecord& started = instances_[wiera_id] = std::move(record);
+  push_membership(wiera_id, started);
+  for (const std::string& id : started.peer_ids) {
+    peer_state_[id].lease_seen = sim_->now();
+    WieraPeer* p = peer(id);
     wire_control_plane(wiera_id, p);
     p->start();
   }
-
-  instances_[wiera_id] = record;
   WLOG_INFO(kComponent) << "started " << wiera_id << " ("
-                        << record.policy_id << ", "
-                        << consistency_mode_name(record.mode) << ", "
-                        << record.peer_ids.size() << " peers)";
-  return record.peer_ids;
-}
-
-WieraPeer* WieraController::peer(const std::string& instance_id) {
-  return peer_by_id_internal(instance_id);
-}
-
-WieraPeer* WieraController::peer_by_id_internal(
-    const std::string& instance_id) {
-  for (TieraServer* server : servers_) {
-    WieraPeer* p = server->peer(instance_id);
-    if (p != nullptr) return p;
-  }
-  return nullptr;
+                        << started.policy_id << ", "
+                        << consistency_mode_name(started.mode) << ", "
+                        << started.peer_ids.size() << " peers)";
+  return started.peer_ids;
 }
 
 Status WieraController::stop_instances(const std::string& wiera_id) {
   auto it = instances_.find(wiera_id);
   if (it == instances_.end()) return not_found("wiera instance " + wiera_id);
   for (const std::string& id : it->second.peer_ids) {
-    for (TieraServer* server : servers_) {
-      if (server->peer(id) != nullptr) {
-        const Status st = server->stop_peer(id);
-        if (!st.ok()) {
-          WLOG_WARN(kComponent) << "stop_peer " << id
-                                << " failed: " << st.to_string();
-        }
-        break;
-      }
+    TieraServer* host = host_of(id);
+    if (host == nullptr) continue;
+    const Status st = host->stop_peer(id);
+    if (!st.ok()) {
+      WLOG_WARN(kComponent) << "stop_peer " << id
+                            << " failed: " << st.to_string();
     }
   }
   instances_.erase(it);
@@ -255,46 +291,54 @@ Result<std::vector<std::string>> WieraController::get_instances(
   return it->second.peer_ids;
 }
 
+sim::Task<Result<WieraController::InstanceRecord*>>
+WieraController::change_all_peers(std::string wiera_id, std::string method,
+                                  rpc::Message request, std::string what) {
+  auto it = instances_.find(wiera_id);
+  if (it == instances_.end()) {
+    co_return not_found("wiera instance " + wiera_id);
+  }
+  if (it->second.change_in_progress) {
+    co_return failed_precondition(what + " already in progress");
+  }
+  it->second.change_in_progress = true;
+
+  // Every peer switches concurrently; each pays a WAN RTT.
+  std::vector<sim::Task<Status>> tasks;
+  for (const std::string& id : it->second.peer_ids) {
+    tasks.push_back(call_for_status(endpoint_.get(), id, method, request));
+  }
+  std::vector<Status> results = co_await sim::when_all(*sim_, std::move(tasks));
+  // Re-find after resuming: stop_instances may have erased this record while
+  // the fan-out was in flight, which would leave `it` dangling.
+  it = instances_.find(wiera_id);
+  if (it == instances_.end()) {
+    co_return not_found("wiera instance " + wiera_id + " stopped during " +
+                        what);
+  }
+  it->second.change_in_progress = false;
+  for (const Status& st : results) {
+    if (!st.ok()) co_return st;
+  }
+  co_return &it->second;
+}
+
 sim::Task<Status> WieraController::change_consistency(std::string wiera_id,
                                                       ConsistencyMode mode) {
   auto it = instances_.find(wiera_id);
   if (it == instances_.end()) {
     co_return not_found("wiera instance " + wiera_id);
   }
-  InstanceRecord& record = it->second;
-  if (record.mode == mode) co_return ok_status();
-  if (record.change_in_progress) {
-    co_return failed_precondition("consistency change already in progress");
-  }
-  record.change_in_progress = true;
-
-  // Tell every peer to block-drain-switch; pays a WAN RTT per peer,
-  // performed concurrently.
-  std::vector<sim::Task<Status>> tasks;
-  for (const std::string& id : record.peer_ids) {
-    SetConsistencyRequest req{mode};
-    rpc::Message msg = encode(req);
-    tasks.push_back([](rpc::Endpoint* ep, std::string target,
-                       rpc::Message m) -> sim::Task<Status> {
-      auto resp = co_await ep->call(std::move(target),
-                                    method::kSetConsistency, std::move(m));
-      if (!resp.ok()) co_return resp.status();
-      co_return decode_status(*resp);
-    }(endpoint_.get(), id, std::move(msg)));
-  }
-  std::vector<Status> results = co_await sim::when_all(*sim_, std::move(tasks));
-  // Re-find after resuming: stop_instances may have erased this record while
-  // the fan-out was in flight, which would leave `record` dangling.
-  it = instances_.find(wiera_id);
-  if (it == instances_.end()) {
-    co_return not_found("wiera instance " + wiera_id +
-                        " stopped during consistency change");
-  }
-  it->second.change_in_progress = false;
-  for (const Status& st : results) {
-    if (!st.ok()) co_return st;
-  }
-  it->second.mode = mode;
+  if (it->second.mode == mode) co_return ok_status();
+  // Tell every peer to block-drain-switch. The request is a named local, as
+  // in change_primary: GCC 12 destroys an aggregate temporary built inside
+  // a co_await expression twice (see LockClient::acquire).
+  rpc::Message request = encode(SetConsistencyRequest{mode});
+  auto record = co_await change_all_peers(wiera_id, method::kSetConsistency,
+                                          std::move(request),
+                                          "consistency change");
+  if (!record.ok()) co_return record.status();
+  (*record)->mode = mode;
   consistency_changes_++;
   WLOG_INFO(kComponent) << wiera_id << " now "
                         << consistency_mode_name(mode);
@@ -307,43 +351,16 @@ sim::Task<Status> WieraController::change_primary(std::string wiera_id,
   if (it == instances_.end()) {
     co_return not_found("wiera instance " + wiera_id);
   }
-  InstanceRecord& record = it->second;
-  if (record.primary == new_primary) co_return ok_status();
-  if (std::find(record.peer_ids.begin(), record.peer_ids.end(),
-                new_primary) == record.peer_ids.end()) {
+  if (it->second.primary == new_primary) co_return ok_status();
+  if (!it->second.has(new_primary)) {
     co_return invalid_argument(new_primary + " is not a member of " +
                                wiera_id);
   }
-  if (record.change_in_progress) {
-    co_return failed_precondition("change already in progress");
-  }
-  record.change_in_progress = true;
-
-  std::vector<sim::Task<Status>> tasks;
-  for (const std::string& id : record.peer_ids) {
-    SetPrimaryRequest req{new_primary};
-    rpc::Message msg = encode(req);
-    tasks.push_back([](rpc::Endpoint* ep, std::string target,
-                       rpc::Message m) -> sim::Task<Status> {
-      auto resp = co_await ep->call(std::move(target), method::kSetPrimary,
-                                    std::move(m));
-      if (!resp.ok()) co_return resp.status();
-      co_return decode_status(*resp);
-    }(endpoint_.get(), id, std::move(msg)));
-  }
-  std::vector<Status> results = co_await sim::when_all(*sim_, std::move(tasks));
-  // Same re-find discipline as change_consistency: the record may have been
-  // erased by stop_instances while the fan-out was suspended.
-  it = instances_.find(wiera_id);
-  if (it == instances_.end()) {
-    co_return not_found("wiera instance " + wiera_id +
-                        " stopped during primary change");
-  }
-  it->second.change_in_progress = false;
-  for (const Status& st : results) {
-    if (!st.ok()) co_return st;
-  }
-  it->second.primary = new_primary;
+  rpc::Message request = encode(SetPrimaryRequest{new_primary});
+  auto record = co_await change_all_peers(wiera_id, method::kSetPrimary,
+                                          std::move(request), "primary change");
+  if (!record.ok()) co_return record.status();
+  (*record)->primary = new_primary;
   primary_changes_++;
   WLOG_INFO(kComponent) << wiera_id << " primary -> " << new_primary;
   co_return ok_status();
@@ -367,10 +384,7 @@ std::string WieraController::recommend_primary(
   auto it = instances_.find(wiera_id);
   if (it == instances_.end()) return "";
   const std::string busiest = advisor_.recommend_primary(workload_monitor_);
-  for (const std::string& id : it->second.peer_ids) {
-    if (id == busiest) return busiest;
-  }
-  return "";
+  return it->second.has(busiest) ? busiest : "";
 }
 
 std::vector<std::string> WieraController::down_instances(
@@ -386,60 +400,43 @@ std::vector<std::string> WieraController::down_instances(
 
 void WieraController::wire_control_plane(const std::string& wiera_id,
                                          WieraPeer* peer) {
+  auto via_wui = [this, wiera_id, peer](const char* method,
+                                        const char* task) {
+    return [this, wiera_id, peer, method, task](const std::string& target) {
+      sim_->spawn(request_change(peer, config_.node, method, wiera_id, target),
+                  task);
+    };
+  };
   WieraPeer::ControlPlane control;
-  // Monitor callbacks issue an RPC from the peer to the controller's WUI
-  // (so the request itself pays a WAN hop), then the controller
-  // orchestrates the change. Fire-and-forget from the peer's view.
-  control.request_policy_change = [this, wiera_id, peer](
-                                      const std::string& to_policy) {
-    sim_->spawn([](WieraController* self, std::string wid, WieraPeer* p,
-                   std::string target) -> sim::Task<void> {
-      rpc::WireWriter w;
-      w.put_string(wid);
-      w.put_string(target);
-      rpc::Message msg{w.take()};
-      auto resp = co_await p->endpoint().call(
-          self->config_.node, kChangePolicyMethod, std::move(msg));
-      if (!resp.ok()) {
-        WLOG_WARN(kComponent) << "change_policy request failed: "
-                              << resp.status().to_string();
-      }
-    }(this, wiera_id, peer, to_policy),
-                "controller.change-policy-rpc");
-  };
-  control.request_primary_change = [this, wiera_id, peer](
-                                       const std::string& new_primary) {
-    sim_->spawn([](WieraController* self, std::string wid, WieraPeer* p,
-                   std::string target) -> sim::Task<void> {
-      rpc::WireWriter w;
-      w.put_string(wid);
-      w.put_string(target);
-      rpc::Message msg{w.take()};
-      auto resp = co_await p->endpoint().call(
-          self->config_.node, kChangePrimaryMethod, std::move(msg));
-      if (!resp.ok()) {
-        WLOG_WARN(kComponent) << "change_primary request failed: "
-                              << resp.status().to_string();
-      }
-    }(this, wiera_id, peer, new_primary),
-                "controller.change-primary-rpc");
-  };
+  control.request_policy_change =
+      via_wui(kChangePolicyMethod, "controller.change-policy-rpc");
+  control.request_primary_change =
+      via_wui(kChangePrimaryMethod, "controller.change-primary-rpc");
   peer->set_control_plane(std::move(control));
 }
 
 void WieraController::register_handlers() {
-  endpoint_->register_handler(
-      kChangePolicyMethod,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        rpc::WireReader r(msg.body);
-        std::string wiera_id = r.get_string();
-        std::string to_policy = r.get_string();
-        if (!r.ok()) co_return r.status();
-        auto mode = consistency_mode_from_name(to_policy);
-        if (!mode.ok()) co_return mode.status();
-        Status st = co_await change_consistency(std::move(wiera_id), *mode);
-        co_return encode_status(st);
-      });
+  // The WUI's run-time changes, requested by the peers' monitors
+  // (wire_control_plane): the wiera id, then the target policy or primary.
+  for (const char* method : {kChangePolicyMethod, kChangePrimaryMethod}) {
+    endpoint_->register_handler(
+        method,
+        [this, method](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
+          rpc::WireReader r(msg.body);
+          std::string wiera_id = r.get_string();
+          std::string target = r.get_string();
+          if (!r.ok()) co_return r.status();
+          if (method == std::string_view(kChangePrimaryMethod)) {
+            Status st = co_await change_primary(std::move(wiera_id),
+                                                std::move(target));
+            co_return rpc::encode_status(st);
+          }
+          auto mode = consistency_mode_from_name(target);
+          if (!mode.ok()) co_return mode.status();
+          Status st = co_await change_consistency(std::move(wiera_id), *mode);
+          co_return rpc::encode_status(st);
+        });
+  }
   // Serve-lease renewal: record when each peer last proved round-trip
   // reachability. The renewal time gates membership narrowing: because the
   // controller's record is always at least as fresh as the peer's own
@@ -451,24 +448,13 @@ void WieraController::register_handlers() {
         rpc::WireReader r(msg.body);
         std::string instance_id = r.get_string();
         if (!r.ok()) co_return r.status();
-        lease_seen_[instance_id] = sim_->now();
-        co_return encode_status(ok_status());
+        peer_state_[instance_id].lease_seen = sim_->now();
+        co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(
       method::kPing,
       [](rpc::Message) -> sim::Task<Result<rpc::Message>> {
-        co_return encode_status(ok_status());
-      });
-  endpoint_->register_handler(
-      kChangePrimaryMethod,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        rpc::WireReader r(msg.body);
-        std::string wiera_id = r.get_string();
-        std::string new_primary = r.get_string();
-        if (!r.ok()) co_return r.status();
-        Status st = co_await change_primary(std::move(wiera_id),
-                                            std::move(new_primary));
-        co_return encode_status(st);
+        co_return rpc::encode_status(ok_status());
       });
 }
 
@@ -489,55 +475,44 @@ sim::Task<void> WieraController::heartbeat_loop() {
         }
         auto resp = co_await endpoint_->call(id, method::kPing,
                                              std::move(ping), ping_ctx);
-        auto prev = node_alive_.find(id);
-        const bool was_alive = prev == node_alive_.end() || prev->second;
-        const bool ping_ok = resp.ok();
-        health_.record_ping(id, ping_ok, sim_->now());
+        PeerState& tracked = peer_state_[id];
+        const bool was_alive = tracked.alive.value_or(true);
+        health_.record_ping(id, resp.ok(), sim_->now());
         // Flap damping: liveness flips only after kPingFailureThreshold
         // consecutive failures.
-        if (ping_ok) {
-          ping_failures_.erase(id);
-        } else {
-          ping_failures_[id]++;
-        }
-        const bool alive =
-            ping_ok || ping_failures_[id] < kPingFailureThreshold;
-        node_alive_[id] = alive;
-        if (alive) {
-          down_handled_.erase(id);
-        } else if (down_handled_.count(id) == 0 &&
-                   draining_.count(id) == 0) {
+        tracked.ping_failures = resp.ok() ? 0 : tracked.ping_failures + 1;
+        const bool now_alive = tracked.ping_failures < kPingFailureThreshold;
+        tracked.alive = now_alive;
+        if (now_alive) {
+          tracked.down_handled = false;
+        } else if (!tracked.down_handled && !tracked.draining) {
           // (A draining peer's drain task owns its membership transition;
           // down-handling — say a fault partitions it mid-drain — must not
           // race that. The drain's own deadline bounds the deferral.)
           // Narrowing membership around an unreachable peer is only safe
-          // once its serve lease has provably lapsed: lease_seen_ upper-
+          // once its serve lease has provably lapsed: lease_seen upper-
           // bounds the peer's own last renewal, so waiting one heartbeat
           // past the lease guarantees the peer is already refusing
           // strong-mode reads before anyone stops replicating to it.
-          bool lease_lapsed = true;
-          if (config_.serve_lease > Duration::zero()) {
-            auto seen = lease_seen_.find(id);
-            lease_lapsed = seen == lease_seen_.end() ||
-                           sim_->now() - seen->second >
-                               config_.serve_lease + config_.heartbeat_interval;
-          }
+          const bool lease_lapsed =
+              config_.serve_lease <= Duration::zero() ||
+              !tracked.lease_seen.has_value() ||
+              sim_->now() - *tracked.lease_seen >
+                  config_.serve_lease + config_.heartbeat_interval;
           if (lease_lapsed) {
-            down_handled_.insert(id);
+            tracked.down_handled = true;
             handle_peer_down(id);
           }
         }
         // A peer that answers but is recovering (crash restart, lapsed
-        // serve lease) gets a controller-driven catch-up before it rejoins.
-        WieraPeer* p = peer_by_id_internal(id);
+        // serve lease, or a replacement that just joined) gets a
+        // controller-driven catch-up before it rejoins.
+        WieraPeer* p = peer(id);
         const bool needs_recovery =
-            alive && p != nullptr && (!was_alive || p->recovering());
-        if (needs_recovery && catching_up_.insert(id).second) {
+            now_alive && p != nullptr && (!was_alive || p->recovering());
+        if (needs_recovery && !std::exchange(tracked.catching_up, true)) {
           for (auto& [wiera_id, record] : instances_) {
-            if (std::find(record.peer_ids.begin(), record.peer_ids.end(),
-                          id) == record.peer_ids.end()) {
-              continue;
-            }
+            if (!record.has(id)) continue;
             sim_->spawn(recover_peer(wiera_id, id),
                         "controller.recover/" + id);
             break;
@@ -551,21 +526,10 @@ sim::Task<void> WieraController::heartbeat_loop() {
 
 void WieraController::handle_peer_down(const std::string& peer_id) {
   for (auto& [wiera_id, record] : instances_) {
-    if (std::find(record.peer_ids.begin(), record.peer_ids.end(), peer_id) ==
-        record.peer_ids.end()) {
-      continue;
-    }
-    if (record.primary == peer_id) {
-      // §4.4 failover: promote the first live storage peer, preferring one
-      // that is not in health probation (docs/HEALTH.md).
-      const std::string successor = pick_successor(record, peer_id);
-      if (!successor.empty()) {
-        record.primary = successor;
-        primary_changes_++;
-        WLOG_INFO(kComponent) << wiera_id << " primary failover: " << peer_id
-                              << " -> " << successor;
-      }
-    }
+    if (!record.has(peer_id)) continue;
+    // §4.4 failover: promote the first live storage peer, preferring one
+    // that is not in health probation (docs/HEALTH.md).
+    if (record.primary == peer_id) hand_off_primary(wiera_id, record);
     push_membership(wiera_id, record);
   }
 }
@@ -574,9 +538,10 @@ std::string WieraController::pick_successor(const InstanceRecord& record,
                                             const std::string& excluding) const {
   std::string fallback;
   for (const std::string& candidate : record.storage_peer_ids) {
-    if (candidate == excluding || draining_.count(candidate) > 0) continue;
-    auto alive = node_alive_.find(candidate);
-    if (alive != node_alive_.end() && !alive->second) continue;
+    if (candidate == excluding || state(candidate).draining ||
+        !alive(candidate)) {
+      continue;
+    }
     if (health_.in_probation(candidate)) {
       if (fallback.empty()) fallback = candidate;
       continue;
@@ -584,6 +549,17 @@ std::string WieraController::pick_successor(const InstanceRecord& record,
     return candidate;
   }
   return fallback;
+}
+
+bool WieraController::hand_off_primary(const std::string& wiera_id,
+                                       InstanceRecord& record) {
+  const std::string successor = pick_successor(record, record.primary);
+  if (successor.empty()) return false;
+  WLOG_INFO(kComponent) << wiera_id << " primary handed off: "
+                        << record.primary << " -> " << successor;
+  record.primary = successor;
+  primary_changes_++;
+  return true;
 }
 
 void WieraController::push_membership(const std::string& wiera_id,
@@ -596,14 +572,11 @@ void WieraController::push_membership(const std::string& wiera_id,
     // A draining peer stops receiving new placements the moment the drain
     // starts: everything it already holds is being handed off, so routing
     // fresh updates to it would only grow the hand-off (docs/SCENARIOS.md).
-    if (draining_.count(id) > 0) continue;
-    auto alive = node_alive_.find(id);
-    if (alive == node_alive_.end() || alive->second) live_storage.push_back(id);
+    if (!state(id).draining && alive(id)) live_storage.push_back(id);
   }
   for (const std::string& id : record.peer_ids) {
-    auto alive = node_alive_.find(id);
-    if (alive != node_alive_.end() && !alive->second) continue;
-    WieraPeer* p = peer_by_id_internal(id);
+    if (!alive(id)) continue;
+    WieraPeer* p = peer(id);
     if (p == nullptr) continue;
     p->set_peers(record.peer_ids);
     p->set_storage_peers(live_storage);
@@ -616,12 +589,35 @@ void WieraController::push_membership(const std::string& wiera_id,
                         << ")";
 }
 
+WieraPeer* WieraController::join(const std::string& wiera_id,
+                                 InstanceRecord& record, TieraServer& server) {
+  WieraPeer::Config config = record.templates.front();
+  config.instance_id = server.node();
+  config.is_primary = false;
+  const bool stores =
+      !config.forwarding_only && !config.local.policy.tiers.empty();
+  record.templates.push_back(config);
+  WieraPeer* joined = server.spawn_peer(std::move(config));
+  record.peer_ids.push_back(joined->id());
+  if (stores) record.storage_peer_ids.push_back(joined->id());
+  PeerState& joined_state = peer_state_[joined->id()];
+  joined_state.alive = true;
+  joined_state.lease_seen = sim_->now();
+  wire_control_plane(wiera_id, joined);
+  // The newcomer starts empty: recover it like a restarted peer — catch up
+  // from the live sources while replication already flows to it.
+  joined->begin_recovery();
+  push_membership(wiera_id, record);
+  joined->start();
+  return joined;
+}
+
 sim::Task<void> WieraController::recover_peer(std::string wiera_id,
                                               std::string peer_id) {
-  WieraPeer* p = peer_by_id_internal(peer_id);
+  WieraPeer* p = peer(peer_id);
   auto it = instances_.find(wiera_id);
   if (p == nullptr || it == instances_.end()) {
-    catching_up_.erase(peer_id);
+    peer_state_[peer_id].catching_up = false;
     co_return;
   }
   p->begin_recovery();
@@ -645,7 +641,7 @@ sim::Task<void> WieraController::recover_peer(std::string wiera_id,
     WLOG_INFO(kComponent) << peer_id
                           << " (primary, data intact) rejoined " << wiera_id
                           << " without catch-up";
-    catching_up_.erase(peer_id);
+    peer_state_[peer_id].catching_up = false;
     co_return;
   }
 
@@ -658,9 +654,8 @@ sim::Task<void> WieraController::recover_peer(std::string wiera_id,
         sources.end()) {
       return;
     }
-    auto alive = node_alive_.find(candidate);
-    if (alive != node_alive_.end() && !alive->second) return;
-    WieraPeer* src = peer_by_id_internal(candidate);
+    if (!alive(candidate)) return;
+    WieraPeer* src = peer(candidate);
     if (src == nullptr || src->recovering()) return;
     sources.push_back(candidate);
   };
@@ -674,7 +669,7 @@ sim::Task<void> WieraController::recover_peer(std::string wiera_id,
     // Leave the peer recovering; the next heartbeat retries.
     WLOG_WARN(kComponent) << peer_id << " catch-up failed: "
                           << st.to_string();
-    catching_up_.erase(peer_id);
+    peer_state_[peer_id].catching_up = false;
     co_return;
   }
   // Re-find the record: the instance may have been stopped while we were
@@ -693,83 +688,43 @@ sim::Task<void> WieraController::recover_peer(std::string wiera_id,
   if (!delta.ok()) {
     WLOG_WARN(kComponent) << peer_id << " delta catch-up failed: "
                           << delta.to_string();
-    catching_up_.erase(peer_id);
+    peer_state_[peer_id].catching_up = false;
     co_return;
   }
   p->finish_recovery();
   recoveries_completed_++;
   WLOG_INFO(kComponent) << peer_id << " recovered and rejoined " << wiera_id;
-  catching_up_.erase(peer_id);
+  peer_state_[peer_id].catching_up = false;
 }
 
 void WieraController::maintain_replicas() {
   for (auto& [wiera_id, record] : instances_) {
-    std::vector<std::string> live;
-    for (const std::string& id : record.peer_ids) {
-      auto it = node_alive_.find(id);
-      if (it == node_alive_.end() || it->second) live.push_back(id);
-    }
-    if (static_cast<int>(live.size()) >= config_.min_replicas) continue;
+    const auto live = std::count_if(
+        record.peer_ids.begin(), record.peer_ids.end(),
+        [this](const std::string& id) { return alive(id); });
+    if (live >= config_.min_replicas || record.templates.empty()) continue;
 
-    // Find a spare server: registered, alive, not already hosting a peer
-    // of this instance.
+    // A spare server: registered, alive, not already hosting a peer of this
+    // instance. An evacuated node's endpoint belongs to its retired peer
+    // object: re-spawning there would double-register it.
     TieraServer* spare = nullptr;
     for (TieraServer* server : servers_) {
-      const bool hosting =
-          std::find(record.peer_ids.begin(), record.peer_ids.end(),
-                    server->node()) != record.peer_ids.end();
-      auto alive = node_alive_.find(server->node());
-      const bool up = alive == node_alive_.end() || alive->second;
-      // An evacuated node's endpoint belongs to its retired peer object:
-      // re-spawning there would double-register it.
-      if (!hosting && up && evacuated_.count(server->node()) == 0) {
+      const std::string& node = server->node();
+      if (!record.has(node) && alive(node) && !state(node).evacuated) {
         spare = server;
         break;
       }
     }
-    if (spare == nullptr || record.templates.empty()) continue;
+    if (spare == nullptr) continue;
 
-    // Clone the config of a live peer (or the first template) onto the
-    // spare node. The new replica starts empty; replication fills it as
-    // updates flow (data backfill is future work, as in the paper §4.4).
-    WieraPeer::Config config = record.templates.front();
-    config.instance_id = spare->node();
-    config.is_primary = false;
-    const bool replacement_stores =
-        !record.templates.front().forwarding_only &&
-        !record.templates.front().local.policy.tiers.empty();
-    WieraPeer* replacement = spare->spawn_peer(std::move(config));
-    record.peer_ids.push_back(replacement->id());
-    if (replacement_stores) {
-      record.storage_peer_ids.push_back(replacement->id());
-    }
-    record.templates.push_back(record.templates.front());
+    // §4.4 failover first, so the replacement joins under the new primary
+    // and is never itself promoted while it is still empty.
+    if (!alive(record.primary)) hand_off_primary(wiera_id, record);
+    WieraPeer* replacement = join(wiera_id, record, *spare);
     replacements_spawned_++;
     WLOG_INFO(kComponent) << wiera_id << " spawned replacement replica on "
                           << replacement->id();
-
-    // Primary failover: if the down peer was the primary, promote the
-    // closest live peer (preferring one not in health probation).
-    auto primary_alive = node_alive_.find(record.primary);
-    if (primary_alive != node_alive_.end() && !primary_alive->second) {
-      std::string successor = pick_successor(record, record.primary);
-      if (successor.empty() && !live.empty()) successor = live.front();
-      if (!successor.empty()) {
-        record.primary = successor;
-        primary_changes_++;
-      }
-    }
-
-    // Propagate membership + primary to every live peer and the newcomer.
-    for (const std::string& id : record.peer_ids) {
-      WieraPeer* p = peer_by_id_internal(id);
-      if (p == nullptr) continue;
-      p->set_peers(record.peer_ids);
-      p->set_storage_peers(record.storage_peer_ids);
-      p->apply_primary_change(record.primary);
-      wire_control_plane(wiera_id, p);
-    }
-    replacement->start();
+    // The next heartbeat finds it recovering and catches it up.
   }
 }
 
@@ -782,15 +737,14 @@ sim::Task<Status> WieraController::drain_peer(std::string wiera_id,
   if (it == instances_.end()) {
     co_return not_found("wiera instance " + wiera_id);
   }
-  if (std::find(it->second.peer_ids.begin(), it->second.peer_ids.end(),
-                peer_id) == it->second.peer_ids.end()) {
+  if (!it->second.has(peer_id)) {
     co_return not_found(peer_id + " is not a member of " + wiera_id);
   }
-  WieraPeer* p = peer_by_id_internal(peer_id);
+  WieraPeer* p = peer(peer_id);
   if (p == nullptr) {
     co_return not_found("no peer object for " + peer_id);
   }
-  if (!draining_.insert(peer_id).second) {
+  if (std::exchange(peer_state_[peer_id].draining, true)) {
     co_return failed_precondition(peer_id + " is already draining");
   }
   sim_->telemetry()
@@ -803,20 +757,14 @@ sim::Task<Status> WieraController::drain_peer(std::string wiera_id,
   //    failover path), not change_primary's all-peer ack fan-out: a third
   //    peer partitioned away must not block an evacuation, and it learns
   //    the new primary through its own recovery push when it heals.
-  if (it->second.primary == peer_id) {
-    const std::string successor = pick_successor(it->second, peer_id);
-    if (successor.empty()) {
-      draining_.erase(peer_id);
-      co_return failed_precondition(
-          "no live successor to take primary-ship from " + peer_id);
-    }
-    it->second.primary = successor;
-    primary_changes_++;
-    WLOG_INFO(kComponent) << wiera_id << " primary handed off: " << peer_id
-                          << " -> " << successor;
+  if (it->second.primary == peer_id &&
+      !hand_off_primary(wiera_id, it->second)) {
+    peer_state_[peer_id].draining = false;
+    co_return failed_precondition(
+        "no live successor to take primary-ship from " + peer_id);
   }
 
-  // 2. Stop admitting new placements: with peer_id in draining_, this push
+  // 2. Stop admitting new placements: with peer_id draining, this push
   //    drops it from every live peer's replication set.
   push_membership(wiera_id, it->second);
 
@@ -827,16 +775,16 @@ sim::Task<Status> WieraController::drain_peer(std::string wiera_id,
   if (config_.drain_handoff) {
     const Status handoff = co_await p->drain(deadline);
     it = instances_.find(wiera_id);
-    p = peer_by_id_internal(peer_id);
+    p = peer(peer_id);
     if (it == instances_.end() || p == nullptr) {
-      draining_.erase(peer_id);
+      peer_state_[peer_id].draining = false;
       co_return not_found(wiera_id + " stopped during drain of " + peer_id);
     }
     if (!handoff.ok()) {
       // Abort: restore full membership and keep serving. Nothing was lost —
       // the peer still holds everything it ever acked.
       p->exit_draining();
-      draining_.erase(peer_id);
+      peer_state_[peer_id].draining = false;
       push_membership(wiera_id, it->second);
       WLOG_WARN(kComponent) << wiera_id << " drain of " << peer_id
                             << " aborted: " << handoff.to_string();
@@ -850,26 +798,17 @@ sim::Task<Status> WieraController::drain_peer(std::string wiera_id,
   InstanceRecord& record = it->second;
   std::erase(record.peer_ids, peer_id);
   std::erase(record.storage_peer_ids, peer_id);
-  for (auto t = record.templates.begin(); t != record.templates.end(); ++t) {
-    if (t->instance_id == peer_id) {
-      record.templates.erase(t);
-      break;
-    }
-  }
-  draining_.erase(peer_id);
-  evacuated_.insert(peer_id);
-  node_alive_.erase(peer_id);
-  lease_seen_.erase(peer_id);
-  down_handled_.erase(peer_id);
+  std::erase_if(record.templates, [&](const WieraPeer::Config& t) {
+    return t.instance_id == peer_id;
+  });
+  // Of the peer's state only the evacuation outlives it.
+  PeerState& evacuated = peer_state_[peer_id] = PeerState();
+  evacuated.evacuated = true;
   push_membership(wiera_id, record);
-  for (TieraServer* server : servers_) {
-    if (server->peer(peer_id) == nullptr) continue;
-    const Status retired = server->retire_peer(peer_id);
-    if (!retired.ok()) {
-      WLOG_WARN(kComponent) << "retiring " << peer_id
-                            << " failed: " << retired.to_string();
-    }
-    break;
+  const Status retired = host_of(peer_id)->retire_peer(peer_id);
+  if (!retired.ok()) {
+    WLOG_WARN(kComponent) << "retiring " << peer_id
+                          << " failed: " << retired.to_string();
   }
   drains_completed_++;
   sim_->telemetry()
@@ -886,62 +825,37 @@ sim::Task<Status> WieraController::add_peer_live(std::string wiera_id,
   if (it == instances_.end()) {
     co_return not_found("wiera instance " + wiera_id);
   }
-  if (std::find(it->second.peer_ids.begin(), it->second.peer_ids.end(),
-                node) != it->second.peer_ids.end()) {
+  if (it->second.has(node)) {
     co_return already_exists(node + " is already a member of " + wiera_id);
   }
-  if (evacuated_.count(node) > 0) {
+  if (state(node).evacuated) {
     // The retired peer still owns this node's rpc endpoint; spawning a new
     // one there would double-register it. Capacity returns on fresh nodes.
     co_return failed_precondition(node +
                                   " was evacuated; add a fresh node instead");
   }
-  if (draining_.count(node) > 0) {
+  if (state(node).draining) {
     co_return failed_precondition(node + " is draining");
   }
-  TieraServer* server = nullptr;
-  for (TieraServer* candidate : servers_) {
-    if (candidate->node() == node) {
-      server = candidate;
-      break;
-    }
-  }
+  TieraServer* server = server_on(node);
   if (server == nullptr) {
     co_return not_found("no Tiera server registered on node " + node);
   }
-  auto alive = node_alive_.find(node);
-  if (alive != node_alive_.end() && !alive->second) {
+  if (!alive(node)) {
     co_return unavailable(node + " is down");
   }
-  InstanceRecord& record = it->second;
-  if (record.templates.empty()) {
+  if (it->second.templates.empty()) {
     co_return failed_precondition("no peer template to clone for " + wiera_id);
   }
 
-  WieraPeer::Config config = record.templates.front();
-  config.instance_id = node;
-  config.is_primary = false;
-  const bool stores =
-      !config.forwarding_only && !config.local.policy.tiers.empty();
-  record.templates.push_back(config);
-  WieraPeer* added = server->spawn_peer(std::move(config));
-  record.peer_ids.push_back(added->id());
-  if (stores) record.storage_peer_ids.push_back(added->id());
-  node_alive_[node] = true;
-  lease_seen_[node] = sim_->now();
-  wire_control_plane(wiera_id, added);
-  // The newcomer starts empty: recover it like a restarted peer — catch up
-  // from the live sources while replication already flows to it.
-  added->begin_recovery();
-  push_membership(wiera_id, record);
-  added->start();
+  join(wiera_id, it->second, *server);
   peers_added_++;
   sim_->telemetry()
       .journal()
       .event("controller", "peer_added")
       .str("instance", node);
   WLOG_INFO(kComponent) << wiera_id << " added live peer " << node;
-  if (catching_up_.insert(node).second) {
+  if (!std::exchange(peer_state_[node].catching_up, true)) {
     co_await recover_peer(wiera_id, node);
   }
   co_return ok_status();
@@ -961,21 +875,14 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
     if (it == instances_.end()) {
       co_return not_found(wiera_id + " stopped during rolling restart");
     }
-    if (draining_.count(id) > 0 || evacuated_.count(id) > 0) continue;
-    auto alive = node_alive_.find(id);
-    if (alive != node_alive_.end() && !alive->second) continue;  // down anyway
-    WieraPeer* p = peer_by_id_internal(id);
+    if (state(id).draining || state(id).evacuated) continue;
+    if (!alive(id)) continue;  // down anyway
+    WieraPeer* p = peer(id);
     if (p == nullptr) continue;
     // A controlled restart must not trip a failover: primary-ship moves off
     // the peer before it bounces (same local promotion as drain_peer).
     if (it->second.primary == id) {
-      const std::string successor = pick_successor(it->second, id);
-      if (!successor.empty()) {
-        it->second.primary = successor;
-        primary_changes_++;
-        WLOG_INFO(kComponent) << wiera_id << " primary handed off: " << id
-                              << " -> " << successor;
-      }
+      hand_off_primary(wiera_id, it->second);
       push_membership(wiera_id, it->second);
     }
     // Flush the outbound queue so the bounce loses nothing; tolerate a
@@ -985,12 +892,12 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
         sim_->now() + config_.heartbeat_interval * 4, /*flush_only=*/true);
     if (!flushed.ok() && first_error.ok()) first_error = flushed;
     it = instances_.find(wiera_id);
-    p = peer_by_id_internal(id);
+    p = peer(id);
     if (it == instances_.end() || p == nullptr) continue;
     p->begin_recovery();
     p->stop();
-    co_await sim_->delay(config_.restart_pause);
-    p = peer_by_id_internal(id);
+    co_await sim_->delay(kRestartPause);
+    p = peer(id);
     if (p == nullptr) continue;
     p->start();
     sim_->telemetry()
@@ -999,7 +906,7 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
         .str("instance", id);
     // Recover before bouncing the next peer: at most one member is ever
     // out of full service.
-    if (catching_up_.insert(id).second) {
+    if (!std::exchange(peer_state_[id].catching_up, true)) {
       co_await recover_peer(wiera_id, id);
     } else {
       // The heartbeat already owns this peer's recovery; give it a beat.

@@ -15,11 +15,11 @@
 // changes and the controller pays WAN RTTs to apply them.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -93,8 +93,6 @@ class WieraController {
     // flusher had not pushed yet, and the session read-your-writes
     // contract catches the loss.
     bool drain_handoff = true;
-    // Pause between stop and restart of each peer in a rolling restart.
-    Duration restart_pause = msec(500);
   };
 
   // How to launch a Wiera instance from a global policy document.
@@ -119,7 +117,6 @@ class WieraController {
   WieraController(sim::Simulation& sim, net::Network& network,
                   rpc::Registry& registry, Config config);
 
-  const std::string& node() const { return config_.node; }
   coord::LockService& lock_service() { return *lock_service_; }
 
   // ---- TSM ----
@@ -157,9 +154,6 @@ class WieraController {
   // moved off each peer, its queue flushed, and the peer recovered before
   // the next one bounces — at most one member is ever out of full service.
   sim::Task<Status> rolling_restart(std::string wiera_id);
-  bool draining(const std::string& peer_id) const {
-    return draining_.count(peer_id) > 0;
-  }
   int64_t drains_completed() const { return drains_completed_; }
   int64_t peers_added() const { return peers_added_; }
   int64_t rolling_restarts_completed() const { return rolling_restarts_; }
@@ -196,17 +190,43 @@ class WieraController {
     ConsistencyMode mode = ConsistencyMode::kEventual;
     std::string primary;
     bool change_in_progress = false;
-    // Peer configs as launched, for §4.4 replica replacement.
+    // Peer configs as launched, cloned for a live add or a §4.4 replacement.
     std::vector<WieraPeer::Config> templates;
     // Subset of peer_ids that can store data (not forwarding-only).
     std::vector<std::string> storage_peer_ids;
+
+    bool has(const std::string& id) const {
+      return std::find(peer_ids.begin(), peer_ids.end(), id) != peer_ids.end();
+    }
+  };
+
+  // What the controller knows about one peer id.
+  struct PeerState {
+    // The heartbeat's verdict. Unset until the id is registered, joined or
+    // pinged, and again once it is evacuated.
+    std::optional<bool> alive;
+    // Consecutive failed pings (flap damping; docs/HEALTH.md).
+    int ping_failures = 0;
+    // A recovery task is in flight (one at a time per peer).
+    bool catching_up = false;
+    // Last lease renewal received (conservative upper bound on the peer's
+    // own view of its lease).
+    std::optional<TimePoint> lease_seen;
+    // The down-transition has been handled (failover + narrowing); cleared
+    // when the peer answers pings again.
+    bool down_handled = false;
+    // Mid-drain: excluded from replication membership pushes, and the
+    // heartbeat's down-handling defers to the drain in progress.
+    bool draining = false;
+    // Evacuated: never re-added (its rpc endpoint stays registered to the
+    // retired object) and never picked as a spare.
+    bool evacuated = false;
   };
 
   void wire_control_plane(const std::string& wiera_id, WieraPeer* peer);
   void register_handlers();
   sim::Task<void> heartbeat_loop();
-  WieraPeer* peer_by_id_internal(const std::string& instance_id);
-  // §4.4: if an instance has fewer than min_replicas live peers, spawn a
+  // §4.4: if an instance has fewer than min_replicas live peers, join a
   // replacement on a spare Tiera server.
   void maintain_replicas();
   // Liveness transitions driven by the heartbeat: a peer went down (primary
@@ -219,8 +239,36 @@ class WieraController {
   // beats none). Empty when there is no candidate at all.
   std::string pick_successor(const InstanceRecord& record,
                              const std::string& excluding) const;
+  // Moves primary-ship off the current primary to pick_successor's choice:
+  // a local promotion, not change_primary's all-peer ack fan-out. False
+  // (and nothing changes) when there is no candidate.
+  bool hand_off_primary(const std::string& wiera_id, InstanceRecord& record);
   void push_membership(const std::string& wiera_id, InstanceRecord& record);
+  // Clones the instance's first template onto `server` and joins the clone
+  // as a recovering member: recorded alive with a fresh lease, wired,
+  // pushed into every live peer's membership, then started. The caller
+  // catches it up with recover_peer.
+  WieraPeer* join(const std::string& wiera_id, InstanceRecord& record,
+                  TieraServer& server);
   sim::Task<void> recover_peer(std::string wiera_id, std::string peer_id);
+  // The run-time change both change_consistency and change_primary make:
+  // under the instance's change guard, send `request` as `method` to every
+  // member at once and wait for all acks. Yields the instance's record,
+  // re-found after the fan-out, only when every peer acked; the caller then
+  // commits the change to it.
+  sim::Task<Result<InstanceRecord*>> change_all_peers(std::string wiera_id,
+                                                      std::string method,
+                                                      rpc::Message request,
+                                                      std::string what);
+
+  // The peer's record; a blank one for an id the controller has not seen.
+  PeerState state(const std::string& id) const;
+  // Whether the heartbeat has not declared `id` down; `unknown` answers
+  // for an id with no verdict.
+  bool alive(const std::string& id, bool unknown = true) const;
+  // The registered server on `node`, and the server hosting `peer_id`.
+  TieraServer* server_on(const std::string& node) const;
+  TieraServer* host_of(const std::string& peer_id) const;
 
   sim::Simulation* sim_;
   net::Network* network_;
@@ -230,24 +278,8 @@ class WieraController {
   std::unique_ptr<coord::LockService> lock_service_;
   std::vector<TieraServer*> servers_;
   std::map<std::string, InstanceRecord> instances_;
-  std::map<std::string, bool> node_alive_;
-  // Consecutive failed pings per peer (flap damping; docs/HEALTH.md).
-  std::map<std::string, int> ping_failures_;
+  std::map<std::string, PeerState> peer_state_;
   bool running_ = false;
-  // Peers with a recovery task in flight (one at a time per peer).
-  std::set<std::string> catching_up_;
-  // Last lease renewal received per peer (conservative upper bound on the
-  // peer's own view of its lease).
-  std::map<std::string, TimePoint> lease_seen_;
-  // Peers whose down-transition has been handled (failover + narrowing);
-  // cleared when the peer answers pings again.
-  std::set<std::string> down_handled_;
-  // Peers mid-drain: excluded from replication membership pushes, and the
-  // heartbeat's down-handling defers to the drain in progress.
-  std::set<std::string> draining_;
-  // Node ids already evacuated: never re-added (their rpc endpoint stays
-  // registered to the retired object) and never picked as spares.
-  std::set<std::string> evacuated_;
   int64_t drains_completed_ = 0;
   int64_t peers_added_ = 0;
   int64_t rolling_restarts_ = 0;

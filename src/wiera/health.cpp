@@ -12,6 +12,25 @@ constexpr char kComponent[] = "health";
 // ln(10): φ-accrual assumes exponentially distributed inter-arrival, so
 // φ(Δ) = -log10(exp(-Δ/mean)) = Δ / (mean * ln 10).
 constexpr double kLn10 = 2.302585092994046;
+// φ-accrual thresholds with hysteresis: enter probation at/above
+// kPhiSuspect, leave only at/below kPhiRecover.
+constexpr double kPhiSuspect = 4.0;
+constexpr double kPhiRecover = 1.0;
+// Latency-EWMA degradation: a peer whose request-latency EWMA exceeds
+// kDegradedFactor x its own baseline (best EWMA seen) enters probation;
+// above kDegradedFactor/2 it ranks as degraded without probation.
+constexpr double kDegradedFactor = 4.0;
+constexpr double kEwmaAlpha = 0.25;
+// Below this many observations (pings for φ, latencies for the EWMA) a
+// signal stays NEUTRAL — sparse data must not rank a peer best or worst
+// (tested in wiera_test ClientHealthRanking*).
+constexpr int kMinSamples = 3;
+// A peer stays in probation at least this long, so a single good sample
+// cannot flap it straight back to primary-eligible.
+constexpr Duration kProbationMinDwell = sec(2);
+// Consecutive failed pings also force probation (a cheaper signal than φ
+// when the heartbeat has a deadline and failures are crisp).
+constexpr int kPingFailuresSuspect = 2;
 }  // namespace
 
 HealthTracker::HealthTracker(obs::Registry& registry, Config config)
@@ -36,8 +55,8 @@ void HealthTracker::record_ping(const std::string& peer, bool ok,
           h.interval_ewma == Duration::zero()
               ? interval
               : usec(static_cast<int64_t>(
-                    config_.ewma_alpha * static_cast<double>(interval.us()) +
-                    (1.0 - config_.ewma_alpha) *
+                    kEwmaAlpha * static_cast<double>(interval.us()) +
+                    (1.0 - kEwmaAlpha) *
                         static_cast<double>(h.interval_ewma.us())));
     }
     h.last_heard = now;
@@ -57,14 +76,14 @@ void HealthTracker::record_latency(const std::string& peer, Duration latency,
       h.latency_samples == 0
           ? latency
           : usec(static_cast<int64_t>(
-                config_.ewma_alpha * static_cast<double>(latency.us()) +
-                (1.0 - config_.ewma_alpha) *
+                kEwmaAlpha * static_cast<double>(latency.us()) +
+                (1.0 - kEwmaAlpha) *
                     static_cast<double>(h.latency_ewma.us())));
   h.latency_samples++;
   // The baseline is the best EWMA this peer has ever sustained: comparing a
   // peer against itself keeps a far replica's honest distance from reading
   // as degradation.
-  if (h.latency_samples >= config_.min_samples &&
+  if (h.latency_samples >= kMinSamples &&
       (h.latency_baseline == Duration::zero() ||
        h.latency_ewma < h.latency_baseline)) {
     h.latency_baseline = h.latency_ewma;
@@ -73,7 +92,7 @@ void HealthTracker::record_latency(const std::string& peer, Duration latency,
 }
 
 double HealthTracker::phi_of(const PeerHealth& h, TimePoint now) const {
-  if (h.ping_samples < config_.min_samples ||
+  if (h.ping_samples < kMinSamples ||
       h.interval_ewma == Duration::zero()) {
     return 0.0;
   }
@@ -84,7 +103,7 @@ double HealthTracker::phi_of(const PeerHealth& h, TimePoint now) const {
 }
 
 double HealthTracker::ratio_of(const PeerHealth& h) const {
-  if (h.latency_samples < config_.min_samples ||
+  if (h.latency_samples < kMinSamples ||
       h.latency_baseline == Duration::zero()) {
     return 1.0;
   }
@@ -96,11 +115,9 @@ void HealthTracker::evaluate(const std::string& peer, PeerHealth& h,
                              TimePoint now) {
   const double phi_now = phi_of(h, now);
   const double ratio = ratio_of(h);
-  const bool ping_suspect = config_.ping_failures_suspect > 0 &&
-                            h.consecutive_failures >=
-                                config_.ping_failures_suspect;
+  const bool ping_suspect = h.consecutive_failures >= kPingFailuresSuspect;
   if (h.state == State::kHealthy) {
-    if (phi_now >= config_.phi_suspect || ratio >= config_.degraded_factor ||
+    if (phi_now >= kPhiSuspect || ratio >= kDegradedFactor ||
         ping_suspect) {
       h.state = State::kProbation;
       h.probation_since = now;
@@ -114,9 +131,9 @@ void HealthTracker::evaluate(const std::string& peer, PeerHealth& h,
   }
   // Probation exit needs every signal back under the recovery thresholds
   // (hysteresis) and the minimum dwell served.
-  if (now - h.probation_since < config_.probation_min_dwell) return;
-  if (phi_now <= config_.phi_recover &&
-      ratio < config_.degraded_factor / 2.0 && !ping_suspect) {
+  if (now - h.probation_since < kProbationMinDwell) return;
+  if (phi_now <= kPhiRecover &&
+      ratio < kDegradedFactor / 2.0 && !ping_suspect) {
     h.state = State::kHealthy;
     if (probation_exits_ != nullptr) probation_exits_->inc();
     WLOG_INFO(kComponent) << peer << " leaves probation";
@@ -149,7 +166,7 @@ int HealthTracker::rank_penalty(const std::string& peer) const {
   const PeerHealth& h = it->second;
   if (h.state == State::kProbation) return 2;
   // Degraded-but-not-probation: above half the probation threshold.
-  if (ratio_of(h) >= config_.degraded_factor / 2.0) return 1;
+  if (ratio_of(h) >= kDegradedFactor / 2.0) return 1;
   return 0;
 }
 

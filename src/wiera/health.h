@@ -1,9 +1,9 @@
 // Health-scored failure detection (docs/HEALTH.md).
 //
-// The controller's liveness view is binary (node_alive_), which misses the
-// dominant wide-area failure mode: a peer that answers pings while serving
-// 50x slow (stuck tier, flaky NIC, stutter/GC pause). HealthTracker turns
-// liveness into a score built from two signals:
+// The controller's liveness view is binary (WieraController's per-peer
+// `alive`), which misses the dominant wide-area failure mode: a peer that
+// answers pings while serving 50x slow (stuck tier, flaky NIC, stutter/GC
+// pause). HealthTracker turns liveness into a score built from two signals:
 //   * a φ-accrual-style suspicion level over heartbeat inter-arrival — the
 //     longer a peer's next heartbeat overshoots its learned cadence, the
 //     higher φ climbs (Hayashibara et al., SRDS'04);
@@ -33,30 +33,12 @@ namespace wiera::geo {
 
 class HealthTracker {
  public:
+  // The thresholds are constants in health.cpp (docs/HEALTH.md).
   struct Config {
     // Master switch (the `health_detection` mutation knob). Off = seed
     // behavior everywhere: every peer ranks neutral, nothing enters
     // probation, and no health counters are registered.
     bool enabled = false;
-    // φ-accrual thresholds with hysteresis: enter probation at/above
-    // phi_suspect, leave only at/below phi_recover.
-    double phi_suspect = 4.0;
-    double phi_recover = 1.0;
-    // Latency-EWMA degradation: a peer whose request-latency EWMA exceeds
-    // degraded_factor x its own baseline (best EWMA seen) enters probation;
-    // above degraded_factor/2 it ranks as degraded without probation.
-    double degraded_factor = 4.0;
-    double ewma_alpha = 0.25;
-    // Below this many observations (pings for φ, latencies for the EWMA)
-    // a signal stays NEUTRAL — sparse data must not rank a peer best or
-    // worst (tested in wiera_test ClientHealthRanking*).
-    int min_samples = 3;
-    // A peer stays in probation at least this long, so a single good
-    // sample cannot flap it straight back to primary-eligible.
-    Duration probation_min_dwell = sec(2);
-    // Consecutive failed pings also force probation (a cheaper signal than
-    // φ when the heartbeat has a deadline and failures are crisp).
-    int ping_failures_suspect = 2;
   };
 
   enum class State { kHealthy, kProbation };
@@ -64,7 +46,6 @@ class HealthTracker {
   HealthTracker(obs::Registry& registry, Config config);
 
   bool enabled() const { return config_.enabled; }
-  const Config& config() const { return config_; }
 
   // ---- observation feeds ----
   // One heartbeat outcome per peer per round (controller heartbeat_loop).

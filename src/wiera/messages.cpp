@@ -355,22 +355,4 @@ Result<RepairFetchRequest> decode_repair_fetch_request(
   return out;
 }
 
-rpc::Message encode_status(const Status& st) {
-  rpc::WireWriter w;
-  w.put_bool(st.ok());
-  w.put_u32(static_cast<uint32_t>(st.code()));
-  w.put_string(st.message());
-  return rpc::Message{w.take_body()};
-}
-
-Status decode_status(const rpc::Message& msg) {
-  rpc::WireReader r(msg.body);
-  const bool ok = r.get_bool();
-  const auto code = static_cast<StatusCode>(r.get_u32());
-  std::string message = r.get_string();
-  if (!r.ok()) return r.status();
-  if (ok) return ok_status();
-  return Status(code, std::move(message));
-}
-
 }  // namespace wiera::geo

@@ -257,8 +257,4 @@ Result<ScrubDigestResponse> decode_scrub_digest_response(
 rpc::Message encode(const RepairFetchRequest& m);
 Result<RepairFetchRequest> decode_repair_fetch_request(const rpc::Message& msg);
 
-// Status-only payload (acknowledgements / errors carried in-band).
-rpc::Message encode_status(const Status& st);
-Status decode_status(const rpc::Message& msg);
-
 }  // namespace wiera::geo

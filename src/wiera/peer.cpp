@@ -17,6 +17,8 @@ constexpr char kComponent[] = "peer";
 // longer than the seconds-long fault windows of the chaos plans.
 constexpr int kSyncRetries = 8;
 constexpr Duration kSyncBackoff = msec(50);
+// The §5.2 Requests monitor counts the puts of this sliding window.
+constexpr Duration kRequestsMonitorWindow = sec(30);
 // A MultiPrimaries put holds its key lock through the whole retry chain:
 // 12.75 s of backoff plus 9 attempts of net::Network::kUnreachableDelay
 // (17.25 s) against an unreachable target. The lock lease must outlast it,
@@ -344,7 +346,7 @@ void WieraPeer::register_handlers() {
         auto req = decode_set_consistency(msg);
         if (!req.ok()) co_return req.status();
         Status st = co_await apply_consistency_change(req->mode);
-        co_return encode_status(st);
+        co_return rpc::encode_status(st);
       });
   endpoint_->register_handler(
       method::kSetPrimary,
@@ -352,12 +354,12 @@ void WieraPeer::register_handlers() {
         auto req = decode_set_primary(msg);
         if (!req.ok()) co_return req.status();
         apply_primary_change(req->primary_instance);
-        co_return encode_status(ok_status());
+        co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(
       method::kPing,
       [](rpc::Message) -> sim::Task<Result<rpc::Message>> {
-        co_return encode_status(ok_status());
+        co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(
       method::kVersionList,
@@ -377,7 +379,7 @@ void WieraPeer::register_handlers() {
         request.deadline = msg.deadline;
         request.trace = msg.trace();
         Status st = co_await remove_key(std::move(request));
-        co_return encode_status(st);
+        co_return rpc::encode_status(st);
       });
   endpoint_->register_handler(
       method::kSyncPull,
@@ -474,7 +476,7 @@ void WieraPeer::register_handlers() {
         vm.committed = true;
         // Recomputed locally — never trusted from the wire.
         vm.checksum = object_checksum(req->key, req->version, req->value);
-        co_return encode_status(ok_status());
+        co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(
       method::kColdFetch,
@@ -819,7 +821,7 @@ sim::Task<Status> WieraPeer::remove_key(RemoveRequest request) {
         auto resp = co_await ep->call(std::move(target), method::kRemove,
                                       std::move(m), ctx);
         if (!resp.ok()) co_return resp.status();
-        co_return decode_status(*resp);
+        co_return rpc::decode_status(*resp);
       }(endpoint_.get(), peer_id, encode(fanout),
         ctx_for(request.deadline, request.trace)));
     }
@@ -1658,7 +1660,7 @@ sim::Task<void> WieraPeer::requests_monitor_loop() {
 
 void WieraPeer::evaluate_requests_monitor() {
   // Prune history to the sliding window (paper: last 30 seconds).
-  const TimePoint cutoff = sim_->now() - config_.requests_monitor_window;
+  const TimePoint cutoff = sim_->now() - kRequestsMonitorWindow;
   while (!put_history_.empty() && put_history_.front().time < cutoff) {
     put_history_.pop_front();
   }
@@ -1733,7 +1735,7 @@ sim::Task<bool> WieraPeer::on_cold_object(const std::string& key) {
   auto resp = co_await endpoint_->call(config_.centralized_cold_target,
                                        method::kColdStore, std::move(msg));
   if (!resp.ok()) co_return false;
-  Status st = decode_status(*resp);
+  Status st = rpc::decode_status(*resp);
   if (!st.ok()) co_return false;
 
   // Local replicas of the cold object are removed; the centralized S3-IA

@@ -96,7 +96,6 @@ class WieraPeer : public tiera::InstanceHooks {
     // Optional parsed dynamic policies evaluated by the monitors.
     std::optional<policy::PolicyDoc> dynamic_consistency_policy;  // Fig. 5a
     std::optional<policy::PolicyDoc> change_primary_policy;       // Fig. 5b
-    Duration requests_monitor_window = sec(30);  // put history (§5.2)
     Duration requests_monitor_check = sec(5);
     // ---- overload robustness (docs/OVERLOAD.md) ----
     // Admission control on this peer's endpoint: at most max_inflight

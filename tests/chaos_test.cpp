@@ -624,7 +624,6 @@ BrownoutRun run_brownout(uint64_t seed, bool telemetry_on = true) {
   client_config.op_deadline = kBrownoutDeadline;
   client_config.hedge_gets = true;
   client_config.hedge_min_samples = 3;
-  client_config.hedge_min_delay = msec(10);
 
   sim::ConsistencyOracle oracle;
   BrownoutCounts counts;
@@ -842,7 +841,6 @@ TEST(TelemetryTraceTest, HedgedGetTraceShowsBothAttempts) {
   WieraClient::Config config;
   config.hedge_gets = true;
   config.hedge_min_samples = 1;
-  config.hedge_min_delay = msec(10);
   WieraClient eu(cluster.sim, cluster.network, cluster.registry, "app-eu",
                  "client-eu-west", *peers, config);
 
@@ -1353,7 +1351,7 @@ class GrayFailureSuite : public ::testing::TestWithParam<ChaosCase> {};
 TEST_P(GrayFailureSuite, SingleGrayPeerNeverTripsFailoverAcrossSeeds) {
   const ChaosCase c = GetParam();
   std::map<std::string, int64_t> totals = sweep(c.plan());
-  // A sustained 8x slowdown sits far past degraded_factor: across the sweep
+  // A sustained 8x slowdown sits far past kDegradedFactor: across the sweep
   // the latency-EWMA signal must put someone into probation. The other two
   // classes can stay below the thresholds on short windows (a stutter only
   // produces late samples at thaw; a flaky link mostly costs retries), so

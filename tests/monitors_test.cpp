@@ -2,10 +2,10 @@
 // §4.4 replica maintenance (replacement spawning + primary failover).
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <string>
 
-#include "policy/builtin_policies.h"
-#include "policy/parser.h"
+#include "fault_suite.h"
 #include "wiera/client.h"
 #include "wiera/controller.h"
 #include "wiera/monitors.h"
@@ -65,51 +65,17 @@ TEST(PlacementAdvisorTest, NeedsEnoughSignal) {
 
 // ------------------------------------------------------------ integrated
 
-struct Cluster {
-  sim::Simulation sim;
-  net::Network network;
-  rpc::Registry registry;
-  WieraController controller;
-  std::vector<std::unique_ptr<TieraServer>> servers;
-
-  explicit Cluster(int min_replicas)
-      : sim(3),
-        network(sim, make_topology()),
-        controller(sim, network, registry,
-                   WieraController::Config{"wiera-controller", sec(1),
-                                           min_replicas}) {
-    // Five servers: four for the instance, one spare.
-    for (const char* node : {"tiera-us-west", "tiera-us-east",
-                             "tiera-eu-west", "tiera-asia-east",
-                             "tiera-spare"}) {
-      servers.push_back(
-          std::make_unique<TieraServer>(sim, network, registry, node));
-      controller.register_server(servers.back().get());
-    }
-  }
-
-  static net::Topology make_topology() {
-    net::Topology topo = net::Topology::paper_default();
-    topo.set_jitter_fraction(0.0);
-    topo.add_node("wiera-controller", "aws-us-east");
-    topo.add_node("tiera-us-west", "aws-us-west");
-    topo.add_node("tiera-us-east", "aws-us-east");
-    topo.add_node("tiera-eu-west", "aws-eu-west");
-    topo.add_node("tiera-asia-east", "aws-asia-east");
-    topo.add_node("tiera-spare", "aws-us-east");
-    topo.add_node("client-us-west", "aws-us-west");
-    return topo;
-  }
-};
+// The integrated tests run on the fault suites' four-region cluster
+// (tests/fault_suite.h), most with a spare server in US East; this is their
+// controller config.
+WieraController::Config maintaining(int min_replicas) {
+  return WieraController::Config{"wiera-controller", sec(1), min_replicas};
+}
 
 TEST(MonitorsIntegrationTest, PeersFeedControllerMonitors) {
-  Cluster cluster(/*min_replicas=*/0);
-  WieraController::StartOptions options;
-  options.global = std::move(policy::parse_policy(
-                                 policy::builtin::eventual_consistency()))
-                       .value();
-  options.local_params["t"] = policy::Value::duration_of(sec(60));
-  auto peers = cluster.controller.start_instances("w1", std::move(options));
+  suite::Cluster cluster(3, maintaining(0), "tiera-spare");
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
   ASSERT_TRUE(peers.ok());
 
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
@@ -153,13 +119,9 @@ TEST(MonitorsIntegrationTest, PeersFeedControllerMonitors) {
 }
 
 TEST(MonitorsIntegrationTest, AdvisorRecommendsBusiestRegion) {
-  Cluster cluster(0);
-  WieraController::StartOptions options;
-  options.global = std::move(policy::parse_policy(
-                                 policy::builtin::eventual_consistency()))
-                       .value();
-  options.local_params["t"] = policy::Value::duration_of(sec(60));
-  auto peers = cluster.controller.start_instances("w1", std::move(options));
+  suite::Cluster cluster(3, maintaining(0), "tiera-spare");
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
   ASSERT_TRUE(peers.ok());
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
                      "client-us-west", *peers);
@@ -183,13 +145,9 @@ TEST(MonitorsIntegrationTest, AdvisorRecommendsBusiestRegion) {
 // ------------------------------------------------------------ §4.4
 
 TEST(ReplicaMaintenanceTest, SpawnsReplacementOnSpareServer) {
-  Cluster cluster(/*min_replicas=*/4);
-  WieraController::StartOptions options;
-  options.global = std::move(policy::parse_policy(
-                                 policy::builtin::eventual_consistency()))
-                       .value();
-  options.local_params["t"] = policy::Value::duration_of(sec(60));
-  auto peers = cluster.controller.start_instances("w1", std::move(options));
+  suite::Cluster cluster(3, maintaining(4), "tiera-spare");
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
   ASSERT_TRUE(peers.ok());
   ASSERT_EQ(peers->size(), 4u);
   cluster.controller.start();
@@ -229,13 +187,9 @@ TEST(ReplicaMaintenanceTest, SpawnsReplacementOnSpareServer) {
 }
 
 TEST(ReplicaMaintenanceTest, PrimaryFailoverPromotesLivePeer) {
-  Cluster cluster(/*min_replicas=*/3);
-  WieraController::StartOptions options;
-  options.global = std::move(policy::parse_policy(
-                                 policy::builtin::primary_backup_consistency()))
-                       .value();
-  options.local_params["t"] = policy::Value::duration_of(sec(60));
-  auto peers = cluster.controller.start_instances("w1", std::move(options));
+  suite::Cluster cluster(3, maintaining(3), "tiera-spare");
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kPrimaryBackupSync));
   ASSERT_TRUE(peers.ok());
   ASSERT_EQ(cluster.controller.current_primary("w1"), "tiera-us-west");
   cluster.controller.start();
@@ -254,37 +208,73 @@ TEST(ReplicaMaintenanceTest, PrimaryFailoverPromotesLivePeer) {
   cluster.controller.stop();
 }
 
+// A replacement joins like a live add: every live peer's replication set
+// leaves the dead member out (sync puts must not wait out its unreachable
+// timeouts), and the newcomer catches up on what was written before it
+// joined.
+TEST(ReplicaMaintenanceTest, ReplacementLeavesTheDeadPeerOutAndCatchesUp) {
+  suite::Cluster cluster(3, maintaining(3), "tiera-spare");
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kPrimaryBackupSync));
+  ASSERT_TRUE(peers.ok());
+  ASSERT_EQ(cluster.controller.current_primary("w1"), "tiera-us-west");
+  cluster.controller.start();
+  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
+                     "client-us-west", *peers);
+  cluster.sim.spawn([](WieraClient& c, sim::Simulation& s) -> sim::Task<void> {
+    co_await s.delay(sec(1));
+    auto put = co_await c.put("before", Blob("v0"));
+    EXPECT_TRUE(put.ok());
+  }(client, cluster.sim));
+
+  cluster.network.topology().inject_outage(
+      "tiera-eu-west", TimePoint(sec(3).us()), TimePoint::max());
+  cluster.sim.run_until(TimePoint(sec(15).us()));
+
+  // Asia East is the first registered server that is not a member.
+  EXPECT_EQ(cluster.controller.replacements_spawned(), 1);
+  auto members = cluster.controller.get_instances("w1");
+  ASSERT_TRUE(members.ok());
+  EXPECT_NE(std::find(members->begin(), members->end(), "tiera-asia-east"),
+            members->end());
+  WieraPeer* replacement = cluster.controller.peer("tiera-asia-east");
+  ASSERT_NE(replacement, nullptr);
+
+  bool done = false;
+  auto body = [](WieraClient& c, bool& flag,
+                 sim::Simulation& s) -> sim::Task<void> {
+    for (int i = 0; i < 3; ++i) {
+      const TimePoint start = s.now();
+      auto put = co_await c.put("after" + std::to_string(i), Blob("v"));
+      EXPECT_TRUE(put.ok()) << put.status().to_string();
+      EXPECT_LT((s.now() - start).us(), sec(1).us());
+    }
+    flag = true;
+    s.stop();
+  };
+  cluster.sim.spawn(body(client, done, cluster.sim));
+  cluster.sim.run();
+  ASSERT_TRUE(done);
+  for (const char* key : {"before", "after0", "after1", "after2"}) {
+    EXPECT_NE(replacement->local().meta().find(key), nullptr) << key;
+  }
+  cluster.controller.stop();
+}
+
 TEST(ReplicaMaintenanceTest, NoSpareNoReplacement) {
   // With min_replicas demanded but no spare server, maintenance is a no-op
   // (no crash, no bogus member).
-  sim::Simulation sim(3);
-  net::Topology topo = Cluster::make_topology();
-  net::Network network(sim, std::move(topo));
-  rpc::Registry registry;
-  WieraController controller(
-      sim, network, registry,
-      WieraController::Config{"wiera-controller", sec(1), 4});
-  std::vector<std::unique_ptr<TieraServer>> servers;
-  for (const char* node : {"tiera-us-west", "tiera-us-east",
-                           "tiera-eu-west", "tiera-asia-east"}) {
-    servers.push_back(
-        std::make_unique<TieraServer>(sim, network, registry, node));
-    controller.register_server(servers.back().get());
-  }
-  WieraController::StartOptions options;
-  options.global = std::move(policy::parse_policy(
-                                 policy::builtin::eventual_consistency()))
-                       .value();
-  options.local_params["t"] = policy::Value::duration_of(sec(60));
-  auto peers = controller.start_instances("w1", std::move(options));
+  suite::Cluster cluster(3, maintaining(4));
+  auto peers = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
   ASSERT_TRUE(peers.ok());
-  controller.start();
-  network.topology().inject_outage("tiera-eu-west", TimePoint(sec(3).us()),
-                                   TimePoint::max());
-  sim.run_until(TimePoint(sec(15).us()));
-  EXPECT_EQ(controller.replacements_spawned(), 0);
-  EXPECT_EQ(controller.get_instances("w1")->size(), 4u);
-  controller.stop();
+  cluster.controller.start();
+  cluster.network.topology().inject_outage(
+      "tiera-eu-west", TimePoint(sec(3).us()), TimePoint::max());
+  cluster.sim.run_until(TimePoint(sec(15).us()));
+  EXPECT_EQ(cluster.controller.replacements_spawned(), 0);
+  EXPECT_EQ(cluster.controller.get_instances("w1")->size(), 4u);
+  cluster.controller.stop();
 }
 
 }  // namespace

@@ -78,6 +78,21 @@ TEST(WireTest, SizeTracksWrites) {
   EXPECT_EQ(w.size(), 11u);
 }
 
+TEST(WireTest, StatusRoundTrip) {
+  EXPECT_TRUE(decode_status(encode_status(ok_status())).ok());
+
+  const Status down = decode_status(encode_status(unavailable("node down")));
+  EXPECT_EQ(down.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(down.message(), "node down");
+
+  // A body cut inside the code field is malformed, not a peer's error.
+  Message cut = encode_status(not_found("k"));
+  Bytes flat = cut.body.flatten();
+  flat.resize(3);
+  EXPECT_EQ(decode_status(Message{std::move(flat)}).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------------------ RPC
 
 struct Fixture {

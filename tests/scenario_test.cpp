@@ -767,7 +767,7 @@ GrayMutationResult run_gray_mutation(bool health_on) {
       /*seed=*/13, [health_on](WieraController::Config& config) {
         config.health.enabled = health_on;
         // The slowed peer must stay "alive": its pings arrive late but
-        // inside this deadline, so node_alive_ never flips and only the
+        // inside this deadline, so its liveness never flips and only the
         // health layer (when armed) can respond.
         config.ping_deadline = sec(5);
       });

@@ -540,8 +540,8 @@ Tiera ColdInstance() {
 
 // ------------------------------------------------------------ health ranking
 
-// Sparse data must stay NEUTRAL (health.h Config::min_samples): a peer with
-// fewer than min_samples observations ranks exactly like one never observed,
+// Sparse data must stay NEUTRAL (health.cpp kMinSamples): a peer with
+// fewer than kMinSamples observations ranks exactly like one never observed,
 // so early samples can neither promote nor demote it past proximity order.
 TEST(ClientHealthRanking, SparseSamplesRankNeutral) {
   obs::Registry registry;
@@ -550,7 +550,7 @@ TEST(ClientHealthRanking, SparseSamplesRankNeutral) {
   HealthTracker health(registry, config);
   TimePoint now = TimePoint::origin();
 
-  // Two brutally slow latency samples — still below min_samples (3).
+  // Two brutally slow latency samples — still below kMinSamples (3).
   health.record_latency("tiera-us-west", msec(900), now);
   now = now + sec(1);
   health.record_latency("tiera-us-west", msec(900), now);
@@ -559,7 +559,7 @@ TEST(ClientHealthRanking, SparseSamplesRankNeutral) {
   EXPECT_EQ(health.rank_penalty("tiera-never-observed"), 0);
   EXPECT_FALSE(health.in_probation("tiera-us-west"));
 
-  // Two prompt pings then a long silence — φ stays 0 below min_samples, so
+  // Two prompt pings then a long silence — φ stays 0 below kMinSamples, so
   // the silence cannot push the peer into probation either.
   health.record_ping("tiera-eu-west", true, now);
   health.record_ping("tiera-eu-west", true, now + sec(1));
@@ -583,14 +583,14 @@ TEST(ClientHealthRanking, SustainedDegradationRanksPeerLast) {
   }
   EXPECT_EQ(health.rank_penalty("tiera-us-west"), 0);
 
-  // One 25x sample lifts the EWMA past degraded_factor (4x): probation.
+  // One 25x sample lifts the EWMA past kDegradedFactor (4x): probation.
   health.record_latency("tiera-us-west", msec(250), now);
   EXPECT_TRUE(health.in_probation("tiera-us-west"));
   EXPECT_EQ(health.rank_penalty("tiera-us-west"), 2);
   EXPECT_EQ(health.probation_entries(), 1);
 
   // Recovery: fast samples decay the EWMA, but the exit waits for the
-  // minimum dwell and the ratio to drop under degraded_factor/2.
+  // minimum dwell and the ratio to drop under kDegradedFactor/2.
   for (int i = 0; i < 12; ++i) {
     now = now + sec(1);
     health.record_latency("tiera-us-west", msec(10), now);
