@@ -189,7 +189,7 @@ void BM_ReplicateFanout(benchmark::State& state) {
     size_t total = 0;
     for (int t = 0; t < kTargets; ++t) {
       rpc::Message msg = geo::encode(req);
-      auto decoded = geo::decode_replicate_request(msg);
+      auto decoded = geo::decode<geo::ReplicateRequest>(msg);
       total += decoded.value().value.size();
     }
     benchmark::DoNotOptimize(total);

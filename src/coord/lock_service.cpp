@@ -1,33 +1,6 @@
 #include "coord/lock_service.h"
 
-#include "rpc/wire.h"
-
 namespace wiera::coord {
-
-namespace {
-
-struct LockRequest {
-  std::string lock_name;
-  std::string requester;
-};
-
-rpc::Message encode_request(const LockRequest& req) {
-  rpc::WireWriter w;
-  w.put_string(req.lock_name);
-  w.put_string(req.requester);
-  return rpc::Message{w.take()};
-}
-
-Result<LockRequest> decode_request(const rpc::Message& msg) {
-  rpc::WireReader r(msg.body);
-  LockRequest req;
-  req.lock_name = r.get_string();
-  req.requester = r.get_string();
-  if (!r.ok()) return r.status();
-  return req;
-}
-
-}  // namespace
 
 LockService::~LockService() { reaping_ = false; }
 
@@ -83,7 +56,7 @@ int64_t LockService::waiting(const std::string& lock_name) const {
 
 sim::Task<Result<rpc::Message>> LockService::handle_acquire(
     rpc::Message request) {
-  auto req = decode_request(request);
+  auto req = rpc::decode<LockRequest>(request);
   if (!req.ok()) co_return req.status();
 
   LockState& lock = state_for(req->lock_name);
@@ -102,7 +75,7 @@ sim::Task<Result<rpc::Message>> LockService::handle_acquire(
 
 sim::Task<Result<rpc::Message>> LockService::handle_release(
     rpc::Message request) {
-  auto req = decode_request(request);
+  auto req = rpc::decode<LockRequest>(request);
   if (!req.ok()) co_return req.status();
 
   auto it = locks_.find(req->lock_name);
@@ -125,7 +98,7 @@ sim::Task<Result<rpc::Message>> LockService::handle_release(
 // frame-lifetime bug (double destruction of aggregate temporaries).
 sim::Task<Status> LockClient::acquire(std::string lock_name) {
   rpc::Message request =
-      encode_request({std::move(lock_name), client_->node_name()});
+      rpc::encode(LockRequest{std::move(lock_name), client_->node_name()});
   auto resp = co_await client_->call(
       service_node_, LockService::kAcquireMethod, std::move(request));
   if (!resp.ok()) co_return resp.status();
@@ -134,7 +107,7 @@ sim::Task<Status> LockClient::acquire(std::string lock_name) {
 
 sim::Task<Status> LockClient::release(std::string lock_name) {
   rpc::Message request =
-      encode_request({std::move(lock_name), client_->node_name()});
+      rpc::encode(LockRequest{std::move(lock_name), client_->node_name()});
   auto resp = co_await client_->call(
       service_node_, LockService::kReleaseMethod, std::move(request));
   if (!resp.ok()) co_return resp.status();

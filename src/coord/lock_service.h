@@ -16,11 +16,23 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "rpc/rpc.h"
 #include "sim/sync.h"
 
 namespace wiera::coord {
+
+// The body of both lock methods: which lock, and the node asking.
+struct LockRequest {
+  std::string lock_name;
+  std::string requester;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.lock_name, m.requester);
+  }
+};
 
 class LockService {
  public:

@@ -131,19 +131,7 @@ Bytes MetaDb::serialize() const {
     w.put_u32(static_cast<uint32_t>(obj.tags.size()));
     for (const auto& tag : obj.tags) w.put_string(tag);
     w.put_u32(static_cast<uint32_t>(obj.versions.size()));
-    for (const auto& [ver, vm] : obj.versions) {
-      w.put_i64(ver);
-      w.put_i64(vm.size);
-      w.put_i64(vm.create_time.us());
-      w.put_i64(vm.last_modified.us());
-      w.put_i64(vm.last_accessed.us());
-      w.put_i64(vm.access_count);
-      w.put_bool(vm.dirty);
-      w.put_bool(vm.committed);
-      w.put_string(vm.tier);
-      w.put_string(vm.origin);
-      w.put_u64(vm.checksum);
-    }
+    for (const auto& [_, vm] : obj.versions) rpc::put_field(w, vm);
   }
   // Snapshot checksum: a torn or bit-flipped metadata file must fail to
   // load, never half-load (docs/INTEGRITY.md).
@@ -176,17 +164,7 @@ Status MetaDb::deserialize(const Bytes& data) {
     const uint32_t n_versions = r.get_u32();
     for (uint32_t v = 0; v < n_versions && r.ok(); ++v) {
       VersionMeta vm;
-      vm.version = r.get_i64();
-      vm.size = r.get_i64();
-      vm.create_time = TimePoint(r.get_i64());
-      vm.last_modified = TimePoint(r.get_i64());
-      vm.last_accessed = TimePoint(r.get_i64());
-      vm.access_count = r.get_i64();
-      vm.dirty = r.get_bool();
-      vm.committed = r.get_bool();
-      vm.tier = r.get_string();
-      vm.origin = r.get_string();
-      vm.checksum = r.get_u64();
+      rpc::get_field(r, vm);
       obj.versions[vm.version] = vm;
     }
     loaded[obj.key] = std::move(obj);

@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bytes.h"
@@ -40,6 +41,14 @@ struct VersionMeta {
   // object_checksum(key, version, payload) — verified on every tier read
   // and identical across replicas holding the same version (scrub digest).
   uint64_t checksum = 0;
+
+  // The snapshot row (MetaDb::serialize), in wire order.
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.version, m.size, m.create_time, m.last_modified,
+                    m.last_accessed, m.access_count, m.dirty, m.committed,
+                    m.tier, m.origin, m.checksum);
+  }
 };
 
 struct ObjectMeta {

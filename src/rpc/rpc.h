@@ -30,6 +30,7 @@
 #include "common/trace.h"
 #include "net/network.h"
 #include "obs/metrics.h"
+#include "rpc/wire.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -66,6 +67,26 @@ struct Message {
 // decodes to kInvalidArgument.
 Message encode_status(const Status& st);
 Status decode_status(const Message& msg);
+
+// A field-list struct (wire.h) as a message body, and back. A truncated or
+// malformed body decodes to kInvalidArgument.
+template <WireStruct T>
+Message encode(const T& m) {
+  WireWriter w;
+  put_field(w, m);
+  return Message{w.take_body()};
+}
+
+template <WireStruct T>
+Result<T> decode(const Message& msg) {
+  WireReader r(msg.body);
+  // Decoded in place and returned as one object: no field is moved on the
+  // success path.
+  Result<T> out = T{};
+  get_field(r, *out);
+  if (!r.ok()) out = r.status();
+  return out;
+}
 
 class Endpoint;
 

@@ -5,6 +5,10 @@
 // WireReader; the serialized size feeds the network model, so message sizes
 // (and therefore transfer times and egress bills) are realistic.
 //
+// Field lists: like a Thrift IDL struct, a message is declared once. Each
+// struct lists its fields in wire order in a static `wire_fields`, and
+// put_field / get_field (end of this file) derive both directions from it.
+//
 // Zero-copy path: blob payloads at or above kZeroCopyThreshold are not
 // memcpy'd into the scratch buffer — the writer seals the scratch as one
 // segment and appends the blob's ref-counted Buffer as the next, and
@@ -21,9 +25,13 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "common/time.h"
 
 namespace wiera::rpc {
 
@@ -246,5 +254,72 @@ class WireReader {
   size_t seg_off_ = 0;  // ... and offset within it
   bool failed_ = false;
 };
+
+// ---- field lists ----
+//
+// A struct joins the wire format by listing its fields in wire order:
+//
+//   struct RepairFetchRequest {
+//     std::string key;
+//     int64_t version = 0;
+//     template <class Self>
+//     static auto wire_fields(Self& m) { return std::tie(m.key, m.version); }
+//   };
+//
+// The wire types: bool (u8), int64_t, uint64_t, strings and Blobs (u32
+// length, then the bytes), TimePoint (i64 µs), enums (u32), vectors (u32
+// count, then the elements) and nested field-list structs. Fields a struct
+// leaves out of its list (frame metadata such as deadlines) never travel.
+template <class T>
+concept WireStruct = requires(T& m) { T::wire_fields(m); };
+
+inline void put_field(WireWriter& w, bool v) { w.put_bool(v); }
+inline void put_field(WireWriter& w, int64_t v) { w.put_i64(v); }
+inline void put_field(WireWriter& w, uint64_t v) { w.put_u64(v); }
+inline void put_field(WireWriter& w, const std::string& v) { w.put_string(v); }
+inline void put_field(WireWriter& w, const Blob& v) { w.put_blob(v); }
+inline void put_field(WireWriter& w, TimePoint v) { w.put_i64(v.us()); }
+template <class E>
+  requires std::is_enum_v<E>
+void put_field(WireWriter& w, E v) {
+  w.put_u32(static_cast<uint32_t>(v));
+}
+template <class T>
+void put_field(WireWriter& w, const std::vector<T>& v) {
+  w.put_u32(static_cast<uint32_t>(v.size()));
+  for (const T& e : v) put_field(w, e);
+}
+template <WireStruct T>
+void put_field(WireWriter& w, const T& m) {
+  std::apply([&w](const auto&... f) { (put_field(w, f), ...); },
+             T::wire_fields(m));
+}
+
+// Reads never throw: a short body latches the reader's error flag and the
+// caller checks r.ok() once at the end.
+inline void get_field(WireReader& r, bool& v) { v = r.get_bool(); }
+inline void get_field(WireReader& r, int64_t& v) { v = r.get_i64(); }
+inline void get_field(WireReader& r, uint64_t& v) { v = r.get_u64(); }
+inline void get_field(WireReader& r, std::string& v) { v = r.get_string(); }
+inline void get_field(WireReader& r, Blob& v) { v = r.get_blob(); }
+inline void get_field(WireReader& r, TimePoint& v) {
+  v = TimePoint(r.get_i64());
+}
+template <class E>
+  requires std::is_enum_v<E>
+void get_field(WireReader& r, E& v) {
+  v = static_cast<E>(r.get_u32());
+}
+// Stops at the first failed read: a corrupt count cannot drive a
+// four-billion-step loop over an empty body.
+template <class T>
+void get_field(WireReader& r, std::vector<T>& v) {
+  const uint32_t n = r.get_u32();
+  for (uint32_t i = 0; i < n && r.ok(); ++i) get_field(r, v.emplace_back());
+}
+template <WireStruct T>
+void get_field(WireReader& r, T& m) {
+  std::apply([&r](auto&... f) { (get_field(r, f), ...); }, T::wire_fields(m));
+}
 
 }  // namespace wiera::rpc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <set>
 
 #include "common/checksum.h"
@@ -189,29 +190,10 @@ sim::Task<Result<PutResult>> TieraInstance::put(std::string key, Blob value,
           ? 1
           : std::max(existing->latest_version(), existing->max_allocated) + 1;
 
-  metadb::VersionMeta& vm = meta_.upsert_version(key, version);
-  vm.size = static_cast<int64_t>(value.size());
-  vm.create_time = sim_->now();
-  vm.last_modified = sim_->now();
-  vm.origin = config_.instance_id;
-  vm.checksum = object_checksum(key, version, value);
-
-  InsertCtx ctx;
-  ctx.key = key;
-  ctx.version = version;
-  ctx.value = std::move(value);
-  ctx.opts = opts;
-  Status st = co_await run_insert_rules(ctx);
-  if (!st.ok()) {
-    // Roll back the uncommitted upsert; NotFound just means a concurrent
-    // remove already dropped it.
-    // wiera-lint: allow(status-discipline) rollback of an uncommitted version; only a benign NotFound is possible
-    (void)meta_.remove_version(key, version);
-    co_return st;
-  }
-  meta_.upsert_version(key, version).committed = true;
-
-  prune_versions(key);
+  Result<bool> written =
+      co_await write_version(key, version, std::move(value), sim_->now(),
+                             config_.instance_id, opts, /*lww=*/false);
+  if (!written.ok()) co_return written.status();
   co_await check_fill_thresholds();
   put_hist_->record(sim_->now() - start);
   co_return PutResult{version};
@@ -263,24 +245,10 @@ sim::Task<Status> TieraInstance::update(std::string key, int64_t version,
   if (store::io_deadline_expired(opts, sim_->now())) {
     co_return deadline_exceeded("tiera update: " + key);
   }
-  metadb::VersionMeta& vm = meta_.upsert_version(key, version);
-  vm.size = static_cast<int64_t>(value.size());
-  if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
-  vm.last_modified = sim_->now();
-  vm.origin = config_.instance_id;
-  vm.checksum = object_checksum(key, version, value);
-
-  InsertCtx ctx;
-  ctx.key = std::move(key);
-  ctx.version = version;
-  ctx.value = std::move(value);
-  ctx.opts = opts;
-  Status st = co_await run_insert_rules(ctx);
-  if (st.ok()) {
-    meta_.upsert_version(ctx.key, version).committed = true;
-    prune_versions(ctx.key);
-  }
-  co_return st;
+  Result<bool> written =
+      co_await write_version(key, version, std::move(value), sim_->now(),
+                             config_.instance_id, opts, /*lww=*/false);
+  co_return written.status();
 }
 
 sim::Task<Status> TieraInstance::remove(std::string key) {
@@ -396,47 +364,86 @@ bool TieraInstance::lww_wins(const LwwSample& incoming,
 
 sim::Task<Result<bool>> TieraInstance::apply_remote_update(
     RemoteUpdate update) {
+  co_return co_await write_version(update.key, update.version,
+                                   std::move(update.value),
+                                   update.last_modified,
+                                   std::move(update.origin), {},
+                                   /*lww=*/true);
+}
+
+bool TieraInstance::remote_wins(const std::string& key,
+                                const LwwSample& incoming) const {
   // Last-write-wins (§4.2): accept when the incoming version is newer, or
   // when versions tie and the incoming write is more recent. Exact
   // timestamp ties (possible with concurrent writers on a discrete clock)
   // break deterministically on origin id so all replicas pick one winner.
-  const metadb::ObjectMeta* obj = meta_.find(update.key);
-  if (obj != nullptr && !obj->versions.empty()) {
-    const metadb::VersionMeta* local = obj->latest();
-    const LwwSample incoming{update.version, update.last_modified,
-                             update.origin};
-    const LwwSample current{obj->latest_version(), local->last_modified,
-                            local->origin};
-    const bool wins = config_.lww_override
-                          ? config_.lww_override(incoming, current)
-                          : lww_wins(incoming, current);
-    if (!wins) co_return false;
+  const metadb::ObjectMeta* obj = meta_.find(key);
+  if (obj == nullptr || obj->versions.empty()) return true;
+  const metadb::VersionMeta* local = obj->latest();
+  const LwwSample current{obj->latest_version(), local->last_modified,
+                          local->origin};
+  return config_.lww_override ? config_.lww_override(incoming, current)
+                              : lww_wins(incoming, current);
+}
+
+sim::Task<Result<bool>> TieraInstance::write_version(
+    const std::string& key, int64_t version, Blob value,
+    TimePoint last_modified, std::string origin, store::IoOptions opts,
+    bool lww) {
+  auto lock = version_locks_.try_emplace({key, version}, *sim_).first;
+  ++lock->second.users;
+  co_await lock->second.mutex.lock();
+
+  Result<bool> written = false;
+  if (!lww || remote_wins(key, {version, last_modified, origin})) {
+    const bool new_object = meta_.find(key) == nullptr;
+    std::optional<metadb::VersionMeta> before;
+    if (const metadb::VersionMeta* prior = meta_.find_version(key, version)) {
+      before = *prior;
+    }
+    metadb::VersionMeta& vm = meta_.upsert_version(key, version);
+    vm.size = static_cast<int64_t>(value.size());
+    if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
+    vm.last_modified = last_modified;
+    vm.origin = std::move(origin);
+    // Recomputed locally (not trusted from the wire): replicas holding the
+    // same (key, version, payload) record the same checksum, which is what
+    // the scrubber's digest exchange compares.
+    vm.checksum = object_checksum(key, version, value);
+
+    InsertCtx ctx;
+    ctx.key = key;
+    ctx.version = version;
+    ctx.value = std::move(value);
+    ctx.opts = opts;
+    Status st = co_await run_insert_rules(ctx);
+    if (st.ok()) {
+      meta_.upsert_version(key, version).committed = true;
+      prune_versions(key);
+      written = true;
+    } else {
+      // A row left behind would claim a payload no tier holds: a replica
+      // would LWW-reject every retry of this update as a duplicate, and a
+      // rewritten checksum would quarantine the intact old copy. No other
+      // write to this version ran meanwhile, so `before` is a settled row
+      // (or none). A row already gone was dropped by a concurrent remove.
+      written = st;
+      const bool row_left = meta_.find_version(key, version) != nullptr;
+      if (row_left && before.has_value()) {
+        meta_.upsert_version(key, version) = *before;
+      } else if (row_left && new_object) {
+        // wiera-lint: allow(status-discipline) the row was found just above; the object record this call created goes with it
+        (void)meta_.remove_version(key, version);
+      } else if (row_left) {
+        // wiera-lint: allow(status-discipline) the row was found just above; the object keeps its tags and allocation high-water mark
+        (void)meta_.forget_version(key, version);
+      }
+    }
   }
 
-  metadb::VersionMeta& vm = meta_.upsert_version(update.key, update.version);
-  vm.size = static_cast<int64_t>(update.value.size());
-  if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
-  vm.last_modified = update.last_modified;
-  vm.origin = update.origin;
-  // Recomputed locally (not trusted from the wire): replicas holding the
-  // same (key, version, payload) record the same checksum, which is what
-  // the scrubber's digest exchange compares.
-  vm.checksum = object_checksum(update.key, update.version, update.value);
-
-  InsertCtx ctx;
-  ctx.key = update.key;
-  ctx.version = update.version;
-  ctx.value = std::move(update.value);
-  Status st = co_await run_insert_rules(ctx);
-  if (!st.ok()) co_return st;
-  metadb::VersionMeta& committed = meta_.upsert_version(update.key,
-                                                        update.version);
-  committed.committed = true;
-  // run_insert_rules may have touched timestamps; restore the replicated
-  // last_modified (LWW must compare the origin's value everywhere).
-  committed.last_modified = update.last_modified;
-  prune_versions(update.key);
-  co_return true;
+  lock->second.mutex.unlock();
+  if (--lock->second.users == 0) version_locks_.erase(lock);
+  co_return written;
 }
 
 // ---------------------------------------------------------------- rules

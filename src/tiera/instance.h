@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -253,6 +254,19 @@ class TieraInstance {
                                  uint64_t generation);
   sim::Task<void> check_fill_thresholds();
 
+  // The version write put, update and apply_remote_update share: record
+  // the row, run the insert rules, commit. With `lww` the write must first
+  // win last-write-wins against the key's latest row; false = it lost and
+  // wrote nothing. When a tier write fails the row goes back to what it
+  // was before this call (erased if this call created it). Writes to one
+  // (key, version) run one at a time, so what they put back is never
+  // another write's unstored row.
+  sim::Task<Result<bool>> write_version(const std::string& key,
+                                        int64_t version, Blob value,
+                                        TimePoint last_modified,
+                                        std::string origin,
+                                        store::IoOptions opts, bool lww);
+  bool remote_wins(const std::string& key, const LwwSample& incoming) const;
   sim::Task<Status> write_to_tier(const std::string& tier_label,
                                   const std::string& key, int64_t version,
                                   const Blob& value, store::IoOptions opts,
@@ -275,6 +289,17 @@ class TieraInstance {
   bool stopping_ = false;
   // Bumped by adopt_policy; periodic loops from older generations exit.
   uint64_t policy_generation_ = 0;
+  // One entry per (key, version) with a write_version holding or awaiting
+  // it; the last user erases it. write_version unlocks explicitly rather
+  // than through a guard: at teardown the simulation may destroy a
+  // suspended write's frame after the instance is gone.
+  struct VersionLock {
+    explicit VersionLock(sim::Simulation& sim)
+        : mutex(sim, "tiera.version_write") {}
+    sim::SimMutex mutex;
+    int users = 0;
+  };
+  std::map<std::pair<std::string, int64_t>, VersionLock> version_locks_;
 
   // Registry-backed instruments (created in the constructor).
   obs::Registry* metrics_ = nullptr;

@@ -261,7 +261,7 @@ sim::Task<Result<PutResponse>> WieraClient::update_impl(std::string key,
   Result<rpc::Message> resp =
       co_await call_any(method::kClientPut, [&] { return encode(req); }, op);
   if (!resp.ok()) co_return resp.status();
-  auto decoded = decode_put_response(*resp);
+  auto decoded = decode<PutResponse>(*resp);
   if (!decoded.ok()) co_return decoded.status();
   // The serving peer echoed a checksum bound to (key, allocated version,
   // payload). Recomputing it over the bytes we sent proves the ack — and in
@@ -313,7 +313,7 @@ sim::Task<Result<GetResponse>> WieraClient::get_version_impl(std::string key,
                              op);
   }
   if (!resp.ok()) co_return resp.status();
-  auto decoded = decode_get_response(*resp);
+  auto decoded = decode<GetResponse>(*resp);
   if (!decoded.ok()) co_return decoded.status();
   // The serving peer checksummed the payload it sent; a mismatch over the
   // delivered bytes means the response leg corrupted them in transit. The
@@ -342,7 +342,7 @@ sim::Task<Result<std::vector<int64_t>>> WieraClient::get_version_list(
     finish_op("version_list", op, resp.status());
     co_return resp.status();
   }
-  auto decoded = decode_version_list(*resp);
+  auto decoded = decode<VersionListResponse>(*resp);
   finish_op("version_list", op,
             decoded.ok() ? ok_status() : decoded.status());
   if (!decoded.ok()) co_return decoded.status();

@@ -48,10 +48,8 @@ std::string default_node_for_region(const std::string& region) {
 sim::Task<void> request_change(WieraPeer* peer, std::string controller,
                                std::string method, std::string wiera_id,
                                std::string target) {
-  rpc::WireWriter w;
-  w.put_string(wiera_id);
-  w.put_string(target);
-  rpc::Message msg{w.take()};
+  rpc::Message msg = encode(ChangeRequest{std::move(wiera_id),
+                                          std::move(target)});
   auto resp = co_await peer->endpoint().call(std::move(controller), method,
                                              std::move(msg));
   if (!resp.ok()) {
@@ -417,23 +415,23 @@ void WieraController::wire_control_plane(const std::string& wiera_id,
 
 void WieraController::register_handlers() {
   // The WUI's run-time changes, requested by the peers' monitors
-  // (wire_control_plane): the wiera id, then the target policy or primary.
+  // (wire_control_plane): a ChangeRequest naming the target policy or
+  // primary.
   for (const char* method : {kChangePolicyMethod, kChangePrimaryMethod}) {
     endpoint_->register_handler(
         method,
         [this, method](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-          rpc::WireReader r(msg.body);
-          std::string wiera_id = r.get_string();
-          std::string target = r.get_string();
-          if (!r.ok()) co_return r.status();
+          auto req = decode<ChangeRequest>(msg);
+          if (!req.ok()) co_return req.status();
           if (method == std::string_view(kChangePrimaryMethod)) {
-            Status st = co_await change_primary(std::move(wiera_id),
-                                                std::move(target));
+            Status st = co_await change_primary(std::move(req->wiera_id),
+                                                std::move(req->target));
             co_return rpc::encode_status(st);
           }
-          auto mode = consistency_mode_from_name(target);
+          auto mode = consistency_mode_from_name(req->target);
           if (!mode.ok()) co_return mode.status();
-          Status st = co_await change_consistency(std::move(wiera_id), *mode);
+          Status st =
+              co_await change_consistency(std::move(req->wiera_id), *mode);
           co_return rpc::encode_status(st);
         });
   }
@@ -445,10 +443,9 @@ void WieraController::register_handlers() {
   endpoint_->register_handler(
       method::kLeaseRenew,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        rpc::WireReader r(msg.body);
-        std::string instance_id = r.get_string();
-        if (!r.ok()) co_return r.status();
-        peer_state_[instance_id].lease_seen = sim_->now();
+        auto req = decode<LeaseRenewRequest>(msg);
+        if (!req.ok()) co_return req.status();
+        peer_state_[req->instance_id].lease_seen = sim_->now();
         co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(

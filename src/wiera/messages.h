@@ -1,10 +1,13 @@
-// Wire codecs for Wiera's RPC surface (peer<->peer and controller<->peer).
-//
-// Everything crossing the simulated network is serialized through these, so
-// message sizes (and thus transfer time and egress cost) reflect payloads.
+// Wiera's RPC surface (peer<->peer and controller<->peer): method names and
+// one struct per message. Each struct's `wire_fields` is its layout, in
+// wire order; rpc::encode / rpc::decode<T> (rpc/rpc.h) derive both
+// directions from it. Everything crossing the simulated network is
+// serialized this way, so message sizes (and thus transfer time and egress
+// cost) reflect payloads.
 #pragma once
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bytes.h"
@@ -34,7 +37,6 @@ inline constexpr char kColdFetch[] = "peer.cold_fetch";
 // Table 2 versioning API.
 inline constexpr char kVersionList[] = "peer.version_list";
 inline constexpr char kRemove[] = "peer.remove";
-inline constexpr char kRemoveVersion[] = "peer.remove_version";
 // Catch-up resync after crash/partition recovery: pull every key's latest
 // committed version from a healthy peer.
 inline constexpr char kSyncPull[] = "peer.sync_pull";
@@ -45,8 +47,8 @@ inline constexpr char kScrubDigest[] = "peer.scrub_digest";
 // checksum from a healthy replica to replace a quarantined local copy.
 inline constexpr char kRepairFetch[] = "peer.repair_fetch";
 // Serve-lease renewal: a peer proves round-trip reachability to the
-// controller (body = instance id). The controller records the renewal time
-// and will not narrow replication membership around a peer whose lease
+// controller (body = LeaseRenewRequest). The controller records the renewal
+// time and will not narrow replication membership around a peer whose lease
 // could still be valid — that ordering is what makes the lease sound.
 inline constexpr char kLeaseRenew[] = "wui.lease_renew";
 }  // namespace method
@@ -69,6 +71,12 @@ struct PutRequest {
   // Trace identity of the handling server span, copied by handlers from the
   // rpc::Message frame (not wire body); parent for downstream spans.
   TraceContext trace;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.key, m.value, m.client, m.forwarded, m.direct,
+                    m.version, m.checksum);
+  }
 };
 
 struct PutResponse {
@@ -78,6 +86,9 @@ struct PutResponse {
   // assigned; a mismatch means the response (or its version field) was
   // corrupted in transit. 0 = not provided.
   uint64_t checksum = 0;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.version, m.checksum); }
 };
 
 struct GetRequest {
@@ -96,6 +107,11 @@ struct GetRequest {
   // Trace identity of the handling server span (frame metadata, see
   // PutRequest::trace).
   TraceContext trace;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.key, m.version, m.client, m.direct, m.checksum);
+  }
 };
 
 struct GetResponse {
@@ -111,6 +127,11 @@ struct GetResponse {
   // the client recomputes it over the delivered bytes (it knows the key it
   // asked for) and surfaces kDataLoss on mismatch. 0 = not provided.
   uint64_t checksum = 0;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.value, m.version, m.served_by, m.stale, m.checksum);
+  }
 };
 
 struct ReplicateRequest {
@@ -123,10 +144,19 @@ struct ReplicateRequest {
   // before applying and reject kDataLoss on mismatch, so a payload that was
   // bit-flipped in transit never lands in a replica. 0 = not provided.
   uint64_t checksum = 0;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.key, m.version, m.value, m.last_modified, m.origin,
+                    m.checksum);
+  }
 };
 
 struct ReplicateResponse {
   bool accepted = false;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.accepted); }
 };
 
 // Coalesced replication: every update queued for one target in one flush
@@ -136,6 +166,9 @@ struct ReplicateResponse {
 struct ReplicateBatchRequest {
   std::string origin;
   std::vector<ReplicateRequest> ops;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.origin, m.ops); }
 };
 
 // Parallel to ReplicateBatchRequest::ops: the per-op outcome. The sender
@@ -144,23 +177,38 @@ struct ReplicateBatchRequest {
 struct ReplicateBatchResult {
   StatusCode code = StatusCode::kOk;
   bool accepted = false;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.code, m.accepted); }
 };
 
 struct ReplicateBatchResponse {
   std::vector<ReplicateBatchResult> results;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.results); }
 };
 
 struct SetConsistencyRequest {
   ConsistencyMode mode = ConsistencyMode::kMultiPrimaries;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.mode); }
 };
 
 struct SetPrimaryRequest {
   std::string primary_instance;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.primary_instance); }
 };
 
 // Table 2: getVersionList / remove / removeVersion.
 struct VersionListResponse {
   std::vector<int64_t> versions;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.versions); }
 };
 
 struct RemoveRequest {
@@ -169,6 +217,11 @@ struct RemoveRequest {
   bool propagate = true;    // false on replica-to-replica fan-out
   TimePoint deadline = TimePoint::max();  // frame metadata, not wire body
   TraceContext trace;                     // frame metadata, not wire body
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.key, m.version, m.propagate);
+  }
 };
 
 // Catch-up resync (recovery after crash/partition): the source answers with
@@ -176,10 +229,16 @@ struct RemoveRequest {
 // puller merges through LWW.
 struct SyncPullRequest {
   std::string requester;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.requester); }
 };
 
 struct SyncPullResponse {
   std::vector<ReplicateRequest> entries;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.entries); }
 };
 
 // ---- integrity scrub / repair (docs/INTEGRITY.md) ----
@@ -192,14 +251,25 @@ struct ScrubDigest {
   std::string key;
   int64_t version = 0;
   uint64_t checksum = 0;
+
+  template <class Self>
+  static auto wire_fields(Self& m) {
+    return std::tie(m.key, m.version, m.checksum);
+  }
 };
 
 struct ScrubDigestRequest {
   std::string requester;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.requester); }
 };
 
 struct ScrubDigestResponse {
   std::vector<ScrubDigest> entries;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.entries); }
 };
 
 // Fetch one (key, version) with payload + checksum from a healthy replica to
@@ -208,53 +278,57 @@ struct ScrubDigestResponse {
 struct RepairFetchRequest {
   std::string key;
   int64_t version = 0;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.key, m.version); }
 };
 
-// ---- encode/decode ----
+// ---- control plane (WUI) ----
 
-rpc::Message encode(const PutRequest& m);
-Result<PutRequest> decode_put_request(const rpc::Message& msg);
-rpc::Message encode(const PutResponse& m);
-Result<PutResponse> decode_put_response(const rpc::Message& msg);
+// A peer monitor's run-time change request to the controller's WUI: the
+// new consistency policy's name, or the new primary's instance id.
+struct ChangeRequest {
+  std::string wiera_id;
+  std::string target;
 
-rpc::Message encode(const GetRequest& m);
-Result<GetRequest> decode_get_request(const rpc::Message& msg);
-rpc::Message encode(const GetResponse& m);
-Result<GetResponse> decode_get_response(const rpc::Message& msg);
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.wiera_id, m.target); }
+};
 
-rpc::Message encode(const ReplicateRequest& m);
-Result<ReplicateRequest> decode_replicate_request(const rpc::Message& msg);
-rpc::Message encode(const ReplicateResponse& m);
-Result<ReplicateResponse> decode_replicate_response(const rpc::Message& msg);
+struct LeaseRenewRequest {
+  std::string instance_id;
 
-rpc::Message encode(const ReplicateBatchRequest& m);
-Result<ReplicateBatchRequest> decode_replicate_batch_request(
-    const rpc::Message& msg);
-rpc::Message encode(const ReplicateBatchResponse& m);
-Result<ReplicateBatchResponse> decode_replicate_batch_response(
-    const rpc::Message& msg);
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.instance_id); }
+};
 
-rpc::Message encode(const SetConsistencyRequest& m);
-Result<SetConsistencyRequest> decode_set_consistency(const rpc::Message& msg);
-rpc::Message encode(const SetPrimaryRequest& m);
-Result<SetPrimaryRequest> decode_set_primary(const rpc::Message& msg);
+using rpc::decode;
+using rpc::encode;
 
-rpc::Message encode(const VersionListResponse& m);
-Result<VersionListResponse> decode_version_list(const rpc::Message& msg);
-rpc::Message encode(const RemoveRequest& m);
-Result<RemoveRequest> decode_remove_request(const rpc::Message& msg);
-
-rpc::Message encode(const SyncPullRequest& m);
-Result<SyncPullRequest> decode_sync_pull_request(const rpc::Message& msg);
-rpc::Message encode(const SyncPullResponse& m);
-Result<SyncPullResponse> decode_sync_pull_response(const rpc::Message& msg);
-
-rpc::Message encode(const ScrubDigestRequest& m);
-Result<ScrubDigestRequest> decode_scrub_digest_request(const rpc::Message& msg);
-rpc::Message encode(const ScrubDigestResponse& m);
-Result<ScrubDigestResponse> decode_scrub_digest_response(
-    const rpc::Message& msg);
-rpc::Message encode(const RepairFetchRequest& m);
-Result<RepairFetchRequest> decode_repair_fetch_request(const rpc::Message& msg);
+// Kept by name for the host benchmark (perfbench/wiera_bench.cpp).
+inline Result<PutRequest> decode_put_request(const rpc::Message& msg) {
+  return decode<PutRequest>(msg);
+}
 
 }  // namespace wiera::geo
+
+// Every message above. codec.cpp compiles each one's rpc::encode and
+// rpc::decode once; the extern declarations below make callers call that
+// copy instead of instantiating their own. Instantiated inside a large
+// unit such as micro_bench.cpp, whose inline budget is spent, the codec
+// compiled to slower code than in a small one (ROADMAP item 1).
+#define WIERA_GEO_MESSAGES(X)                                               \
+  X(PutRequest) X(PutResponse) X(GetRequest) X(GetResponse)                \
+  X(ReplicateRequest) X(ReplicateResponse) X(ReplicateBatchRequest)        \
+  X(ReplicateBatchResponse) X(SetConsistencyRequest) X(SetPrimaryRequest)  \
+  X(VersionListResponse) X(RemoveRequest) X(SyncPullRequest)               \
+  X(SyncPullResponse) X(ScrubDigestRequest) X(ScrubDigestResponse)         \
+  X(RepairFetchRequest) X(ChangeRequest) X(LeaseRenewRequest)
+
+namespace wiera::rpc {
+#define WIERA_GEO_EXTERN_CODEC(T)                \
+  extern template Message encode(const geo::T&); \
+  extern template Result<geo::T> decode<geo::T>(const Message&);
+WIERA_GEO_MESSAGES(WIERA_GEO_EXTERN_CODEC)
+#undef WIERA_GEO_EXTERN_CODEC
+}  // namespace wiera::rpc

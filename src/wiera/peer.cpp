@@ -260,7 +260,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kClientPut,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_put_request(msg);
+        auto req = decode<PutRequest>(msg);
         if (!req.ok()) co_return req.status();
         PutRequest request = std::move(req).value();
         request.deadline = msg.deadline;  // frame metadata -> request
@@ -272,7 +272,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kClientGet,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_get_request(msg);
+        auto req = decode<GetRequest>(msg);
         if (!req.ok()) co_return req.status();
         GetRequest request = std::move(req).value();
         request.deadline = msg.deadline;
@@ -284,7 +284,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kForwardPut,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_put_request(msg);
+        auto req = decode<PutRequest>(msg);
         if (!req.ok()) co_return req.status();
         PutRequest request = std::move(req).value();
         request.forwarded = true;
@@ -297,7 +297,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kForwardGet,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_get_request(msg);
+        auto req = decode<GetRequest>(msg);
         if (!req.ok()) co_return req.status();
         // Serve locally; do not re-forward (avoids loops).
         GetRequest request = std::move(req).value();
@@ -309,7 +309,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kReplicate,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_replicate_request(msg);
+        auto req = decode<ReplicateRequest>(msg);
         if (!req.ok()) co_return req.status();
         // Verify before applying: a payload bit-flipped in transit must
         // never land in a replica. The sender sees the error, keeps the
@@ -321,7 +321,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kReplicateBatch,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_replicate_batch_request(msg);
+        auto req = decode<ReplicateBatchRequest>(msg);
         if (!req.ok()) co_return req.status();
         // Each op is verified and applied independently: a corrupt or
         // rejected op reports its own status without poisoning batch-mates
@@ -343,7 +343,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kSetConsistency,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_set_consistency(msg);
+        auto req = decode<SetConsistencyRequest>(msg);
         if (!req.ok()) co_return req.status();
         Status st = co_await apply_consistency_change(req->mode);
         co_return rpc::encode_status(st);
@@ -351,7 +351,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kSetPrimary,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_set_primary(msg);
+        auto req = decode<SetPrimaryRequest>(msg);
         if (!req.ok()) co_return req.status();
         apply_primary_change(req->primary_instance);
         co_return rpc::encode_status(ok_status());
@@ -364,7 +364,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kVersionList,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_get_request(msg);
+        auto req = decode<GetRequest>(msg);
         if (!req.ok()) co_return req.status();
         VersionListResponse out;
         out.versions = local_->get_version_list(req->key);
@@ -373,7 +373,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kRemove,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_remove_request(msg);
+        auto req = decode<RemoveRequest>(msg);
         if (!req.ok()) co_return req.status();
         RemoveRequest request = std::move(req).value();
         request.deadline = msg.deadline;
@@ -384,7 +384,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kSyncPull,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_sync_pull_request(msg);
+        auto req = decode<SyncPullRequest>(msg);
         if (!req.ok()) co_return req.status();
         SyncPullResponse out;
         co_await for_each_latest([&out](ReplicateRequest entry) {
@@ -395,7 +395,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kScrubDigest,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_scrub_digest_request(msg);
+        auto req = decode<ScrubDigestRequest>(msg);
         if (!req.ok()) co_return req.status();
         // Metadata-only: the recorded checksum of each key's latest
         // committed version. No payload reads — the digest exchange stays
@@ -413,7 +413,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kRepairFetch,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_repair_fetch_request(msg);
+        auto req = decode<RepairFetchRequest>(msg);
         if (!req.ok()) co_return req.status();
         int64_t version = req->version;
         if (version == 0) {
@@ -447,7 +447,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kColdStore,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_replicate_request(msg);
+        auto req = decode<ReplicateRequest>(msg);
         if (!req.ok()) co_return req.status();
         if (config_.local.verify_checksums && req->checksum != 0 &&
             object_checksum(req->key, req->version, req->value) !=
@@ -481,7 +481,7 @@ void WieraPeer::register_handlers() {
   endpoint_->register_handler(
       method::kColdFetch,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode_get_request(msg);
+        auto req = decode<GetRequest>(msg);
         if (!req.ok()) co_return req.status();
         auto local = co_await local_->get(req->key);
         if (!local.ok()) co_return local.status();
@@ -594,7 +594,7 @@ sim::Task<Result<PutResponse>> WieraPeer::put_primary_backup(
         ctx_for(request.deadline, request.trace));
     breaker_record(primary, resp.status());
     if (!resp.ok()) co_return resp.status();
-    co_return decode_put_response(*resp);
+    co_return decode<PutResponse>(*resp);
   }
   co_return co_await put_local_and_replicate(
       request, config_.mode == ConsistencyMode::kPrimaryBackupSync);
@@ -719,7 +719,7 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
       if (!resp.ok()) {
         result = resp.status();
       } else {
-        result = decode_get_response(*resp);
+        result = decode<GetResponse>(*resp);
       }
     }
     // Forward target unreachable or too slow: fall back to the local copy,
@@ -742,7 +742,7 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
     if (!resp.ok()) {
       result = resp.status();
     } else {
-      result = decode_get_response(*resp);
+      result = decode<GetResponse>(*resp);
     }
   } else {
     const TraceContext tier_span =
@@ -769,7 +769,7 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
       if (!resp.ok()) {
         result = resp.status();
       } else {
-        result = decode_get_response(*resp);
+        result = decode<GetResponse>(*resp);
       }
     } else {
       result = local.status();
@@ -987,7 +987,7 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
   SmallVec<ReplicateBatchResult, 1> results;
   bool delivered = false;
   if (reply.has_value() && batched) {
-    auto decoded = decode_replicate_batch_response(*reply);
+    auto decoded = decode<ReplicateBatchResponse>(*reply);
     if (decoded.ok()) {
       delivered = true;
       for (const ReplicateBatchResult& res : decoded->results) {
@@ -997,7 +997,7 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
       last = decoded.status();
     }
   } else if (reply.has_value()) {
-    auto decoded = decode_replicate_response(*reply);
+    auto decoded = decode<ReplicateResponse>(*reply);
     if (decoded.ok()) {
       delivered = true;
       results.push_back({StatusCode::kOk, decoded->accepted});
@@ -1186,9 +1186,7 @@ sim::Task<void> WieraPeer::availability_loop() {
   while (!stopping_) {
     co_await sim_->delay(interval);
     if (stopping_) break;
-    rpc::WireWriter w;
-    w.put_string(config_.instance_id);
-    rpc::Message renew{w.take()};
+    rpc::Message renew = encode(LeaseRenewRequest{config_.instance_id});
     auto resp = co_await endpoint_->call(config_.lock_service_node,
                                          method::kLeaseRenew, std::move(renew));
     if (resp.ok()) last_contact_ = sim_->now();
@@ -1266,7 +1264,7 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
       last = resp.status();
       continue;
     }
-    auto decoded = decode_sync_pull_response(*resp);
+    auto decoded = decode<SyncPullResponse>(*resp);
     if (!decoded.ok()) {
       last = decoded.status();
       continue;
@@ -1483,7 +1481,7 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
                                        encode(fetch),
                                        ctx_for(TimePoint::max(), trace));
   if (!resp.ok()) co_return resp.status();
-  auto entry = decode_replicate_request(*resp);
+  auto entry = decode<ReplicateRequest>(*resp);
   if (!entry.ok()) co_return entry.status();
   // A repair payload must prove itself unconditionally (not gated by
   // verify_checksums): installing an unverified "repair" would spread
@@ -1586,7 +1584,7 @@ sim::Task<void> WieraPeer::run_scrub() {
                                          ctx_for(TimePoint::max(),
                                                  scrub_trace));
     if (!resp.ok()) continue;  // unreachable peer: next scrub round retries
-    auto digests = decode_scrub_digest_response(*resp);
+    auto digests = decode<ScrubDigestResponse>(*resp);
     if (!digests.ok()) continue;
     for (const ScrubDigest& d : digests->entries) {
       const metadb::ObjectMeta* obj = local_->meta().find(d.key);

@@ -53,6 +53,10 @@ enum class FaultClass {
   kStutter,
   kFlakyLink,
   kSlowNode,
+  // A replica-side write failure: every tier of a node rejects writes
+  // (ENOSPC) for a window, so it fails the replicated updates it receives
+  // and their senders must retry them to convergence.
+  kEnospc,
   // Fixed schedules rather than random plans: the primary-backup overload
   // brownout and the async-primary mid-flush failover.
   kBrownout,
@@ -64,7 +68,8 @@ enum class FaultClass {
 // reads it back.
 const char* const kFaultTokens[] = {
     "partition", "crash",     "drop",     "spike",    "bitrot",   "torn",
-    "msgcorrupt", "stutter", "flakylink", "slownode", "brownout", "midflush"};
+    "msgcorrupt", "stutter", "flakylink", "slownode", "enospc",   "brownout",
+    "midflush"};
 // The arming suffix of a run with replication coalescing armed.
 constexpr std::string_view kBatchingToken = "+batching";
 
@@ -205,6 +210,11 @@ sim::FaultPlan plan_for(FaultClass fault, uint64_t seed) {
       break;
     case FaultClass::kSlowNode:
       options.slow_nodes = 1;
+      break;
+    case FaultClass::kEnospc:
+      options.tier_faults = 2;
+      options.tier_enospc = true;
+      options.tier_slowdown = 1.0;
       break;
     case FaultClass::kBrownout:
     case FaultClass::kMidFlush:
@@ -1233,7 +1243,12 @@ const std::vector<ChaosCase> kAvailabilityCases = {
     {ConsistencyMode::kEventual, FaultClass::kPartition},
     {ConsistencyMode::kEventual, FaultClass::kCrash},
     {ConsistencyMode::kEventual, FaultClass::kDropWindow},
-    {ConsistencyMode::kEventual, FaultClass::kLatencySpike}};
+    {ConsistencyMode::kEventual, FaultClass::kLatencySpike},
+    // MultiPrimaries is left out: a synchronous write one replica fails to
+    // store after the others committed it breaks linearizability (ROADMAP
+    // item 3).
+    {ConsistencyMode::kPrimaryBackupSync, FaultClass::kEnospc},
+    {ConsistencyMode::kEventual, FaultClass::kEnospc}};
 
 class ChaosSuite : public ::testing::TestWithParam<ChaosCase> {};
 
@@ -1868,6 +1883,53 @@ TEST(ChaosRegressionTest, TierEnospcFailsPutsCleanly) {
   EXPECT_GT(failed_puts, 0);
   EXPECT_LT(failed_puts, 8);
   auto violations = oracle.check(sim::CheckMode::kPrimaryOrder);
+  EXPECT_TRUE(violations.empty())
+      << sim::ConsistencyOracle::describe(violations);
+}
+
+// A replica whose tiers are full fails each replicated update it receives;
+// the sender keeps the update queued and retries it. The retries after the
+// window must land: a failed write that left its metadata row behind made
+// the replica LWW-reject every retry as a duplicate of itself, and the
+// replica never converged.
+TEST(ChaosRegressionTest, ReplicaConvergesAfterEnospcWindow) {
+  ChaosCluster cluster(/*seed=*/48);
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(ConsistencyMode::kEventual, {}));
+  ASSERT_TRUE(peers.ok()) << peers.status().to_string();
+  cluster.controller.start();
+
+  ChaosHost host(cluster.network, cluster.controller);
+  sim::FaultInjector injector(cluster.sim, host);
+  sim::FaultPlan plan;
+  plan.tier_fault("tiera-eu-west", /*tier_label=*/"", /*slowdown=*/1.0,
+                  /*enospc=*/true, TimePoint::origin() + sec(3),
+                  TimePoint::origin() + sec(6));
+  injector.arm(std::move(plan));
+
+  constexpr int kPuts = 4;
+  sim::ConsistencyOracle oracle;
+  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
+                     "client-us-west", *peers);
+  auto workload = [](sim::Simulation& sim, sim::ConsistencyOracle& oracle,
+                     WieraClient& c) -> sim::Task<void> {
+    co_await sim.delay(sec(4));
+    for (int i = 0; i < kPuts; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      const std::string value = "v" + std::to_string(i);
+      int64_t op = oracle.begin_put(c.id(), key, value, sim.now());
+      auto put = co_await c.put(key, Blob(value));
+      EXPECT_TRUE(put.ok()) << put.status().to_string();
+      oracle.end_put(op, sim.now(), put.ok(), put.ok() ? put->version : 0);
+      co_await sim.delay(msec(300));
+    }
+  };
+  cluster.sim.spawn(workload(cluster.sim, oracle, client));
+  cluster.sim.run_until(TimePoint(sec(20).us()));
+  cluster.harvest(suite::storage_nodes(), kPuts, oracle,
+                  TimePoint(sec(25).us()));
+
+  auto violations = oracle.check(sim::CheckMode::kEventual);
   EXPECT_TRUE(violations.empty())
       << sim::ConsistencyOracle::describe(violations);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/units.h"
 #include "policy/builtin_policies.h"
@@ -287,6 +288,132 @@ TEST(TieraInstanceTest, LastWriteWinsTieBreaksOnModifiedTime) {
 
     auto r = co_await inst->get("k");
     EXPECT_EQ(r->value.to_string(), "remote-newer");
+  });
+}
+
+// ------------------------------------------- failed tier writes (ENOSPC)
+//
+// A version write whose tier write fails must leave the metadata row as it
+// found it: the update never happened, so its retry must be judged afresh.
+
+TieraInstance::RemoteUpdate remote(std::string value, int64_t version,
+                                   TimePoint last_modified) {
+  TieraInstance::RemoteUpdate update;
+  update.key = "k";
+  update.version = version;
+  update.value = Blob(value);
+  update.last_modified = last_modified;
+  update.origin = "other-instance";
+  return update;
+}
+
+// One second of "disk full" on the memory tier every insert lands in.
+void fill_tier1_for_one_second(TieraInstance& inst, sim::Simulation& sim) {
+  inst.tier_by_label("tier1")->inject_write_errors(sim.now(),
+                                                   sim.now() + sec(1));
+}
+
+TEST(TieraInstanceTest, RemoteUpdateRetryAcceptedAfterFailedTierWrite) {
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance());
+  run(sim, [&]() -> sim::Task<void> {
+    fill_tier1_for_one_second(*inst, sim);
+    const TimePoint written = sim.now();
+    auto failed = co_await inst->apply_remote_update(remote("v1", 1, written));
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(inst->get_version_list("k").empty());
+
+    co_await sim.delay(sec(2));
+    auto retried =
+        co_await inst->apply_remote_update(remote("v1", 1, written));
+    EXPECT_TRUE(retried.ok() && *retried)
+        << "the retry was rejected: " << retried.status().to_string();
+    auto got = co_await inst->get("k");
+    EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
+              "v1");
+  });
+}
+
+TEST(TieraInstanceTest, FailedSameVersionUpdateKeepsCommittedCopy) {
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance());
+  run(sim, [&]() -> sim::Task<void> {
+    auto v1 = co_await inst->apply_remote_update(remote("old", 1, sim.now()));
+    EXPECT_TRUE(v1.ok() && *v1);
+    co_await sim.delay(sec(1));
+    fill_tier1_for_one_second(*inst, sim);
+    // Same version, later write: wins LWW, then fails to store.
+    auto newer =
+        co_await inst->apply_remote_update(remote("new", 1, sim.now()));
+    EXPECT_EQ(newer.status().code(), StatusCode::kResourceExhausted);
+
+    auto got = co_await inst->get("k");
+    EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
+              "old");
+    EXPECT_EQ(inst->quarantined_copies(), 0);
+  });
+}
+
+// Two overlapping writes of one version that both fail, the earlier one
+// first. The later write won LWW against the earlier one's unstored row;
+// what it puts back must be the committed row, not that one.
+TEST(TieraInstanceTest, OverlappingFailedSameVersionUpdatesKeepCommittedCopy) {
+  sim::Simulation sim;
+  // One crash-consistent disk tier: a torn write fails once its write time
+  // has passed, and leaves the committed copy intact.
+  auto inst = make_instance(sim, R"(
+Tiera DiskInstance(time t) {
+   tier1: {name: EBS, size: 5G};
+}
+)");
+  run(sim, [&]() -> sim::Task<void> {
+    auto v1 = co_await inst->apply_remote_update(remote("old", 1, sim.now()));
+    EXPECT_TRUE(v1.ok() && *v1);
+    co_await sim.delay(sec(1));
+    inst->tier_by_label("tier1")->inject_torn_writes(sim.now(),
+                                                     sim.now() + sec(1));
+    const TimePoint a_time = sim.now();
+    std::vector<sim::Task<Result<bool>>> writes;
+    writes.push_back(inst->apply_remote_update(remote("A", 1, a_time)));
+    writes.push_back(
+        inst->apply_remote_update(remote("B", 1, a_time + usec(1))));
+    auto results = co_await sim::when_all(sim, std::move(writes));
+    EXPECT_EQ(results[0].status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(results[1].status().code(), StatusCode::kDataLoss);
+
+    auto got = co_await inst->get("k");
+    EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
+              "old");
+    EXPECT_EQ(inst->quarantined_copies(), 0);
+
+    co_await sim.delay(sec(2));
+    auto retried = co_await inst->apply_remote_update(remote("A", 1, a_time));
+    EXPECT_TRUE(retried.ok() && *retried)
+        << "A's retry was rejected: " << retried.status().to_string();
+    got = co_await inst->get("k");
+    EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
+              "A");
+  });
+}
+
+TEST(TieraInstanceTest, FailedUpdateLeavesNoVersionBehind) {
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance());
+  run(sim, [&]() -> sim::Task<void> {
+    EXPECT_TRUE((co_await inst->put("k", Blob("v1"))).ok());
+    fill_tier1_for_one_second(*inst, sim);
+    EXPECT_EQ((co_await inst->update("k", 5, Blob("v5"))).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(inst->get_version_list("k"), (std::vector<int64_t>{1}));
+
+    co_await sim.delay(sec(2));
+    auto v3 = co_await inst->apply_remote_update(remote("v3", 3, sim.now()));
+    EXPECT_TRUE(v3.ok() && *v3)
+        << "a version that never stored outranked v3: "
+        << v3.status().to_string();
+    auto got = co_await inst->get("k");
+    EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
+              "v3");
   });
 }
 

@@ -1,17 +1,21 @@
 // Integration tests for the Wiera layer: consistency protocols, dynamic
-// policy switching, primary migration, failover, remote tiers, and the
-// centralized cold-data policy.
+// policy switching, primary migration, failover, remote tiers, the
+// centralized cold-data policy, and the wire format of every message.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/units.h"
+#include "coord/lock_service.h"
 #include "fault_suite.h"
+#include "metadb/metadb.h"
 #include "policy/builtin_policies.h"
 #include "policy/parser.h"
 #include "wiera/client.h"
 #include "wiera/controller.h"
 #include "wiera/health.h"
+#include "wiera/messages.h"
 
 namespace wiera::geo {
 namespace {
@@ -633,6 +637,264 @@ TEST_P(ProtocolReadYourWrites, WriterSeesOwnWrite) {
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolReadYourWrites,
                          ::testing::Values("multi", "pb", "eventual"));
+
+// ------------------------------------------------------------ wire format
+//
+// Golden bytes: one fully populated instance of every layout that crosses
+// the simulated network, and a metadb snapshot, hashed over their flat
+// bytes. A message's size drives its simulated transfer time and egress,
+// and so every trace hash: a codec change that moves one byte fails here
+// first. Payloads of both kinds travel: one blob past
+// rpc::kZeroCopyThreshold (appended as a shared segment) and one below it
+// (copied inline).
+
+uint64_t flat_hash(const Bytes& flat) {
+  return fnv1a64(flat.data(), flat.size());
+}
+
+Bytes body_of(const rpc::Message& msg) { return msg.body.flatten(); }
+
+Blob big_blob() {
+  std::string s;
+  for (int i = 0; i < 100; ++i) s.push_back(static_cast<char>('a' + i % 26));
+  return Blob(s);
+}
+
+Blob small_blob() { return Blob(std::string_view("tiny")); }
+
+ReplicateRequest sample_replicate(Blob value, std::string key) {
+  ReplicateRequest m;
+  m.key = std::move(key);
+  m.version = 42;
+  m.value = std::move(value);
+  m.last_modified = TimePoint(1234567);
+  m.origin = "tiera-us-east";
+  m.checksum = 0x1122334455667788;
+  return m;
+}
+
+PutRequest sample_put() {
+  PutRequest m;
+  m.key = "k-put";
+  m.value = big_blob();
+  m.client = "app-1";
+  m.forwarded = true;
+  m.direct = true;
+  m.version = 7;
+  m.checksum = 0xdeadbeefcafef00d;
+  // Frame metadata: never part of the body.
+  m.deadline = TimePoint(999);
+  m.trace.trace_id = 5;
+  m.trace.span_id = 6;
+  return m;
+}
+
+GetRequest sample_get() {
+  GetRequest m;
+  m.key = "k-get";
+  m.version = 3;
+  m.client = "app-2";
+  m.direct = true;
+  m.checksum = 0x0102030405060708;
+  m.deadline = TimePoint(999);
+  m.trace.trace_id = 5;
+  return m;
+}
+
+GetResponse sample_get_response() {
+  GetResponse m;
+  m.value = small_blob();
+  m.version = 9;
+  m.served_by = "tiera-eu-west";
+  m.stale = true;
+  m.checksum = 0x8877665544332211;
+  return m;
+}
+
+ReplicateBatchRequest sample_batch() {
+  ReplicateBatchRequest m;
+  m.origin = "tiera-us-west";
+  m.ops = {sample_replicate(big_blob(), "k-a"),
+           sample_replicate(small_blob(), "k-b")};
+  return m;
+}
+
+ReplicateBatchResponse sample_batch_response() {
+  ReplicateBatchResponse m;
+  m.results = {{StatusCode::kDataLoss, false}, {StatusCode::kOk, true}};
+  return m;
+}
+
+RemoveRequest sample_remove() {
+  RemoveRequest m;
+  m.key = "k-rm";
+  m.version = 4;
+  m.propagate = false;
+  m.deadline = TimePoint(999);
+  return m;
+}
+
+SyncPullResponse sample_sync_pull_response() {
+  SyncPullResponse m;
+  m.entries = {sample_replicate(small_blob(), "k-c"),
+               sample_replicate(big_blob(), "k-d")};
+  return m;
+}
+
+ScrubDigestResponse sample_scrub_response() {
+  ScrubDigestResponse m;
+  m.entries = {{"k-e", 2, 0xaaaabbbbccccdddd}, {"k-f", 8, 0x1234}};
+  return m;
+}
+
+coord::LockRequest sample_lock() {
+  return {"wiera/w1/k-lock", "tiera-us-west"};
+}
+
+ChangeRequest sample_change() { return {"w1", "EventualConsistency"}; }
+
+Bytes sample_snapshot() {
+  metadb::MetaDb db;
+  for (int64_t v : {1, 2}) {
+    metadb::VersionMeta& vm = db.upsert_version("k-meta", v);
+    vm.size = 100 * v;
+    vm.create_time = TimePoint(10 * v);
+    vm.last_modified = TimePoint(20 * v);
+    vm.last_accessed = TimePoint(30 * v);
+    vm.access_count = 5 * v;
+    vm.dirty = v == 1;
+    vm.committed = true;
+    vm.tier = "tier" + std::to_string(v);
+    vm.origin = "tiera-asia-east";
+    vm.checksum = 0xfeedface00000000 + static_cast<uint64_t>(v);
+  }
+  db.add_tag("k-meta", "hot");
+  db.add_tag("k-meta", "images");
+  db.add_tag("k-tagged", "cold");
+  return db.serialize();
+}
+
+TEST(WireMessageTest, EveryLayoutKeepsItsBytes) {
+  ASSERT_GE(big_blob().size(), rpc::kZeroCopyThreshold);
+  ASSERT_LT(small_blob().size(), rpc::kZeroCopyThreshold);
+
+  const struct {
+    const char* layout;
+    Bytes flat;
+    uint64_t hash;
+  } kGolden[] = {
+      {"PutRequest", body_of(encode(sample_put())), 0xd4526de1e9b2efdb},
+      {"PutResponse", body_of(encode(PutResponse{11, 0x5555aaaa5555aaaa})),
+       0x25a47b295fce37ca},
+      {"GetRequest", body_of(encode(sample_get())), 0xd28fe07b52fa8395},
+      {"GetResponse", body_of(encode(sample_get_response())),
+       0xd4221cf8dce8baa0},
+      {"ReplicateRequest", body_of(encode(sample_replicate(big_blob(), "k-r"))),
+       0xb0838b7512b4273c},
+      {"ReplicateResponse", body_of(encode(ReplicateResponse{true})),
+       0xaf63bc4c8601b62c},
+      {"ReplicateBatchRequest", body_of(encode(sample_batch())),
+       0xa5b7a49db936fac5},
+      {"ReplicateBatchResponse", body_of(encode(sample_batch_response())),
+       0xf36ad782b896d100},
+      {"SetConsistencyRequest",
+       body_of(encode(SetConsistencyRequest{ConsistencyMode::kEventual})),
+       0xed202287f403d086},
+      {"SetPrimaryRequest",
+       body_of(encode(SetPrimaryRequest{"tiera-asia-east"})),
+       0x779dcd4bdf7eb45c},
+      {"VersionListResponse", body_of(encode(VersionListResponse{{1, 5, 9}})),
+       0x211d0199276c8b0b},
+      {"RemoveRequest", body_of(encode(sample_remove())), 0x2bf97b30b5756990},
+      {"SyncPullRequest", body_of(encode(SyncPullRequest{"tiera-eu-west"})),
+       0xdd592a1f0d4360a4},
+      {"SyncPullResponse", body_of(encode(sample_sync_pull_response())),
+       0xf556e0b652fce986},
+      {"ScrubDigestRequest",
+       body_of(encode(ScrubDigestRequest{"tiera-us-east"})),
+       0xb328aa607ea46c18},
+      {"ScrubDigestResponse", body_of(encode(sample_scrub_response())),
+       0x72fd805fbb388532},
+      {"RepairFetchRequest", body_of(encode(RepairFetchRequest{"k-fix", 12})),
+       0x8ee52695c1d6aac3},
+      {"coord::LockRequest", body_of(encode(sample_lock())),
+       0xc9fb0daa387f928a},
+      {"ChangeRequest", body_of(encode(sample_change())), 0x0e75322b3be0c896},
+      {"LeaseRenewRequest", body_of(encode(LeaseRenewRequest{"tiera-us-west"})),
+       0xc0fd0de96704cff2},
+      {"metadb snapshot", sample_snapshot(), 0xde546218d300cb44},
+  };
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(flat_hash(g.flat), g.hash)
+        << g.layout << " hash 0x" << std::hex << flat_hash(g.flat);
+  }
+}
+
+// What a decoder owes the network: a whole body reads back to the same
+// bytes, and every strict prefix of it is rejected kInvalidArgument.
+template <class T>
+void expect_strict_decode(const char* layout, const T& m) {
+  const Bytes flat = body_of(encode(m));
+  auto back = decode<T>(rpc::Message{flat});
+  ASSERT_TRUE(back.ok()) << layout << ": " << back.status().to_string();
+  EXPECT_EQ(body_of(encode(*back)), flat) << layout;
+  for (size_t n = 0; n < flat.size(); ++n) {
+    const Bytes prefix(flat.begin(), flat.begin() + static_cast<long>(n));
+    EXPECT_EQ(decode<T>(rpc::Message{prefix}).status().code(),
+              StatusCode::kInvalidArgument)
+        << layout << ": " << n << "-byte prefix";
+  }
+}
+
+TEST(WireMessageTest, TruncatedBodiesAreRejected) {
+  expect_strict_decode("PutRequest", sample_put());
+  expect_strict_decode("PutResponse", PutResponse{11, 0x5555aaaa5555aaaa});
+  expect_strict_decode("GetRequest", sample_get());
+  expect_strict_decode("GetResponse", sample_get_response());
+  expect_strict_decode("ReplicateRequest",
+                       sample_replicate(big_blob(), "k-r"));
+  expect_strict_decode("ReplicateResponse", ReplicateResponse{true});
+  expect_strict_decode("ReplicateBatchRequest", sample_batch());
+  expect_strict_decode("ReplicateBatchResponse", sample_batch_response());
+  expect_strict_decode("SetConsistencyRequest",
+                       SetConsistencyRequest{ConsistencyMode::kEventual});
+  expect_strict_decode("SetPrimaryRequest",
+                       SetPrimaryRequest{"tiera-asia-east"});
+  expect_strict_decode("VersionListResponse", VersionListResponse{{1, 5, 9}});
+  expect_strict_decode("RemoveRequest", sample_remove());
+  expect_strict_decode("SyncPullRequest", SyncPullRequest{"tiera-eu-west"});
+  expect_strict_decode("SyncPullResponse", sample_sync_pull_response());
+  expect_strict_decode("ScrubDigestRequest",
+                       ScrubDigestRequest{"tiera-us-east"});
+  expect_strict_decode("ScrubDigestResponse", sample_scrub_response());
+  expect_strict_decode("RepairFetchRequest", RepairFetchRequest{"k-fix", 12});
+  expect_strict_decode("coord::LockRequest", sample_lock());
+  expect_strict_decode("ChangeRequest", sample_change());
+  expect_strict_decode("LeaseRenewRequest",
+                       LeaseRenewRequest{"tiera-us-west"});
+}
+
+// `empty`'s last field is a vector: its count becomes 0xFFFFFFFF with no
+// element behind it. The decode must stop at the first failed read.
+template <class T>
+void expect_huge_count_rejected(const char* layout, const T& empty) {
+  Bytes flat = body_of(encode(empty));
+  ASSERT_GE(flat.size(), sizeof(uint32_t)) << layout;
+  std::fill(flat.end() - sizeof(uint32_t), flat.end(), 0xFF);
+  EXPECT_EQ(decode<T>(rpc::Message{flat}).status().code(),
+            StatusCode::kInvalidArgument)
+      << layout;
+}
+
+TEST(WireMessageTest, HugeVectorCountFailsWithoutLooping) {
+  expect_huge_count_rejected("ReplicateBatchRequest",
+                             ReplicateBatchRequest{"tiera-us-west", {}});
+  expect_huge_count_rejected("ReplicateBatchResponse",
+                             ReplicateBatchResponse{});
+  expect_huge_count_rejected("VersionListResponse", VersionListResponse{});
+  expect_huge_count_rejected("SyncPullResponse", SyncPullResponse{});
+  expect_huge_count_rejected("ScrubDigestResponse", ScrubDigestResponse{});
+}
 
 }  // namespace
 }  // namespace wiera::geo
