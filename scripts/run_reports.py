@@ -12,7 +12,15 @@ is written to OUT_DIR/failures/. A sweep is ctest itself:
   WIERA_SEED_COUNT=50 ctest --test-dir build -R <suites> -j 4
   scripts/run_reports.py build run-reports
 Exits 1 if a report line is not JSON or lacks a required key.
+
+  scripts/run_reports.py --compare PARENT.jsonl CHANGE.jsonl
+
+Matches two collections' reports on (suite, case, seed), counts the ones
+that are identical and the ones that differ only in `trace`, and lists
+every report that differs in another field or is missing on either side.
+Exits 1 if any report differs in any field or is missing.
 """
+import collections
 import json
 import os
 import re
@@ -56,7 +64,70 @@ def replay(build, report, out_dir):
     return path
 
 
+def keyed(path):
+    """Reports of a JSONL file, grouped by (suite, case, seed)."""
+    out = collections.defaultdict(list)
+    with open(path) as f:
+        for line in f:
+            if line.strip():
+                report = json.loads(line)
+                out[(report["suite"], report["case"], report["seed"])].append(
+                    report)
+    return out
+
+
+def differing_fields(a, b):
+    """Names of the fields that differ; a map field as name.key per key."""
+    fields = []
+    for name in sorted(set(a) | set(b)):
+        x, y = a.get(name), b.get(name)
+        if x == y:
+            continue
+        if isinstance(x, dict) and isinstance(y, dict):
+            fields += [f"{name}.{k}" for k in sorted(set(x) | set(y))
+                       if x.get(k) != y.get(k)]
+        else:
+            fields.append(name)
+    return fields
+
+
+def compare(parent_path, change_path):
+    parent, change = keyed(parent_path), keyed(change_path)
+    identical = trace_only = 0
+    listed = {"DIFF": [], "ONLY-PARENT": [], "ONLY-CHANGE": []}
+    for key in sorted(parent.keys() | change.keys()):
+        name = f"{key[0]} {key[1]} seed {key[2]}"
+        # A key can repeat (a test that replays a run); equal reports pair
+        # first, the rest in file order.
+        rest = list(change.get(key, []))
+        unpaired = []
+        for report in parent.get(key, []):
+            if report in rest:
+                rest.remove(report)
+                identical += 1
+            else:
+                unpaired.append(report)
+        for a, b in zip(unpaired, rest):
+            fields = differing_fields(a, b)
+            if fields == ["trace"]:
+                trace_only += 1
+            else:
+                listed["DIFF"].append(f"{name}: {', '.join(fields)}")
+        listed["ONLY-PARENT"] += [name] * (len(unpaired) - len(rest))
+        listed["ONLY-CHANGE"] += [name] * (len(rest) - len(unpaired))
+    print(f"run_reports: {identical} identical, {trace_only} differ only in "
+          f"trace, {len(listed['DIFF'])} differ in other fields, "
+          f"{len(listed['ONLY-PARENT'])} only in {parent_path}, "
+          f"{len(listed['ONLY-CHANGE'])} only in {change_path}")
+    for tag, lines in listed.items():
+        for line in lines:
+            print(f"  {tag} {line}")
+    return 1 if trace_only or any(listed.values()) else 0
+
+
 def main():
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        return compare(sys.argv[2], sys.argv[3])
     if len(sys.argv) < 3:
         sys.exit(__doc__)
     build, out_dir, logs = sys.argv[1], sys.argv[2], sys.argv[3:]

@@ -306,9 +306,11 @@ class BodyView {
   size_t size_ = 0;
 };
 
-// FNV-1a 64-bit — the one stable hash behind object checksums, dedup
-// checks, key scrambling and the determinism trace. Inline: it runs over
-// every payload byte and on every simulated event.
+// FNV-1a 64-bit — the stable hash behind the determinism trace, fault and
+// scenario plan fingerprints, key scrambling, the metadb snapshot footer
+// and the key/version seed of object checksums (common/checksum.h hashes
+// payloads with XXH64). Its values are part of every trace hash, so they
+// never change. Inline: it runs on every simulated event.
 inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
 inline constexpr uint64_t kFnv1aPrime = 1099511628211ull;
 

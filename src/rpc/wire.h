@@ -96,7 +96,10 @@ class WireWriter {
   }
 
  private:
-  void put_raw(const void* data, size_t len) {
+  // Out of line: inlined into an encoder at -O3, vector::insert draws a
+  // false -Wstringop-overflow from GCC 12. resize + memcpy avoids that too,
+  // but zero-fills first and ran ~10% slower on the wire micro-benchmarks.
+  [[gnu::noinline]] void put_raw(const void* data, size_t len) {
     const auto* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + len);
   }

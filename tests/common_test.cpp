@@ -415,10 +415,69 @@ TEST(BytesTest, Fnv1aStable) {
             0xA588FA95F595C3D5ull);
   EXPECT_EQ(fnv1a64_u64(kFnv1aBasis, 0x6162636465666768ull),
             fnv1a64("hgfedcba"));
-  // Object checksums are FNV-1a over key, 0xFF, the version's eight bytes
-  // and the payload: the value every stored and replicated copy carries.
+  // Object checksums are XXH64 of the payload, seeded with FNV-1a over the
+  // key, 0xFF and the version's eight bytes: the value every stored and
+  // replicated copy carries.
   EXPECT_EQ(object_checksum("k", 1, std::string_view("v")),
-            0xFD40DCF1F9308E68ull);
+            0x6A541396C33576AEull);
+}
+
+TEST(ChecksumTest, Xxh64PublishedVectors) {
+  // Seed 0. Lengths 0, 1, 3 and 6 take the byte and 4-byte tails; 39 and
+  // 43 take one 32-byte stripe, and 43 an 8-byte word after it.
+  auto xxh = [](std::string_view s) { return xxh64(s.data(), s.size(), 0); };
+  EXPECT_EQ(xxh(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xxh("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xxh("xxhash"), 0x32DD38952C4BC720ull);
+  EXPECT_EQ(xxh("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+  EXPECT_EQ(xxh("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCull);
+}
+
+TEST(ChecksumTest, EveryFlippedBitOfALargePayloadChangesTheChecksum) {
+  std::string payload(64 * KiB, '\0');
+  Rng rng(7);
+  for (char& c : payload) c = static_cast<char>(rng.next_u64());
+  const uint64_t clean = object_checksum("key", 3, payload);
+  auto flipped_sum = [&](size_t bit) {
+    char& byte = payload[bit / 8];
+    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    const uint64_t sum = object_checksum("key", 3, payload);
+    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    return sum;
+  };
+  const size_t bits = payload.size() * 8;
+  // Every bit of the first and last 64 bytes, one bit of each 8-byte word
+  // between them (a different bit of the word each time).
+  for (size_t bit = 0; bit < 64 * 8; ++bit) {
+    const size_t mirror = bits - 1 - bit;
+    EXPECT_NE(flipped_sum(bit), clean) << "bit " << bit;
+    EXPECT_NE(flipped_sum(mirror), clean) << "bit " << mirror;
+  }
+  for (size_t word = 8; word < payload.size() / 8 - 8; ++word) {
+    const size_t bit = word * 64 + word % 64;
+    EXPECT_NE(flipped_sum(bit), clean) << "bit " << bit;
+  }
+  EXPECT_EQ(object_checksum("key", 3, payload), clean);
+}
+
+TEST(ChecksumTest, BlobAtAnOddOffsetHashesLikeItsCopy) {
+  // Decoded payloads alias message bodies at any offset: the word loads
+  // must not assume alignment (the sanitizer build runs this).
+  auto storage = std::make_shared<Bytes>(4096 + 3);
+  Rng rng(11);
+  for (uint8_t& b : *storage) b = static_cast<uint8_t>(rng.next_u64());
+  const std::shared_ptr<const Bytes> shared = storage;
+  for (size_t offset : {1, 3}) {
+    for (size_t len : {0, 1, 3, 4, 7, 8, 31, 32, 33, 63, 100, 4096}) {
+      const Blob aliased{Buffer(shared, offset, len)};
+      const Blob copy{Bytes(aliased.data(), aliased.data() + len)};
+      EXPECT_EQ(object_checksum("k", 9, aliased), object_checksum("k", 9, copy))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Units

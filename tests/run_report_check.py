@@ -8,7 +8,8 @@ midflush, a scenario, the attribution sample) must print exactly one
 RUN-REPORT line that parses as JSON and has the required keys; the dump
 switches must add their sections. The collector must then turn a
 LastTest.log-shaped file of those lines into JSONL and replay the one run
-marked failing with its dumps.
+marked failing with its dumps, and --compare must tell identical reports
+from ones that differ in `trace`, in another field, or are missing.
 """
 import json
 import os
@@ -47,6 +48,42 @@ def run(build, args, dumps=()):
     return lines[0], report
 
 
+def check_compare(collector, out, collected):
+    """--compare over a parent set and a change that moves one report's
+    trace, one report's counters, drops one report and adds one. A second
+    report of one (suite, case, seed), listed in another order, pairs with
+    its equal."""
+    parent = os.path.join(out, "parent.jsonl")
+    change = os.path.join(out, "change.jsonl")
+    changed = [dict(r) for r in collected]
+    changed[1]["trace"] += "0"
+    changed[2]["counters"] = dict(changed[2]["counters"], extra=1)
+    changed[3] = dict(changed[4], seed=changed[4]["seed"] + 100)
+    repeat = dict(collected[4], trace=collected[4]["trace"] + "1")
+    for path, rows in ((parent, collected + [repeat]),
+                       (change, [repeat] + changed)):
+        with open(path, "w") as f:
+            f.writelines(json.dumps(r) + "\n" for r in rows)
+
+    def compare(a, b):
+        return subprocess.run([sys.executable, collector, "--compare", a, b],
+                              capture_output=True, text=True, check=False)
+
+    same = compare(parent, parent)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert f"{len(collected) + 1} identical, 0 differ only in trace" in \
+        same.stdout, same.stdout
+    moved = compare(parent, change)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    assert (f"3 identical, 1 differ only in trace, 1 differ in other "
+            f"fields, 1 only in {parent}, 1 only in {change}") in \
+        moved.stdout, moved.stdout
+    key = collected[2]
+    assert (f"DIFF {key['suite']} {key['case']} seed {key['seed']}: "
+            "counters.extra") in moved.stdout, moved.stdout
+    assert moved.stdout.count("ONLY-") == 2, moved.stdout
+
+
 def main():
     build, collector = sys.argv[1], sys.argv[2]
     lines = []
@@ -82,9 +119,11 @@ def main():
             replayed = json.load(f)
         assert replayed["case"] == collected[0]["case"], replayed
         assert all(key in replayed for key in DUMPS), sorted(replayed)
+        check_compare(collector, out, collected)
     finally:
         shutil.rmtree(out)
-    print(f"run_report_check: {len(SHAPES)} shapes and the collector ok")
+    print(f"run_report_check: {len(SHAPES)} shapes, the collector and "
+          "--compare ok")
     return 0
 
 
