@@ -22,43 +22,27 @@ TraceContext Tracer::start_trace(std::string_view name,
   } while (ctx.trace_id == 0);
   ctx.span_id = ++span_seq_;
   ctx.parent_span_id = 0;
-  if (retain_) {
-    Span span;
-    span.trace_id = ctx.trace_id;
-    span.span_id = ctx.span_id;
-    span.name = std::string(name);
-    span.host = std::string(host);
-    span.start = now();
-    retain_span(std::move(span));
-  }
+  if (retain_) retain_span(ctx, name, host, {});
   return ctx;
 }
 
 TraceContext Tracer::start_span(std::string_view name, std::string_view host,
-                                const TraceContext& parent) {
+                                const TraceContext& parent,
+                                std::string_view detail) {
   if (!parent.active()) return {};
   TraceContext ctx;
   ctx.trace_id = parent.trace_id;
   ctx.span_id = ++span_seq_;
   ctx.parent_span_id = parent.span_id;
-  if (retain_) {
-    Span span;
-    span.trace_id = ctx.trace_id;
-    span.span_id = ctx.span_id;
-    span.parent_span_id = ctx.parent_span_id;
-    span.name = std::string(name);
-    span.host = std::string(host);
-    span.start = now();
-    retain_span(std::move(span));
-  }
+  if (retain_) retain_span(ctx, name, host, detail);
   return ctx;
 }
 
 void Tracer::end_span(const TraceContext& ctx, std::string_view status) {
-  auto it = by_id_.find(ctx.span_id);
-  if (it == by_id_.end() || !it->second->open()) return;
-  it->second->end = now();
-  it->second->status = std::string(status);
+  Span* span = find_mutable(ctx.span_id);
+  if (span == nullptr || !span->open()) return;
+  span->end = now();
+  span->status.assign(status);
   open_count_--;
 }
 
@@ -67,50 +51,77 @@ void Tracer::annotate(const TraceContext& ctx, std::string annotation) {
 }
 
 void Tracer::annotate(uint64_t span_id, std::string annotation) {
-  auto it = by_id_.find(span_id);
-  if (it == by_id_.end()) return;
-  it->second->annotations.push_back(std::move(annotation));
+  Span* span = find_mutable(span_id);
+  if (span == nullptr) return;
+  span->annotations.push_back(std::move(annotation));
 }
 
 std::vector<std::string> Tracer::open_span_names() const {
   std::vector<std::string> out;
-  for (const Span& span : spans_) {
+  for_each_span([&](const Span& span) {
     if (span.open()) out.push_back(span.name + " (" + span.host + ")");
-  }
+  });
   return out;
 }
 
 const Span* Tracer::find_span(uint64_t span_id) const {
-  auto it = by_id_.find(span_id);
-  return it == by_id_.end() ? nullptr : it->second;
+  if (spans_.empty() || span_id < at(0).span_id) return nullptr;
+  // Retained ids increase, and run consecutively while retention stays on:
+  // the id's offset from the oldest retained id is its slot.
+  const uint64_t offset = span_id - at(0).span_id;
+  if (offset < spans_.size() && at(offset).span_id == span_id) {
+    return &at(offset);
+  }
+  // A retention gap (set_retain(false) then true) skipped ids: search the
+  // ring, oldest to newest, by its increasing ids.
+  size_t lo = 0, hi = spans_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).span_id < span_id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < spans_.size() && at(lo).span_id == span_id ? &at(lo) : nullptr;
 }
 
 std::vector<const Span*> Tracer::trace_spans(uint64_t trace_id) const {
   std::vector<const Span*> out;
-  for (const Span& span : spans_) {
+  for_each_span([&](const Span& span) {
     if (span.trace_id == trace_id) out.push_back(&span);
-  }
+  });
   return out;
 }
 
-void Tracer::clear() {
-  spans_.clear();
-  by_id_.clear();
-  open_count_ = 0;
-  dropped_ = 0;
-}
-
-void Tracer::retain_span(Span span) {
-  if (spans_.size() >= kCapacity) {
-    const Span& oldest = spans_.front();
-    if (oldest.open()) open_count_--;
-    by_id_.erase(oldest.span_id);
-    spans_.pop_front();
+void Tracer::retain_span(const TraceContext& ctx, std::string_view name,
+                         std::string_view host, std::string_view detail) {
+  Span* span = nullptr;
+  if (spans_.size() < kCapacity) {
+    spans_.reserve(kCapacity);  // no-op after the first retained span
+    span = &spans_.emplace_back();
+  } else {
+    // Evict the oldest span and reuse its slot in place: its strings and
+    // annotation vector keep their capacity.
+    span = &spans_[head_];
+    head_ = (head_ + 1) & (kCapacity - 1);
+    if (span->open()) open_count_--;
     dropped_++;
+    span->end = TimePoint::max();
+    span->status.assign("ok");
+    span->annotations.clear();
   }
-  spans_.push_back(std::move(span));
-  by_id_[spans_.back().span_id] = &spans_.back();
   open_count_++;
+  span->trace_id = ctx.trace_id;
+  span->span_id = ctx.span_id;
+  span->parent_span_id = ctx.parent_span_id;
+  span->name.assign(name);
+  if (!detail.empty()) {
+    span->name += ' ';
+    span->name += detail;
+  }
+  span->host.assign(host);
+  span->start = now();
 }
 
 // ---------------------------------------------------------------- TraceView
@@ -134,20 +145,18 @@ const Span* TraceView::root() const {
   return it->second.front();
 }
 
+bool TraceView::parent_retained(const Span* span) const {
+  auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), span->parent_span_id,
+      [](const Span* s, uint64_t id) { return s->span_id < id; });
+  return it != spans_.end() && (*it)->span_id == span->parent_span_id;
+}
+
 bool TraceView::well_formed() const {
   if (root() == nullptr) return false;
-  for (const Span* span : spans_) {
-    if (span->parent_span_id == 0) continue;
-    bool found = false;
-    for (const Span* other : spans_) {
-      if (other->span_id == span->parent_span_id) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
+  return std::all_of(spans_.begin(), spans_.end(), [&](const Span* span) {
+    return span->parent_span_id == 0 || parent_retained(span);
+  });
 }
 
 std::string TraceView::render() const {
@@ -162,14 +171,7 @@ std::string TraceView::render() const {
   const TimePoint origin = r != nullptr ? r->start : spans_.front()->start;
   for (const auto& [parent, kids] : children_) {
     for (const Span* span : kids) {
-      bool parent_present = false;
-      for (const Span* other : spans_) {
-        if (other->span_id == span->parent_span_id) {
-          parent_present = true;
-          break;
-        }
-      }
-      if (span->parent_span_id != 0 && parent_present) continue;
+      if (span->parent_span_id != 0 && parent_retained(span)) continue;
       render_node(span, 1, origin, out);
     }
   }

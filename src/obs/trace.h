@@ -12,8 +12,8 @@
 // with telemetry on vs. off.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -61,8 +61,13 @@ class Tracer {
   // Child span. An inactive parent returns an inactive context without
   // consuming the span counter (the untraced state of a request is decided
   // by its call path, not by the schedule, so this stays deterministic).
+  // A non-empty `detail` is appended to the name after one space
+  // ("rpc.call" + "peer.client_get"), so a hop never builds its name string:
+  // the retained span's name is assembled in place, and with retention off
+  // not at all.
   TraceContext start_span(std::string_view name, std::string_view host,
-                          const TraceContext& parent);
+                          const TraceContext& parent,
+                          std::string_view detail = {});
   void end_span(const TraceContext& ctx, std::string_view status = "ok");
   // Attach a "key=value" annotation to an open or closed retained span.
   void annotate(const TraceContext& ctx, std::string annotation);
@@ -77,30 +82,42 @@ class Tracer {
   // Deterministic oldest-to-newest visitation of every retained span — the
   // attribution reporter's scan surface for worst-span selection.
   void for_each_span(const std::function<void(const Span&)>& fn) const {
-    for (const Span& s : spans_) fn(s);
+    for (size_t i = head_; i < spans_.size(); ++i) fn(spans_[i]);
+    for (size_t i = 0; i < head_; ++i) fn(spans_[i]);
   }
   const Span* find_span(uint64_t span_id) const;
   // All retained spans of one trace, in creation order.
   std::vector<const Span*> trace_spans(uint64_t trace_id) const;
-  void clear();
 
  private:
   // Bounded collector: drop-oldest keeps the tail of a long run — the spans
-  // a failure report actually wants — while capping memory.
+  // a failure report actually wants — while capping memory. A power of two,
+  // so a ring position wraps with a mask.
   static constexpr size_t kCapacity = 16384;
 
   TimePoint now() const { return clock_ ? clock_() : TimePoint::origin(); }
-  void retain_span(Span span);
+  // Stores ctx's span, open, in the next unfilled slot or, once the ring is
+  // full, in the oldest one, which it evicts.
+  void retain_span(const TraceContext& ctx, std::string_view name,
+                   std::string_view host, std::string_view detail);
+  // i-th oldest retained span.
+  const Span& at(size_t i) const {
+    return spans_[(head_ + i) & (kCapacity - 1)];
+  }
+  Span* find_mutable(uint64_t span_id) {
+    return const_cast<Span*>(find_span(span_id));
+  }
 
   Rng id_rng_;
   uint64_t span_seq_ = 0;
   bool retain_ = true;
   std::function<TimePoint()> clock_;
 
-  // deque: stable element addresses under push_back/pop_front, so the id
-  // index can hold raw pointers.
-  std::deque<Span> spans_;
-  std::map<uint64_t, Span*> by_id_;
+  // The ring: reserved to kCapacity on the first retained span and filled by
+  // emplace_back, so slot addresses never move and pages are touched only as
+  // slots fill. head_ is the oldest slot (0 until the ring is full).
+  std::vector<Span> spans_;
+  size_t head_ = 0;
   int64_t open_count_ = 0;
   int64_t dropped_ = 0;
 };
@@ -125,11 +142,13 @@ class TraceView {
   std::string render() const;
 
  private:
+  // Whether the span's parent is among this trace's retained spans.
+  bool parent_retained(const Span* span) const;
   void render_node(const Span* span, int depth, TimePoint origin,
                    std::string& out) const;
 
   uint64_t trace_id_;
-  std::vector<const Span*> spans_;
+  std::vector<const Span*> spans_;  // in span-id order
   std::map<uint64_t, std::vector<const Span*>> children_;
 };
 

@@ -58,7 +58,7 @@ sim::Task<Result<Message>> Endpoint::call(std::string target_node,
   // under it. Ends with the final status even when the deadline timer wins
   // the race (the span closes here, not in the abandoned body).
   const TraceContext span =
-      tracer().start_span("rpc.call " + method, node_name_, ctx.trace);
+      tracer().start_span("rpc.call", node_name_, ctx.trace, method);
   if (span.active()) {
     request.trace_id = span.trace_id;
     request.span_id = span.span_id;
@@ -247,9 +247,8 @@ sim::Task<Result<Message>> Endpoint::dispatch(const std::string& method,
   // identity is rewritten to this span before the handler runs, so any RPCs
   // the handler issues chain under the server span — that is what turns a
   // fan-out into a tree.
-  const TraceContext span =
-      tracer().start_span("rpc.server " + method, node_name_,
-                          request.trace());
+  const TraceContext span = tracer().start_span("rpc.server", node_name_,
+                                                request.trace(), method);
   if (span.active()) {
     request.trace_id = span.trace_id;
     request.span_id = span.span_id;

@@ -449,9 +449,12 @@ void WieraPeer::register_handlers() {
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
         auto req = decode<ReplicateRequest>(msg);
         if (!req.ok()) co_return req.status();
+        // Hashed once, from the bytes that arrived: the verification and
+        // the row's checksum are the same value, never the wire's.
+        const uint64_t checksum =
+            object_checksum(req->key, req->version, req->value);
         if (config_.local.verify_checksums && req->checksum != 0 &&
-            object_checksum(req->key, req->version, req->value) !=
-                req->checksum) {
+            checksum != req->checksum) {
           wire_checksum_failures_->inc();
           co_return data_loss("cold store of " + req->key + " on " +
                               config_.instance_id +
@@ -474,8 +477,7 @@ void WieraPeer::register_handlers() {
         vm.origin = req->origin;
         vm.tier = config_.cold_tier_label;
         vm.committed = true;
-        // Recomputed locally — never trusted from the wire.
-        vm.checksum = object_checksum(req->key, req->version, req->value);
+        vm.checksum = checksum;
         co_return rpc::encode_status(ok_status());
       });
   endpoint_->register_handler(
@@ -897,8 +899,8 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
   SmallVec<TraceContext, 1> op_spans;
   op_spans.reserve(ops.size());
   for (const ReplicateRequest& op : ops) {
-    TraceContext span = tracer().start_span("peer.replicate " + target,
-                                            config_.instance_id, parent);
+    TraceContext span = tracer().start_span(
+        "peer.replicate", config_.instance_id, parent, target);
     if (batched) {
       tracer().annotate(span, batched_note);
       tracer().annotate(span, "key=" + op.key);
@@ -909,8 +911,8 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
   // message: the op's own span when it travels alone.
   TraceContext wire_span = op_spans.front();
   if (batched) {
-    wire_span = tracer().start_span("peer.replicate_batch " + target,
-                                    config_.instance_id, parent);
+    wire_span = tracer().start_span("peer.replicate_batch",
+                                    config_.instance_id, parent, target);
     tracer().annotate(wire_span, batched_note);
   }
 

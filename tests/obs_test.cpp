@@ -255,6 +255,7 @@ TEST(TracerTest, DroppedCountsEveryEvictionIncludingOpenSpans) {
   }
   EXPECT_EQ(t.find_span(doomed.span_id), nullptr);
   EXPECT_EQ(t.dropped(), 1);
+  EXPECT_EQ(t.open_count(), 0);  // the evicted open span left the count
   t.end_span(doomed);  // late close of an evicted span: harmless no-op
   EXPECT_GE(t.open_count(), 0);
   // for_each_span visits exactly the retained window, oldest first.
@@ -266,6 +267,101 @@ TEST(TracerTest, DroppedCountsEveryEvictionIncludingOpenSpans) {
     prev = s.start;
   });
   EXPECT_EQ(visited, t.span_count());
+}
+
+TEST(TracerTest, DetailJoinsTheNameWithOneSpace) {
+  Tracer t(1);
+  const TraceContext root = t.start_trace("client.get", "app");
+  const TraceContext rpc = t.start_span("rpc.call", "h", root,
+                                        "peer.client_get");
+  const TraceContext bare = t.start_span("tiera.get", "h", rpc);
+  const TraceContext empty = t.start_span("tiera.get", "h", rpc, "");
+  ASSERT_NE(t.find_span(rpc.span_id), nullptr);
+  EXPECT_EQ(t.find_span(rpc.span_id)->name, "rpc.call peer.client_get");
+  ASSERT_NE(t.find_span(bare.span_id), nullptr);
+  EXPECT_EQ(t.find_span(bare.span_id)->name, "tiera.get");
+  ASSERT_NE(t.find_span(empty.span_id), nullptr);
+  EXPECT_EQ(t.find_span(empty.span_id)->name, "tiera.get");
+}
+
+TEST(TracerTest, ReusedSlotKeepsNothingOfTheEvictedSpan) {
+  Tracer t(1);
+  TimePoint clock = TimePoint::origin();
+  t.set_clock([&clock] { return clock; });
+  // The first span is a child (of a parent never retained), annotated and
+  // closed with an error; the span that takes over its slot is a fresh root.
+  const TraceContext outside{0xfeed, 99, 0};
+  const TraceContext first = t.start_span("first", "evicted-host", outside);
+  t.annotate(first, "retry=1");
+  t.annotate(first, "breaker=open");
+  clock = clock + msec(1);
+  t.end_span(first, "UNAVAILABLE");
+  for (int i = 0; i < 16383; ++i) {
+    const TraceContext ctx = t.start_trace("churn", "h");
+    t.end_span(ctx);
+  }
+  EXPECT_EQ(t.dropped(), 0);
+  clock = clock + msec(5);
+  const TraceContext reuse = t.start_trace("reuse", "new-host");
+  EXPECT_EQ(t.dropped(), 1);
+  EXPECT_EQ(t.find_span(first.span_id), nullptr);
+  const Span* span = t.find_span(reuse.span_id);
+  ASSERT_NE(span, nullptr);
+  EXPECT_TRUE(span->open());
+  EXPECT_EQ(span->status, "ok");
+  EXPECT_TRUE(span->annotations.empty());
+  EXPECT_EQ(span->name, "reuse");
+  EXPECT_EQ(span->host, "new-host");
+  EXPECT_EQ(span->trace_id, reuse.trace_id);
+  EXPECT_EQ(span->parent_span_id, 0u);
+  EXPECT_EQ(span->start, clock);
+  EXPECT_EQ(t.open_count(), 1);
+}
+
+TEST(TracerTest, LookupAcrossARetentionGap) {
+  Tracer t(1);
+  std::vector<TraceContext> kept;
+  for (int i = 0; i < 3; ++i) kept.push_back(t.start_trace("before", "h"));
+  // 20 000 ids pass unretained: more than the ring holds, so the ids after
+  // the gap are not at their offset from the oldest retained id.
+  t.set_retain(false);
+  for (int i = 0; i < 20000; ++i) {
+    const TraceContext ctx = t.start_trace("gap", "h");
+    t.end_span(ctx);
+  }
+  t.set_retain(true);
+  for (int i = 0; i < 3; ++i) kept.push_back(t.start_trace("after", "h"));
+  EXPECT_EQ(kept[3].span_id, kept[2].span_id + 20001);
+  EXPECT_EQ(t.span_count(), 6u);
+  EXPECT_EQ(t.dropped(), 0);
+  EXPECT_EQ(t.open_count(), 6);
+
+  for (const TraceContext& ctx : kept) {
+    const Span* span = t.find_span(ctx.span_id);
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->span_id, ctx.span_id);
+    t.annotate(ctx, "id=" + std::to_string(ctx.span_id));
+  }
+  // Ids inside the gap and past the newest were never retained.
+  EXPECT_EQ(t.find_span(kept[2].span_id + 1), nullptr);
+  EXPECT_EQ(t.find_span(kept[3].span_id - 1), nullptr);
+  EXPECT_EQ(t.find_span(kept[5].span_id + 1), nullptr);
+
+  t.end_span(kept[1], "UNAVAILABLE");
+  t.end_span(kept[4], "DEADLINE_EXCEEDED");
+  EXPECT_EQ(t.open_count(), 4);
+  EXPECT_EQ(t.find_span(kept[1].span_id)->status, "UNAVAILABLE");
+  EXPECT_EQ(t.find_span(kept[4].span_id)->status, "DEADLINE_EXCEEDED");
+
+  std::vector<uint64_t> visited;
+  t.for_each_span([&](const Span& s) {
+    visited.push_back(s.span_id);
+    ASSERT_EQ(s.annotations.size(), 1u);
+    EXPECT_EQ(s.annotations[0], "id=" + std::to_string(s.span_id));
+  });
+  std::vector<uint64_t> expected;
+  for (const TraceContext& ctx : kept) expected.push_back(ctx.span_id);
+  EXPECT_EQ(visited, expected);
 }
 
 // ---------------------------------------------------------------- traceview

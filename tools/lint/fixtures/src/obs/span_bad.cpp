@@ -1,5 +1,6 @@
 // Fixture: span-pairing positives — a context that neither closes nor
-// escapes, and a start_trace() whose result is dropped on the floor.
+// escapes (from start_trace() and from the four-argument start_span()), and
+// a start_trace() whose result is dropped on the floor.
 namespace fx {
 
 struct TraceContext {
@@ -9,6 +10,8 @@ struct TraceContext {
 struct Tracer {
   TraceContext start_trace(const char* name);
   TraceContext start_span(const TraceContext& parent, const char* name);
+  TraceContext start_span(const char* name, const char* host,
+                          const TraceContext& parent, const char* detail);
   void end_span(const TraceContext& ctx, int status);
   void annotate(const TraceContext& ctx, const char* note);
 };
@@ -17,6 +20,13 @@ Tracer& tracer();
 
 int leaked_span() {
   TraceContext ctx = tracer().start_trace("op");
+  int work = ctx.id;
+  return work;
+}
+
+int leaked_rpc_span(const char* host, const TraceContext& parent,
+                    const char* method) {
+  TraceContext ctx = tracer().start_span("rpc.call", host, parent, method);
   int work = ctx.id;
   return work;
 }

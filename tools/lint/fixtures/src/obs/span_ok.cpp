@@ -10,6 +10,8 @@ struct TraceContext {
 struct Tracer {
   TraceContext start_trace(const char* name);
   TraceContext start_span(const TraceContext& parent, const char* name);
+  TraceContext start_span(const char* name, const char* host,
+                          const TraceContext& parent, const char* detail);
   void end_span(const TraceContext& ctx, int status);
   void annotate(const TraceContext& ctx, const char* note);
 };
@@ -20,6 +22,12 @@ void do_work(const TraceContext& ctx);
 void closed_span() {
   TraceContext ctx = tracer().start_trace("op");
   tracer().annotate(ctx, "phase");
+  tracer().end_span(ctx, 0);
+}
+
+void closed_rpc_span(const char* host, const TraceContext& parent,
+                     const char* method) {
+  TraceContext ctx = tracer().start_span("rpc.call", host, parent, method);
   tracer().end_span(ctx, 0);
 }
 
