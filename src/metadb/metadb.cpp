@@ -1,6 +1,7 @@
 #include "metadb/metadb.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "rpc/wire.h"
@@ -15,21 +16,70 @@ TimePoint ObjectMeta::last_accessed() const {
   return latest;
 }
 
-VersionMeta& MetaDb::upsert_version(const std::string& key, int64_t version) {
-  ObjectMeta& obj = objects_[key];
-  obj.key = key;
+namespace {
+
+bool latest_dirty(const ObjectMeta& obj) {
+  const VersionMeta* latest = obj.latest();
+  return latest != nullptr && latest->dirty;
+}
+
+}  // namespace
+
+ObjectMeta& MetaDb::record(const std::string& key) {
+  auto [it, created] = objects_.try_emplace(key);
+  if (created) {
+    it->second.key = key;
+    it->second.created = ++records_created_;
+  }
+  return it->second;
+}
+
+VersionMeta& MetaDb::upsert_row(ObjectMeta& obj, int64_t version) {
   obj.max_allocated = std::max(obj.max_allocated, version);
+  const bool was_dirty = latest_dirty(obj);
   VersionMeta& vm = obj.versions[version];
   vm.version = version;
+  reindex(obj, was_dirty);
   return vm;
 }
 
-const ObjectMeta* MetaDb::find(const std::string& key) const {
-  auto it = objects_.find(key);
-  return it == objects_.end() ? nullptr : &it->second;
+void MetaDb::reindex(const ObjectMeta& obj, bool was_dirty) {
+  const bool dirty = latest_dirty(obj);
+  if (dirty == was_dirty) return;
+  if (dirty) {
+    dirty_.insert(obj.key);
+  } else {
+    dirty_.erase(obj.key);
+  }
 }
 
-ObjectMeta* MetaDb::find_mutable(const std::string& key) {
+void MetaDb::erase_record(Records::iterator it) {
+  if (open_scans_ > 0) erased_.push_back({it->first, it->second.created});
+  dirty_.erase(it->first);
+  objects_.erase(it);
+}
+
+VersionMeta& MetaDb::upsert_version(const std::string& key, int64_t version) {
+  return upsert_row(record(key), version);
+}
+
+void MetaDb::set_dirty(const std::string& key, int64_t version, bool dirty) {
+  ObjectMeta& obj = record(key);
+  VersionMeta& vm = upsert_row(obj, version);
+  const bool was_dirty = latest_dirty(obj);
+  vm.dirty = dirty;
+  reindex(obj, was_dirty);
+}
+
+void MetaDb::restore_version(const std::string& key, const VersionMeta& row) {
+  ObjectMeta& obj = record(key);
+  VersionMeta& vm = upsert_row(obj, row.version);
+  const bool was_dirty = latest_dirty(obj);
+  vm = row;
+  reindex(obj, was_dirty);
+}
+
+const ObjectMeta* MetaDb::find(const std::string& key) const {
   auto it = objects_.find(key);
   return it == objects_.end() ? nullptr : &it->second;
 }
@@ -44,44 +94,53 @@ const VersionMeta* MetaDb::find_version(const std::string& key,
 
 void MetaDb::record_access(const std::string& key, int64_t version,
                            TimePoint now) {
-  ObjectMeta* obj = find_mutable(key);
-  if (obj == nullptr) return;
-  auto it = obj->versions.find(version);
-  if (it == obj->versions.end()) return;
+  auto obj = objects_.find(key);
+  if (obj == objects_.end()) return;
+  auto it = obj->second.versions.find(version);
+  if (it == obj->second.versions.end()) return;
   it->second.last_accessed = now;
   it->second.access_count++;
 }
 
 Status MetaDb::remove_version(const std::string& key, int64_t version) {
-  ObjectMeta* obj = find_mutable(key);
-  if (obj == nullptr) return not_found("metadb object: " + key);
-  if (obj->versions.erase(version) == 0) {
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return not_found("metadb object: " + key);
+  ObjectMeta& obj = it->second;
+  const bool was_dirty = latest_dirty(obj);
+  if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
   }
-  if (obj->versions.empty()) objects_.erase(key);
+  if (obj.versions.empty()) {
+    erase_record(it);
+  } else {
+    reindex(obj, was_dirty);
+  }
   return ok_status();
 }
 
 Status MetaDb::remove_object(const std::string& key) {
-  if (objects_.erase(key) == 0) return not_found("metadb object: " + key);
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return not_found("metadb object: " + key);
+  erase_record(it);
   return ok_status();
 }
 
 Status MetaDb::forget_version(const std::string& key, int64_t version) {
-  ObjectMeta* obj = find_mutable(key);
-  if (obj == nullptr) return not_found("metadb object: " + key);
-  if (obj->versions.erase(version) == 0) {
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return not_found("metadb object: " + key);
+  ObjectMeta& obj = it->second;
+  const bool was_dirty = latest_dirty(obj);
+  if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
   }
   // Deliberately keep the (possibly now version-less) object record: it
   // carries max_allocated, the floor for future version allocation.
+  reindex(obj, was_dirty);
   return ok_status();
 }
 
 void MetaDb::add_tag(const std::string& key, const std::string& tag) {
-  ObjectMeta& obj = objects_[key];
-  obj.key = key;
-  obj.tags.insert(tag);
+  record(key).tags.insert(tag);
 }
 
 bool MetaDb::has_tag(const std::string& key, const std::string& tag) const {
@@ -112,6 +171,47 @@ std::vector<std::string> MetaDb::keys() const {
   out.reserve(objects_.size());
   for (const auto& [key, _] : objects_) out.push_back(key);
   return out;
+}
+
+MetaDb::Scan MetaDb::open_scan() {
+  ++open_scans_;
+  return Scan{records_created_, erased_.size()};
+}
+
+void MetaDb::close_scan(const Scan& /*scan*/) {
+  assert(open_scans_ > 0);
+  if (--open_scans_ == 0) erased_.clear();
+}
+
+bool MetaDb::in_scan(const Scan& scan, const ObjectMeta& obj) const {
+  if (obj.created <= scan.opened_at) return true;
+  // Created after the scan opened: it still belongs if it replaced a record
+  // of the same key that the scan held. Only records created mid-scan get
+  // here, and the log holds only erasures made while a scan was open.
+  for (size_t i = scan.erased_from; i < erased_.size(); ++i) {
+    if (erased_[i].created <= scan.opened_at && erased_[i].key == obj.key) {
+      return true;
+    }
+  }
+  return false;
+}
+
+const ObjectMeta* MetaDb::next_object(const Scan& scan,
+                                      const std::string* after,
+                                      bool dirty_only) const {
+  if (dirty_only) {
+    auto it = after == nullptr ? dirty_.begin() : dirty_.upper_bound(*after);
+    for (; it != dirty_.end(); ++it) {
+      const ObjectMeta& obj = objects_.find(*it)->second;
+      if (in_scan(scan, obj)) return &obj;
+    }
+    return nullptr;
+  }
+  auto it = after == nullptr ? objects_.begin() : objects_.upper_bound(*after);
+  for (; it != objects_.end(); ++it) {
+    if (in_scan(scan, it->second)) return &it->second;
+  }
+  return nullptr;
 }
 
 int64_t MetaDb::version_count() const {
@@ -173,7 +273,17 @@ Status MetaDb::deserialize(const Bytes& data) {
   if (r.remaining() != 0) {
     return invalid_argument("metadb snapshot has trailing bytes");
   }
+  if (open_scans_ > 0) {
+    for (const auto& [key, obj] : objects_) {
+      erased_.push_back({key, obj.created});
+    }
+  }
   objects_ = std::move(loaded);
+  dirty_.clear();
+  for (auto& [key, obj] : objects_) {
+    obj.created = ++records_created_;
+    if (latest_dirty(obj)) dirty_.insert(dirty_.end(), key);
+  }
   return ok_status();
 }
 

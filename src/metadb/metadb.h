@@ -32,7 +32,9 @@ struct VersionMeta {
   TimePoint last_modified;
   TimePoint last_accessed;
   int64_t access_count = 0;
-  bool dirty = false;        // not yet written back to a persistent tier
+  // Not yet written back to a persistent tier. Changed only through
+  // MetaDb::set_dirty / restore_version, which keep the dirty index.
+  bool dirty = false;
   // A version becomes visible to readers only once its payload landed in a
   // tier; in-flight writes must not be served (they would read as missing).
   bool committed = false;
@@ -68,6 +70,9 @@ struct ObjectMeta {
   // burned number would let two distinct committed payloads share one
   // version id (docs/INTEGRITY.md).
   int64_t max_allocated = 0;
+  // When MetaDb created this record, on its record counter: a scan holds
+  // the records created before it opened (MetaDb::open_scan).
+  uint64_t created = 0;
 
   bool has_version(int64_t v) const { return versions.count(v) > 0; }
   // Highest version number, committed or not (used to allocate the next).
@@ -90,13 +95,25 @@ struct ObjectMeta {
 
 class MetaDb {
  public:
+  // What a scan holds: the keys that had a record when it opened. A key
+  // created later is not in it; a key erased and re-created since is.
+  struct Scan {
+    uint64_t opened_at = 0;  // records created up to this stamp belong
+    size_t erased_from = 0;  // the erase log's length when it opened
+  };
+
   // Record (or update) a version's metadata. Creates the object record on
-  // first use.
+  // first use. Set the dirty bit with set_dirty, not through the returned
+  // row, so the dirty index sees it.
   VersionMeta& upsert_version(const std::string& key, int64_t version);
+  // Set a version's dirty bit, creating the row like upsert_version.
+  void set_dirty(const std::string& key, int64_t version, bool dirty);
+  // Write a whole row back (a failed write restoring the row it replaced),
+  // creating it like upsert_version.
+  void restore_version(const std::string& key, const VersionMeta& row);
 
   // Lookup. Null when absent.
   const ObjectMeta* find(const std::string& key) const;
-  ObjectMeta* find_mutable(const std::string& key);
   const VersionMeta* find_version(const std::string& key,
                                   int64_t version) const;
 
@@ -126,6 +143,22 @@ class MetaDb {
   size_t object_count() const { return objects_.size(); }
   int64_t version_count() const;
 
+  // The dirty index: every key whose latest row (committed or not) is
+  // dirty, in key order — exactly the objects an `object.dirty == true`
+  // selector can match.
+  const std::set<std::string>& dirty_keys() const { return dirty_; }
+
+  // Scans are opened and closed by hand, not by a guard: at teardown the
+  // simulation may destroy a suspended scan's frame after the store is gone.
+  Scan open_scan();
+  void close_scan(const Scan& scan);
+  // Whether `obj`'s key had a record when `scan` opened.
+  bool in_scan(const Scan& scan, const ObjectMeta& obj) const;
+  // The first record `scan` holds after key `after` (from the first key
+  // when null), in key order; with `dirty_only`, from the dirty index.
+  const ObjectMeta* next_object(const Scan& scan, const std::string* after,
+                                bool dirty_only) const;
+
   // Durability round-trip (BerkeleyDB role). The format is the project wire
   // format plus a trailing FNV-1a checksum of the body; deserialize replaces
   // current contents only after the whole snapshot validates (truncated,
@@ -135,7 +168,26 @@ class MetaDb {
   Status deserialize(const Bytes& data);
 
  private:
-  std::map<std::string, ObjectMeta> objects_;
+  using Records = std::map<std::string, ObjectMeta>;
+
+  // The key's record, created (and stamped) when absent.
+  ObjectMeta& record(const std::string& key);
+  VersionMeta& upsert_row(ObjectMeta& obj, int64_t version);
+  // Brings the dirty index up to date after a change to `obj`'s rows.
+  void reindex(const ObjectMeta& obj, bool was_dirty);
+  void erase_record(Records::iterator it);
+
+  Records objects_;
+  std::set<std::string> dirty_;
+  uint64_t records_created_ = 0;
+  // Records erased while any scan is open (key, creation stamp); cleared
+  // when the last scan closes.
+  struct Erased {
+    std::string key;
+    uint64_t created = 0;
+  };
+  std::vector<Erased> erased_;
+  int open_scans_ = 0;
 };
 
 }  // namespace wiera::metadb

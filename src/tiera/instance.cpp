@@ -83,17 +83,16 @@ Status TieraInstance::compile_rules() {
 void TieraInstance::start() {
   if (started_) return;
   started_ = true;
-  stopping_ = false;
   start_rule_loops();
 }
 
 void TieraInstance::start_rule_loops() {
   for (const std::shared_ptr<CompiledRule>& rule : rules_) {
     if (rule->trigger.kind == policy::TriggerKind::kTimer) {
-      sim_->spawn(timer_loop(rule, policy_generation_),
+      sim_->spawn(timer_loop(rule, loop_generation_),
                   config_.instance_id + "/policy-timer");
     } else if (rule->trigger.kind == policy::TriggerKind::kColdData) {
-      sim_->spawn(cold_scan_loop(rule, policy_generation_),
+      sim_->spawn(cold_scan_loop(rule, loop_generation_),
                   config_.instance_id + "/cold-scan");
     }
   }
@@ -135,14 +134,14 @@ Status TieraInstance::adopt_policy(
   }
 
   // Old periodic loops exit at their next wake-up; new ones start now.
-  policy_generation_++;
+  loop_generation_++;
   if (started_) start_rule_loops();
   return ok_status();
 }
 
 void TieraInstance::stop() {
-  stopping_ = true;
   started_ = false;
+  loop_generation_++;
 }
 
 store::StorageTier* TieraInstance::tier_by_label(const std::string& label) {
@@ -190,9 +189,9 @@ sim::Task<Result<PutResult>> TieraInstance::put(std::string key, Blob value,
           ? 1
           : std::max(existing->latest_version(), existing->max_allocated) + 1;
 
-  Result<bool> written =
-      co_await write_version(key, version, std::move(value), sim_->now(),
-                             config_.instance_id, opts, /*lww=*/false);
+  Result<bool> written = co_await write_version(
+      key, version, std::move(value), std::nullopt, sim_->now(),
+      config_.instance_id, opts, /*lww=*/false);
   if (!written.ok()) co_return written.status();
   co_await check_fill_thresholds();
   put_hist_->record(sim_->now() - start);
@@ -245,9 +244,9 @@ sim::Task<Status> TieraInstance::update(std::string key, int64_t version,
   if (store::io_deadline_expired(opts, sim_->now())) {
     co_return deadline_exceeded("tiera update: " + key);
   }
-  Result<bool> written =
-      co_await write_version(key, version, std::move(value), sim_->now(),
-                             config_.instance_id, opts, /*lww=*/false);
+  Result<bool> written = co_await write_version(
+      key, version, std::move(value), std::nullopt, sim_->now(),
+      config_.instance_id, opts, /*lww=*/false);
   co_return written.status();
 }
 
@@ -365,7 +364,7 @@ bool TieraInstance::lww_wins(const LwwSample& incoming,
 sim::Task<Result<bool>> TieraInstance::apply_remote_update(
     RemoteUpdate update) {
   co_return co_await write_version(update.key, update.version,
-                                   std::move(update.value),
+                                   std::move(update.value), update.checksum,
                                    update.last_modified,
                                    std::move(update.origin), {},
                                    /*lww=*/true);
@@ -388,8 +387,8 @@ bool TieraInstance::remote_wins(const std::string& key,
 
 sim::Task<Result<bool>> TieraInstance::write_version(
     const std::string& key, int64_t version, Blob value,
-    TimePoint last_modified, std::string origin, store::IoOptions opts,
-    bool lww) {
+    std::optional<uint64_t> checksum, TimePoint last_modified,
+    std::string origin, store::IoOptions opts, bool lww) {
   auto lock = version_locks_.try_emplace({key, version}, *sim_).first;
   ++lock->second.users;
   co_await lock->second.mutex.lock();
@@ -406,10 +405,10 @@ sim::Task<Result<bool>> TieraInstance::write_version(
     if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
     vm.last_modified = last_modified;
     vm.origin = std::move(origin);
-    // Recomputed locally (not trusted from the wire): replicas holding the
-    // same (key, version, payload) record the same checksum, which is what
-    // the scrubber's digest exchange compares.
-    vm.checksum = object_checksum(key, version, value);
+    // This node's own hash of the bytes it stores (never the wire's):
+    // replicas holding the same (key, version, payload) record the same
+    // checksum, which is what the scrubber's digest exchange compares.
+    vm.checksum = checksum ? *checksum : object_checksum(key, version, value);
 
     InsertCtx ctx;
     ctx.key = key;
@@ -430,7 +429,7 @@ sim::Task<Result<bool>> TieraInstance::write_version(
       written = st;
       const bool row_left = meta_.find_version(key, version) != nullptr;
       if (row_left && before.has_value()) {
-        meta_.upsert_version(key, version) = *before;
+        meta_.restore_version(key, *before);
       } else if (row_left && new_object) {
         // wiera-lint: allow(status-discipline) the row was found just above; the object record this call created goes with it
         (void)meta_.remove_version(key, version);
@@ -493,8 +492,8 @@ sim::Task<Status> TieraInstance::exec_insert_stmts(
       const policy::AssignStmt& assign = stmt.assign();
       const std::string target = assign.target.dotted();
       if (target == "insert.object.dirty" && assign.value->is_literal()) {
-        metadb::VersionMeta& vm = meta_.upsert_version(ctx.key, ctx.version);
-        vm.dirty = assign.value->literal().value.boolean;
+        meta_.set_dirty(ctx.key, ctx.version,
+                        assign.value->literal().value.boolean);
         continue;
       }
       co_return invalid_argument("unsupported assignment: " + target);
@@ -534,20 +533,36 @@ sim::Task<Status> TieraInstance::exec_insert_action(
 }
 
 sim::Task<Status> TieraInstance::exec_maintenance_stmts(
-    const std::vector<policy::Stmt>& stmts,
-    const std::vector<std::string>& keys) {
+    const std::vector<policy::Stmt>& stmts, const ScanSource& objects) {
   for (const policy::Stmt& stmt : stmts) {
     if (!stmt.is_action()) {
       co_return unimplemented("non-action statement in maintenance rule");
     }
-    Status st = co_await exec_maintenance_action(stmt.action(), keys);
+    Status st = co_await exec_maintenance_action(stmt.action(), objects);
     if (!st.ok()) co_return st;
   }
   co_return ok_status();
 }
 
+const metadb::ObjectMeta* TieraInstance::next_candidate(
+    const ScanSource& source, const std::string* after,
+    bool dirty_only) const {
+  if (const auto* scan = std::get_if<metadb::MetaDb::Scan>(&source)) {
+    return meta_.next_object(*scan, after, dirty_only);
+  }
+  const std::vector<std::string>& keys =
+      *std::get<const std::vector<std::string>*>(source);
+  auto it = after == nullptr
+                ? keys.begin()
+                : std::upper_bound(keys.begin(), keys.end(), *after);
+  for (; it != keys.end(); ++it) {
+    if (const metadb::ObjectMeta* obj = meta_.find(*it)) return obj;
+  }
+  return nullptr;
+}
+
 sim::Task<Status> TieraInstance::exec_maintenance_action(
-    const policy::ActionStmt& action, const std::vector<std::string>& keys) {
+    const policy::ActionStmt& action, const ScanSource& objects) {
   const policy::Expr* what = action.arg("what");
   if (what == nullptr) co_return invalid_argument("action needs what:");
   auto selector = compile_selector(*what);
@@ -578,10 +593,17 @@ sim::Task<Status> TieraInstance::exec_maintenance_action(
     co_return ok_status();
   }
 
-  for (const std::string& key : keys) {
-    const metadb::ObjectMeta* obj = meta_.find(key);
-    if (obj == nullptr || obj->versions.empty()) continue;
-    if (!selector->matches(*obj)) continue;
+  // Walk the source in key order. Every branch below may suspend, and the
+  // store may change meanwhile, so each step resumes at the first key above
+  // the last one visited: a key the source holds is judged when the walk
+  // reaches it.
+  const bool dirty_only = selector->dirty_equals == true;
+  std::string key;
+  for (const metadb::ObjectMeta* obj =
+           next_candidate(objects, nullptr, dirty_only);
+       obj != nullptr; obj = next_candidate(objects, &key, dirty_only)) {
+    key = obj->key;
+    if (obj->versions.empty() || !selector->matches(*obj)) continue;
     const int64_t version = obj->latest_version();
     const metadb::VersionMeta* vm = obj->latest();
     // Copy what later branches need: vm points into meta_, and every branch
@@ -613,8 +635,7 @@ sim::Task<Status> TieraInstance::exec_maintenance_action(
                                          /*set_location=*/relocate);
       if (!st.ok()) co_return st;
       if (relocate) cold_moves_->inc();
-      metadb::VersionMeta& mut = meta_.upsert_version(key, version);
-      mut.dirty = false;  // persisted copy exists now
+      meta_.set_dirty(key, version, false);  // persisted copy exists now
       if (relocate && !source.empty() && source != target) {
         store::StorageTier* src_tier = tier_by_label(source);
         if (src_tier != nullptr) {
@@ -642,11 +663,13 @@ sim::Task<Status> TieraInstance::exec_maintenance_action(
 sim::Task<void> TieraInstance::timer_loop(std::shared_ptr<CompiledRule> rule,
                                           uint64_t generation) {
   const Duration period = rule->trigger.period;
-  while (!stopping_ && generation == policy_generation_) {
+  while (generation == loop_generation_) {
     co_await sim_->delay(period);
-    if (stopping_ || generation != policy_generation_) break;
-    std::vector<std::string> keys = meta_.keys();
-    Status st = co_await exec_maintenance_stmts(rule->rule.response, keys);
+    if (generation != loop_generation_) break;
+    const metadb::MetaDb::Scan scan = meta_.open_scan();
+    const ScanSource source = scan;
+    Status st = co_await exec_maintenance_stmts(rule->rule.response, source);
+    meta_.close_scan(scan);
     if (!st.ok()) {
       WLOG_WARN(kComponent) << id() << " timer rule failed: "
                             << st.to_string();
@@ -658,13 +681,14 @@ sim::Task<void> TieraInstance::cold_scan_loop(
     std::shared_ptr<CompiledRule> rule, uint64_t generation) {
   const Duration interval =
       std::min(config_.cold_scan_interval, rule->trigger.cold_after);
-  while (!stopping_ && generation == policy_generation_) {
+  while (generation == loop_generation_) {
     co_await sim_->delay(interval);
-    if (stopping_ || generation != policy_generation_) break;
+    if (generation != loop_generation_) break;
     std::vector<std::string> cold =
         meta_.cold_objects(sim_->now(), rule->trigger.cold_after);
     if (cold.empty()) continue;
     // Give the global policy a chance to intercept (centralized cold tier).
+    // `cold` is in key order, so `local_cold` is a sorted ScanSource.
     std::vector<std::string> local_cold;
     for (const std::string& key : cold) {
       bool handled = false;
@@ -673,8 +697,8 @@ sim::Task<void> TieraInstance::cold_scan_loop(
       }
       if (!handled) local_cold.push_back(key);
     }
-    Status st =
-        co_await exec_maintenance_stmts(rule->rule.response, local_cold);
+    const ScanSource source = &local_cold;
+    Status st = co_await exec_maintenance_stmts(rule->rule.response, source);
     if (!st.ok()) {
       WLOG_WARN(kComponent) << id() << " cold rule failed: " << st.to_string();
     }
@@ -691,9 +715,11 @@ sim::Task<void> TieraInstance::check_fill_thresholds() {
     if (fill >= rule->trigger.fill_percent) {
       if (rule->armed) {
         rule->armed = false;  // edge-triggered
-        std::vector<std::string> keys = meta_.keys();
+        const metadb::MetaDb::Scan scan = meta_.open_scan();
+        const ScanSource source = scan;
         Status st =
-            co_await exec_maintenance_stmts(rule->rule.response, keys);
+            co_await exec_maintenance_stmts(rule->rule.response, source);
+        meta_.close_scan(scan);
         if (!st.ok()) {
           WLOG_WARN(kComponent)
               << id() << " threshold rule failed: " << st.to_string();

@@ -21,8 +21,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/histogram.h"
@@ -104,7 +106,9 @@ class TieraInstance {
 
   // Begin policy execution (timers, cold-data scans). Idempotent.
   void start();
-  // Stop periodic policy tasks (instance remains readable).
+  // Stop periodic policy tasks (instance remains readable). The running
+  // loops retire at their next wake-up, so a start() before then leaves
+  // only the new ones.
   void stop();
 
   // Replace the instance's event/response rules at run time — the paper's
@@ -144,6 +148,10 @@ class TieraInstance {
     Blob value;
     TimePoint last_modified;
     std::string origin;
+    // object_checksum of `value`, computed by this node (the verification
+    // of the received payload) — never a checksum taken from the wire.
+    // Absent: the write hashes `value` itself.
+    std::optional<uint64_t> checksum;
   };
   // Apply an update received from another instance. Returns true if
   // accepted, false if rejected by last-write-wins.
@@ -241,12 +249,20 @@ class TieraInstance {
   sim::Task<Status> exec_insert_action(const policy::ActionStmt& action,
                                        InsertCtx& ctx);
 
-  // Maintenance responses (timer / threshold / cold events).
+  // Where a maintenance response looks for objects, in key order: a MetaDb
+  // scan opened when the rule fired (timer / threshold events), or an
+  // explicit key list sorted by key (cold-data events).
+  using ScanSource =
+      std::variant<metadb::MetaDb::Scan, const std::vector<std::string>*>;
   sim::Task<Status> exec_maintenance_stmts(
-      const std::vector<policy::Stmt>& stmts,
-      const std::vector<std::string>& keys);
+      const std::vector<policy::Stmt>& stmts, const ScanSource& objects);
   sim::Task<Status> exec_maintenance_action(const policy::ActionStmt& action,
-                                            const std::vector<std::string>& keys);
+                                            const ScanSource& objects);
+  // The first record of `source` after key `after` (from the first when
+  // null); a scan with `dirty_only` walks only the dirty index.
+  const metadb::ObjectMeta* next_candidate(const ScanSource& source,
+                                           const std::string* after,
+                                           bool dirty_only) const;
 
   sim::Task<void> timer_loop(std::shared_ptr<CompiledRule> rule,
                              uint64_t generation);
@@ -260,9 +276,11 @@ class TieraInstance {
   // wrote nothing. When a tier write fails the row goes back to what it
   // was before this call (erased if this call created it). Writes to one
   // (key, version) run one at a time, so what they put back is never
-  // another write's unstored row.
+  // another write's unstored row. `checksum`, when given, is this node's
+  // own object_checksum of `value` (see RemoteUpdate::checksum).
   sim::Task<Result<bool>> write_version(const std::string& key,
                                         int64_t version, Blob value,
+                                        std::optional<uint64_t> checksum,
                                         TimePoint last_modified,
                                         std::string origin,
                                         store::IoOptions opts, bool lww);
@@ -286,9 +304,9 @@ class TieraInstance {
   std::vector<std::shared_ptr<CompiledRule>> rules_;
   InstanceHooks* hooks_ = nullptr;
   bool started_ = false;
-  bool stopping_ = false;
-  // Bumped by adopt_policy; periodic loops from older generations exit.
-  uint64_t policy_generation_ = 0;
+  // Bumped by adopt_policy and stop; periodic loops from older generations
+  // exit when they wake.
+  uint64_t loop_generation_ = 0;
   // One entry per (key, version) with a write_version holding or awaiting
   // it; the last user erases it. write_version unlocks explicitly rather
   // than through a guard: at teardown the simulation may destroy a

@@ -230,16 +230,18 @@ void WieraPeer::start() {
   stopping_ = false;
   local_->start();
   last_contact_ = sim_->now();
-  sim_->spawn(queue_flusher(), config_.instance_id + "/queue-flusher");
+  sim_->spawn(queue_flusher(run_generation_),
+              config_.instance_id + "/queue-flusher");
   if (config_.scrub_interval > Duration::zero()) {
-    sim_->spawn(scrub_loop(), config_.instance_id + "/scrubber");
+    sim_->spawn(scrub_loop(run_generation_),
+                config_.instance_id + "/scrubber");
   }
   if (config_.serve_lease > Duration::zero()) {
-    sim_->spawn(availability_loop(),
+    sim_->spawn(availability_loop(run_generation_),
                 config_.instance_id + "/availability-loop");
   }
   if (config_.change_primary_policy.has_value()) {
-    sim_->spawn(requests_monitor_loop(),
+    sim_->spawn(requests_monitor_loop(run_generation_),
                 config_.instance_id + "/requests-monitor");
   }
 }
@@ -247,6 +249,7 @@ void WieraPeer::start() {
 void WieraPeer::stop() {
   stopping_ = true;
   started_ = false;
+  run_generation_++;
   local_->stop();
 }
 
@@ -1032,10 +1035,10 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
   co_return out;
 }
 
-sim::Task<void> WieraPeer::queue_flusher() {
-  while (!stopping_) {
+sim::Task<void> WieraPeer::queue_flusher(uint64_t generation) {
+  while (generation == run_generation_) {
     co_await sim_->delay(config_.queue_flush_interval);
-    if (stopping_) break;
+    if (generation != run_generation_) break;
     Status st = co_await flush_queue();
     if (!st.ok()) {
       WLOG_WARN(kComponent) << id() << " queue flush: " << st.to_string();
@@ -1182,12 +1185,12 @@ Status WieraPeer::availability_gate() {
   return ok_status();
 }
 
-sim::Task<void> WieraPeer::availability_loop() {
+sim::Task<void> WieraPeer::availability_loop(uint64_t generation) {
   if (config_.lock_service_node.empty()) co_return;
   const Duration interval = config_.serve_lease / 3;
-  while (!stopping_) {
+  while (generation == run_generation_) {
     co_await sim_->delay(interval);
-    if (stopping_) break;
+    if (generation != run_generation_) break;
     rpc::Message renew = encode(LeaseRenewRequest{config_.instance_id});
     auto resp = co_await endpoint_->call(config_.lock_service_node,
                                          method::kLeaseRenew, std::move(renew));
@@ -1214,13 +1217,18 @@ sim::Task<Result<bool>> WieraPeer::apply_update(const ReplicateRequest& op,
                                                 bool require_checksum) {
   const bool check = require_checksum ||
                      (config_.local.verify_checksums && op.checksum != 0);
-  if (check && (op.checksum == 0 ||
-                object_checksum(op.key, op.version, op.value) != op.checksum)) {
-    wire_checksum_failures_->inc();
-    co_return data_loss(std::string(what) + " of " + op.key + " to " +
-                        config_.instance_id + ": payload arrived corrupt");
-  }
   tiera::TieraInstance::RemoteUpdate update;
+  if (check) {
+    // Hashed once, from the bytes that arrived: the verification and the
+    // row's checksum are the same value, never the wire's.
+    const uint64_t checksum = object_checksum(op.key, op.version, op.value);
+    if (op.checksum == 0 || checksum != op.checksum) {
+      wire_checksum_failures_->inc();
+      co_return data_loss(std::string(what) + " of " + op.key + " to " +
+                          config_.instance_id + ": payload arrived corrupt");
+    }
+    update.checksum = checksum;
+  }
   update.key = op.key;
   update.version = op.version;
   update.value = op.value;
@@ -1540,10 +1548,10 @@ sim::Task<Result<GetResponse>> WieraPeer::repair_get(GetRequest request) {
   co_return last;
 }
 
-sim::Task<void> WieraPeer::scrub_loop() {
-  while (!stopping_) {
+sim::Task<void> WieraPeer::scrub_loop(uint64_t generation) {
+  while (generation == run_generation_) {
     co_await sim_->delay(config_.scrub_interval);
-    if (stopping_) break;
+    if (generation != run_generation_) break;
     // A recovering peer is about to catch up wholesale; scrubbing its
     // suspect state would be wasted work.
     if (recovering_) continue;
@@ -1650,10 +1658,10 @@ void WieraPeer::record_put_source(const std::string& origin, bool forwarded) {
   put_history_.push_back(PutEvent{sim_->now(), origin, forwarded});
 }
 
-sim::Task<void> WieraPeer::requests_monitor_loop() {
-  while (!stopping_) {
+sim::Task<void> WieraPeer::requests_monitor_loop(uint64_t generation) {
+  while (generation == run_generation_) {
     co_await sim_->delay(config_.requests_monitor_check);
-    if (stopping_) break;
+    if (generation != run_generation_) break;
     if (config_.is_primary) evaluate_requests_monitor();
   }
 }

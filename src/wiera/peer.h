@@ -325,7 +325,7 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<Result<GetResponse>> local_get(const GetRequest& request);
   // Local read for the bounded-staleness path; flags the response stale.
   sim::Task<Result<GetResponse>> stale_local_get(const GetRequest& request);
-  sim::Task<void> queue_flusher();
+  sim::Task<void> queue_flusher(uint64_t generation);
   // One flush round: drains the updates queued when it starts, in chunks
   // of replicate_batch_max sent once to every target; ops that failed
   // somewhere are requeued individually for the next round.
@@ -349,7 +349,7 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<Status> fetch_and_merge(std::string source, std::string key,
                                     int64_t version, bool from_scrub,
                                     TraceContext trace = {});
-  sim::Task<void> scrub_loop();
+  sim::Task<void> scrub_loop(uint64_t generation);
   sim::Task<void> run_scrub();
 
   // Block-and-queue support.
@@ -360,12 +360,12 @@ class WieraPeer : public tiera::InstanceHooks {
   // Serve-lease enforcement: non-ok when this peer must refuse client
   // operations (recovering, or the lease lapsed in a strong mode).
   Status availability_gate();
-  sim::Task<void> availability_loop();
+  sim::Task<void> availability_loop(uint64_t generation);
 
   // Monitors.
   void observe_put_latency(Duration latency);
   void record_put_source(const std::string& origin, bool forwarded);
-  sim::Task<void> requests_monitor_loop();
+  sim::Task<void> requests_monitor_loop(uint64_t generation);
   void evaluate_requests_monitor();
 
   sim::Simulation* sim_;
@@ -381,6 +381,9 @@ class WieraPeer : public tiera::InstanceHooks {
   std::unique_ptr<sim::Channel<ReplicateRequest>> queue_;
   bool started_ = false;
   bool stopping_ = false;
+  // Bumped by stop(): the periodic loops start() spawned exit when they
+  // next wake, so a restart inside one period leaves only the new ones.
+  uint64_t run_generation_ = 0;
 
   // Crash/recovery state.
   bool recovering_ = false;

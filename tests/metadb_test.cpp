@@ -1,6 +1,10 @@
 // Tests for the versioned metadata store (BerkeleyDB stand-in).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "metadb/metadb.h"
 
 namespace wiera::metadb {
@@ -165,6 +169,8 @@ TEST(MetaDbTest, SerializeDeserializeRoundTrip) {
   EXPECT_TRUE(lv->committed);
   EXPECT_EQ(lv->checksum, 0x1234567890ABCDEFULL);
   EXPECT_TRUE(loaded.has_tag("k1", "tmp"));
+  // The dirty index is rebuilt from the loaded rows.
+  EXPECT_EQ(loaded.dirty_keys(), std::set<std::string>{"k1"});
   // The allocation high-water mark survives the round trip, including one
   // raised above the surviving rows by forget_version.
   EXPECT_TRUE(db.forget_version("k2", 1).ok());
@@ -185,6 +191,52 @@ TEST(MetaDbTest, DeserializeCorruptFailsAndPreservesContents) {
   junk[0] = 0xFF;
   EXPECT_FALSE(db.deserialize(junk).ok());
   EXPECT_NE(db.find("keep"), nullptr);
+}
+
+TEST(MetaDbTest, DirtyIndexFollowsTheLatestRow) {
+  MetaDb db;
+  db.set_dirty("k", 2, true);
+  EXPECT_EQ(db.dirty_keys(), std::set<std::string>{"k"});
+  // A lower version's bit does not decide; a new, clean latest row does.
+  db.set_dirty("k", 1, false);
+  EXPECT_EQ(db.dirty_keys().count("k"), 1u);
+  db.upsert_version("k", 3);
+  EXPECT_TRUE(db.dirty_keys().empty());
+  db.set_dirty("k", 3, true);
+  EXPECT_EQ(db.dirty_keys().count("k"), 1u);
+  // Dropping the latest row exposes v2, which is still dirty.
+  ASSERT_TRUE(db.forget_version("k", 3).ok());
+  EXPECT_EQ(db.dirty_keys().count("k"), 1u);
+  VersionMeta clean = *db.find_version("k", 2);
+  clean.dirty = false;
+  db.restore_version("k", clean);
+  EXPECT_TRUE(db.dirty_keys().empty());
+  db.set_dirty("k", 2, true);
+  ASSERT_TRUE(db.remove_object("k").ok());
+  EXPECT_TRUE(db.dirty_keys().empty());
+}
+
+TEST(MetaDbTest, ScanHoldsTheKeysThatExistedWhenItOpened) {
+  MetaDb db;
+  db.upsert_version("a", 1);
+  db.upsert_version("b", 1);
+  db.upsert_version("c", 1);
+  const MetaDb::Scan scan = db.open_scan();
+  db.upsert_version("bb", 1);           // created after: not held
+  ASSERT_TRUE(db.remove_object("b").ok());
+  db.upsert_version("b", 1);            // erased and re-created: held
+  ASSERT_TRUE(db.remove_object("c").ok());  // erased: gone
+  std::vector<std::string> walked;
+  for (const ObjectMeta* obj = db.next_object(scan, nullptr, false);
+       obj != nullptr; obj = db.next_object(scan, &obj->key, false)) {
+    walked.push_back(obj->key);
+  }
+  EXPECT_EQ(walked, (std::vector<std::string>{"a", "b"}));
+  db.close_scan(scan);
+  // A scan opened now holds every current key.
+  const MetaDb::Scan later = db.open_scan();
+  EXPECT_TRUE(db.in_scan(later, *db.find("bb")));
+  db.close_scan(later);
 }
 
 TEST(MetaDbTest, KeysListing) {

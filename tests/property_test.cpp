@@ -4,6 +4,11 @@
 // convergence as a pure function.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "metadb/metadb.h"
@@ -227,6 +232,87 @@ TEST_P(MetaDbFuzz, SerializeDeserializeIsIdentityUnderRandomOps) {
     EXPECT_EQ(original->latest_version(), restored->latest_version());
     EXPECT_EQ(original->tags, restored->tags);
   }
+}
+
+// The dirty index and every open scan against a recount after each
+// mutation: the index holds exactly the keys whose latest row is dirty,
+// and a scan holds exactly the keys that had a record when it opened (a
+// keys() copy taken then), whatever was erased, re-created or reloaded
+// since.
+TEST_P(MetaDbFuzz, DirtyIndexAndScansMatchARecount) {
+  Rng rng(GetParam());
+  metadb::MetaDb db;
+  struct OpenScan {
+    metadb::MetaDb::Scan scan;
+    std::set<std::string> keys;  // db.keys() when it opened
+  };
+  std::vector<OpenScan> scans;
+  Bytes snapshot = db.serialize();
+  for (int i = 0; i < 3000; ++i) {
+    const std::string key = "k" + std::to_string(rng.uniform_int(0, 20));
+    const int64_t version = rng.uniform_int(1, 6);
+    const double roll = rng.next_double();
+    if (roll < 0.2) {
+      db.set_dirty(key, version, rng.bernoulli(0.6));
+    } else if (roll < 0.35) {
+      // Above, at or below the key's latest row.
+      db.upsert_version(key, version).size = rng.uniform_int(0, 100);
+    } else if (roll < 0.45) {
+      // A failed write putting back the row it replaced.
+      metadb::VersionMeta row;
+      row.version = version;
+      row.dirty = rng.bernoulli(0.5);
+      row.committed = true;
+      db.restore_version(key, row);
+    } else if (roll < 0.53) {
+      (void)db.remove_version(key, version);
+    } else if (roll < 0.6) {
+      (void)db.forget_version(key, version);
+    } else if (roll < 0.65) {
+      (void)db.remove_object(key);
+    } else if (roll < 0.68) {
+      db.add_tag(key, "tag");
+    } else if (roll < 0.71) {
+      snapshot = db.serialize();
+    } else if (roll < 0.73) {
+      ASSERT_TRUE(db.deserialize(snapshot).ok());
+    } else if (roll < 0.85) {
+      const std::vector<std::string> keys = db.keys();
+      scans.push_back({db.open_scan(), {keys.begin(), keys.end()}});
+    } else if (!scans.empty()) {
+      const auto at = static_cast<size_t>(
+          rng.uniform_int(0, static_cast<int64_t>(scans.size()) - 1));
+      db.close_scan(scans[at].scan);
+      scans.erase(scans.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+
+    std::set<std::string> dirty;
+    for (const std::string& k : db.keys()) {
+      const metadb::VersionMeta* latest = db.find(k)->latest();
+      if (latest != nullptr && latest->dirty) dirty.insert(k);
+    }
+    ASSERT_EQ(db.dirty_keys(), dirty) << "after operation " << i;
+    for (const OpenScan& open : scans) {
+      for (const bool dirty_only : {false, true}) {
+        std::vector<std::string> walked;
+        for (const metadb::ObjectMeta* obj =
+                 db.next_object(open.scan, nullptr, dirty_only);
+             obj != nullptr;
+             obj = db.next_object(open.scan, &obj->key, dirty_only)) {
+          walked.push_back(obj->key);
+        }
+        std::vector<std::string> held;
+        for (const std::string& k : db.keys()) {
+          if (open.keys.count(k) > 0 && (!dirty_only || dirty.count(k) > 0)) {
+            held.push_back(k);
+          }
+        }
+        ASSERT_EQ(walked, held) << "after operation " << i
+                                << (dirty_only ? ", dirty index" : "");
+      }
+    }
+  }
+  for (const OpenScan& open : scans) db.close_scan(open.scan);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetaDbFuzz, ::testing::Values(100, 200, 300));

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/units.h"
 #include "policy/builtin_policies.h"
 #include "policy/parser.h"
@@ -34,9 +35,10 @@ void run(sim::Simulation& sim, F&& body) {
   ASSERT_TRUE(done);
 }
 
-std::unique_ptr<TieraInstance> make_instance(sim::Simulation& sim,
-                                             std::string_view policy_src,
-                                             Duration timer = sec(10)) {
+// `tier2_write` replaces tier2's base write latency (zero: the default).
+std::unique_ptr<TieraInstance> make_instance(
+    sim::Simulation& sim, std::string_view policy_src,
+    Duration timer = sec(10), Duration tier2_write = Duration::zero()) {
   auto doc = policy::parse_policy(policy_src);
   EXPECT_TRUE(doc.ok()) << doc.status().to_string();
   TieraInstance::Config config;
@@ -44,8 +46,10 @@ std::unique_ptr<TieraInstance> make_instance(sim::Simulation& sim,
   config.region = "us-east";
   config.policy = std::move(doc).value();
   config.params["t"] = policy::Value::duration_of(timer);
-  config.tier_tweak = [](const std::string&, store::TierSpec& spec) {
+  config.tier_tweak = [tier2_write](const std::string& label,
+                                    store::TierSpec& spec) {
     spec.jitter_fraction = 0;
+    if (label == "tier2") spec.write_base = tier2_write;
   };
   return std::make_unique<TieraInstance>(sim, std::move(config));
 }
@@ -103,6 +107,146 @@ TEST(TieraInstanceTest, WriteBackSkipsCleanData) {
   sim.run_until(TimePoint(sec(31).us()));
   EXPECT_EQ(inst->tier_by_label("tier2")->stats().puts, puts_after_first);
   inst->stop();
+}
+
+// ------------------------------------------------------------ write-back scan
+//
+// A scan visits the keys that had a record when its timer fired, in key
+// order, and judges each one when it reaches it. These pin that contract
+// with an action timed into the middle of one scan: tier2 writes take
+// 200 ms, so at 10.1 s the write-back that fired at 10 s is still copying
+// "a", and every other key sorts after it.
+
+constexpr Duration kSlowTier2Write = msec(200);
+const TimePoint kMidScan(msec(10100).us());
+
+std::unique_ptr<TieraInstance> make_slow_write_back(sim::Simulation& sim) {
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance(),
+                            sec(10), kSlowTier2Write);
+  inst->start();
+  return inst;
+}
+
+bool written_back(TieraInstance& inst, const std::string& key,
+                  int64_t version) {
+  return inst.tier_by_label("tier2")->contains(
+      TieraInstance::versioned_key(key, version));
+}
+
+TEST(TieraInstanceTest, WriteBackScanSkipsKeyCreatedMidScan) {
+  sim::Simulation sim;
+  auto inst = make_slow_write_back(sim);
+  run(sim, [&]() -> sim::Task<void> {
+    co_await inst->put("a", Blob("v"));
+    co_await sim.at(kMidScan);
+    co_await inst->put("m", Blob("v"));
+  });
+  sim.run_until(TimePoint(sec(11).us()));
+  EXPECT_TRUE(written_back(*inst, "a", 1));
+  EXPECT_FALSE(written_back(*inst, "m", 1));
+  EXPECT_TRUE(inst->meta().find_version("m", 1)->dirty);
+  // The next period's scan holds it.
+  sim.run_until(TimePoint(sec(21).us()));
+  EXPECT_TRUE(written_back(*inst, "m", 1));
+  inst->stop();
+}
+
+TEST(TieraInstanceTest, WriteBackScanCopiesKeyDirtiedAheadOfCursor) {
+  sim::Simulation sim;
+  auto inst = make_slow_write_back(sim);
+  run(sim, [&]() -> sim::Task<void> {
+    co_await inst->put("a", Blob("v"));
+    co_await inst->put("b", Blob("v"));
+  });
+  // The 10 s scan cleans both; "a" is dirty again for the 20 s scan, "b"
+  // is clean when it fires and dirtied while it copies "a".
+  sim.run_until(TimePoint(sec(15).us()));
+  ASSERT_FALSE(inst->meta().find_version("b", 1)->dirty);
+  run(sim, [&]() -> sim::Task<void> {
+    co_await inst->put("a", Blob("v2"));
+    co_await sim.at(kMidScan + sec(10));
+    co_await inst->put("b", Blob("v2"));
+  });
+  sim.run_until(TimePoint(sec(21).us()));
+  EXPECT_TRUE(written_back(*inst, "a", 2));
+  EXPECT_TRUE(written_back(*inst, "b", 2));
+  EXPECT_FALSE(inst->meta().find_version("b", 2)->dirty);
+  inst->stop();
+}
+
+TEST(TieraInstanceTest, WriteBackScanCopiesKeyRecreatedAheadOfCursor) {
+  sim::Simulation sim;
+  auto inst = make_slow_write_back(sim);
+  run(sim, [&]() -> sim::Task<void> {
+    co_await inst->put("a", Blob("v"));
+    co_await inst->put("d", Blob("v"));
+    co_await sim.at(kMidScan);
+    Status removed = co_await inst->remove("d");
+    EXPECT_TRUE(removed.ok());
+    EXPECT_EQ(inst->meta().find("d"), nullptr);
+    auto again = co_await inst->put("d", Blob("v2"));
+    EXPECT_TRUE(again.ok() && again->version == 1);
+  });
+  sim.run_until(TimePoint(sec(11).us()));
+  EXPECT_TRUE(written_back(*inst, "a", 1));
+  EXPECT_TRUE(written_back(*inst, "d", 1));
+  EXPECT_FALSE(inst->meta().find_version("d", 1)->dirty);
+  inst->stop();
+}
+
+TEST(TieraInstanceTest, WriteBackScanSkipsKeyErasedAheadOfCursor) {
+  sim::Simulation sim;
+  auto inst = make_slow_write_back(sim);
+  run(sim, [&]() -> sim::Task<void> {
+    co_await inst->put("a", Blob("v"));
+    co_await inst->put("e", Blob("v"));
+    co_await sim.at(kMidScan);
+    Status removed = co_await inst->remove("e");
+    EXPECT_TRUE(removed.ok());
+  });
+  sim.run_until(TimePoint(sec(11).us()));
+  EXPECT_TRUE(written_back(*inst, "a", 1));
+  EXPECT_FALSE(written_back(*inst, "e", 1));
+  EXPECT_EQ(inst->tier_by_label("tier2")->stats().puts, 1);
+  inst->stop();
+}
+
+// tier2 puts (write-back copies) of a LowLatency instance with a 1 s timer
+// whose key is rewritten every 100 ms, run to 10.9 s. With `bounce`, the
+// instance is stopped at 0.3 s and started again at 0.8 s, inside the
+// first period.
+int64_t write_backs_by_10_9s(bool bounce) {
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance(),
+                            sec(1));
+  inst->start();
+  const TimePoint end(msec(10900).us());
+  auto writer = [](sim::Simulation& s, TieraInstance& t,
+                   TimePoint until) -> sim::Task<void> {
+    while (s.now() < until) {
+      auto put = co_await t.put("k", Blob("v"));
+      EXPECT_TRUE(put.ok());
+      co_await s.delay(msec(100));
+    }
+  };
+  sim.spawn(writer(sim, *inst, end));
+  if (bounce) {
+    sim.run_until(TimePoint(msec(300).us()));
+    inst->stop();
+    sim.run_until(TimePoint(msec(800).us()));
+    inst->start();
+  }
+  sim.run_until(end);
+  inst->stop();
+  return inst->tier_by_label("tier2")->stats().puts;
+}
+
+TEST(TieraInstanceTest, BounceInsideAPeriodLeavesOneTimerLoop) {
+  // One loop fires ten times either way: at 1 s … 10 s without the bounce,
+  // at 1.8 s … 10.8 s after it. A loop left over from before the stop
+  // would fire at 1 s … 10 s as well.
+  EXPECT_EQ(write_backs_by_10_9s(/*bounce=*/false), 10);
+  EXPECT_EQ(write_backs_by_10_9s(/*bounce=*/true), 10);
 }
 
 // ------------------------------------------------------------ Persistent
@@ -332,6 +476,27 @@ TEST(TieraInstanceTest, RemoteUpdateRetryAcceptedAfterFailedTierWrite) {
     EXPECT_EQ(got.ok() ? got->value.to_string() : got.status().to_string(),
               "v1");
   });
+}
+
+TEST(TieraInstanceTest, RemoteUpdateStoresTheChecksumItCarries) {
+  // A replica passes the hash it verified the payload with; the write
+  // stores that value instead of hashing the same bytes again. (A real
+  // caller passes object_checksum of `value`; a distinct value shows it is
+  // not recomputed.)
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance());
+  run(sim, [&]() -> sim::Task<void> {
+    TieraInstance::RemoteUpdate carried = remote("v1", 1, sim.now());
+    carried.checksum = 0x5eed;
+    auto stored = co_await inst->apply_remote_update(carried);
+    EXPECT_TRUE(stored.ok() && *stored);
+    auto hashed =
+        co_await inst->apply_remote_update(remote("v2", 2, sim.now()));
+    EXPECT_TRUE(hashed.ok() && *hashed);
+  });
+  EXPECT_EQ(inst->meta().find_version("k", 1)->checksum, 0x5eedu);
+  EXPECT_EQ(inst->meta().find_version("k", 2)->checksum,
+            object_checksum("k", 2, Blob("v2")));
 }
 
 TEST(TieraInstanceTest, FailedSameVersionUpdateKeepsCommittedCopy) {

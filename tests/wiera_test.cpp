@@ -6,12 +6,14 @@
 #include <memory>
 #include <string>
 
+#include "common/checksum.h"
 #include "common/units.h"
 #include "coord/lock_service.h"
 #include "fault_suite.h"
 #include "metadb/metadb.h"
 #include "policy/builtin_policies.h"
 #include "policy/parser.h"
+#include "rpc/rpc.h"
 #include "wiera/client.h"
 #include "wiera/controller.h"
 #include "wiera/health.h"
@@ -540,6 +542,81 @@ Tiera ColdInstance() {
     EXPECT_EQ(got->served_by, "tiera-us-east");
     EXPECT_EQ(got->value.size(), 4096u);
   });
+}
+
+// ------------------------------------------------------------ integrity
+
+TEST(ReplicaIntegrityTest, CorruptReplicatedPayloadIsRejectedAndStoresNothing) {
+  Cluster cluster;
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(policy::builtin::eventual_consistency()));
+  ASSERT_TRUE(peers.ok()) << peers.status().to_string();
+  WieraPeer* replica = cluster.controller.peer("tiera-us-west");
+  rpc::Endpoint sender(cluster.network, cluster.registry, "client-us-west");
+
+  ReplicateRequest good;
+  good.key = "k";
+  good.version = 1;
+  good.value = Blob("payload");
+  good.origin = "tiera-eu-west";
+  good.checksum = object_checksum(good.key, good.version, good.value);
+  // Flipped in transit: the checksum no longer matches the bytes.
+  ReplicateRequest corrupt = good;
+  corrupt.key = "k-corrupt";
+  corrupt.checksum = object_checksum(corrupt.key, corrupt.version,
+                                     Blob("paYload"));
+
+  cluster.run([&]() -> sim::Task<void> {
+    rpc::Message corrupt_body = encode(corrupt);
+    auto rejected = co_await sender.call("tiera-us-west", method::kReplicate,
+                                         std::move(corrupt_body));
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+    rpc::Message good_body = encode(good);
+    auto accepted = co_await sender.call("tiera-us-west", method::kReplicate,
+                                         std::move(good_body));
+    EXPECT_TRUE(accepted.ok()) << accepted.status().to_string();
+  });
+
+  EXPECT_EQ(replica->wire_checksum_failures(), 1);
+  EXPECT_EQ(replica->local().meta().find("k-corrupt"), nullptr);
+  EXPECT_EQ(replica->local().tier_by_label("tier1")->stats().puts, 1);
+  // The accepted copy's row holds the replica's own hash of its bytes.
+  const metadb::VersionMeta* row =
+      replica->local().meta().find_version("k", 1);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->checksum, object_checksum("k", 1, Blob("payload")));
+}
+
+// ------------------------------------------------------------ restart
+
+// Scrub rounds one peer runs by 10.9 s with a 1 s scrub interval. With
+// `bounce`, it is stopped at 0.2 s and started again at 0.4 s, inside the
+// first interval. A round takes ~0.3 s and the next waits a full interval
+// after it, so the eighth round starts by ~10.5 s either way and the ninth
+// after 11 s.
+int64_t scrub_rounds_by_10_9s(bool bounce) {
+  Cluster cluster;
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(policy::builtin::eventual_consistency(),
+                                [](WieraPeer::Config& config) {
+                                  config.scrub_interval = sec(1);
+                                }));
+  EXPECT_TRUE(peers.ok()) << peers.status().to_string();
+  WieraPeer* peer = cluster.controller.peer("tiera-us-west");
+  if (bounce) {
+    cluster.sim.run_until(TimePoint(msec(200).us()));
+    peer->stop();
+    cluster.sim.run_until(TimePoint(msec(400).us()));
+    peer->start();
+  }
+  cluster.sim.run_until(TimePoint(msec(10900).us()));
+  return peer->scrub_rounds();
+}
+
+TEST(PeerRestartTest, BounceInsideAnIntervalLeavesOneScrubLoop) {
+  const int64_t unbounced = scrub_rounds_by_10_9s(/*bounce=*/false);
+  EXPECT_EQ(unbounced, 8);
+  EXPECT_EQ(scrub_rounds_by_10_9s(/*bounce=*/true), unbounced);
 }
 
 // ------------------------------------------------------------ health ranking
