@@ -98,8 +98,7 @@ sim::Task<Status> Network::transfer(std::string from, std::string to,
   // can arrive out of order (reordering fault).
   const TimePoint tx_done = reserve_nic(from, to, bytes);
   const Duration propagation =
-      topology_.sample_latency(from, to, /*bytes=*/0, sim_->now(),
-                               sim_->rng()) +
+      topology_.sample_latency(from, to, sim_->now(), sim_->rng()) +
       chaos_extra_delay(from, to);
   co_await sim_->at(tx_done);
   co_await sim_->delay(propagation);

@@ -77,12 +77,9 @@ Duration Topology::base_one_way(const std::string& node_a,
 }
 
 Duration Topology::sample_latency(const std::string& from,
-                                  const std::string& to, int64_t bytes,
-                                  TimePoint now, Rng& rng) const {
-  const Node& src = node(from);
-  const Node& dst = node(to);
-
-  Duration lat = base_rtt(src.datacenter, dst.datacenter) / 2;
+                                  const std::string& to, TimePoint now,
+                                  Rng& rng) const {
+  Duration lat = base_one_way(from, to);
   if (jitter_fraction_ > 0) {
     // Multiplicative jitter, truncated at -50% so latency stays positive.
     const double k =
@@ -90,15 +87,9 @@ Duration Topology::sample_latency(const std::string& from,
     lat = lat * k;
   }
 
-  if (bytes > 0) {
-    const double mbps = std::min(src.vm.net_mbps, dst.vm.net_mbps);
-    const double transfer_s = static_cast<double>(bytes) / (mbps * 1e6);
-    lat += sec(transfer_s);
-  }
-
-  // Slow-node windows scale the whole base+transfer sample (the node's
-  // processing is slow, so everything it touches takes longer), while
-  // injected extras add on top.
+  // Slow-node windows scale the whole sample (the node's processing is
+  // slow, so everything it touches takes longer), while injected extras add
+  // on top.
   const double slow = slow_multiplier(from, now) * slow_multiplier(to, now);
   if (slow != 1.0) lat = lat * slow;
 

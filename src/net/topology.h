@@ -84,10 +84,11 @@ class Topology {
   Duration base_one_way(const std::string& node_a,
                         const std::string& node_b) const;
 
-  // One sampled one-way latency for a message between nodes, including
-  // jitter and active injected delays. `bytes` adds serialization time.
+  // One sampled one-way propagation latency for a message between nodes,
+  // including jitter and active injected delays. Serialization through the
+  // NICs is Network::reserve_nic's.
   Duration sample_latency(const std::string& from, const std::string& to,
-                          int64_t bytes, TimePoint now, Rng& rng) const;
+                          TimePoint now, Rng& rng) const;
 
   // ---- fault injection ----
   // Add `extra` to every message touching `node_name` during [from, until).

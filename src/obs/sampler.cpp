@@ -40,13 +40,6 @@ const TimeSeries* Sampler::series(const std::string& id) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> Sampler::series_ids() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [id, ts] : series_) out.push_back(id);
-  return out;
-}
-
 std::string Sampler::render_json() const {
   std::string out =
       str_format("{\"scrapes\":%lld,\"series\":{",

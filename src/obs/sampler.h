@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -49,8 +48,6 @@ class Sampler {
   // nullptr when the id was never scraped. Ids: "name{labels}" for counters
   // and gauges, "name{labels}#count|#sum_us|#p99_us" for histograms.
   const TimeSeries* series(const std::string& id) const;
-  // All ids in deterministic (sorted) order.
-  std::vector<std::string> series_ids() const;
 
   // {"scrapes":N,"series":{"id":{...TimeSeries...},...}} — sorted ids, the
   // shape sweep artifacts store next to the telemetry snapshot.

@@ -380,7 +380,6 @@ void ScenarioEngine::apply(const ScenarioEvent& e) {
     case ScenarioEvent::Kind::kFlashCrowd:
     case ScenarioEvent::Kind::kTenantMix:
       load_.apply(e);
-      surface_->on_load_change(e);
       break;
     case ScenarioEvent::Kind::kDrainRegion:
       surface_->on_drain_region(e);

@@ -89,8 +89,6 @@ class ScenarioSurface {
   virtual void on_drain_region(const ScenarioEvent& /*e*/) {}
   virtual void on_add_region(const ScenarioEvent& /*e*/) {}
   virtual void on_rolling_restart(const ScenarioEvent& /*e*/) {}
-  // Informational: a load-shape event was applied to the LoadModel.
-  virtual void on_load_change(const ScenarioEvent& /*e*/) {}
 };
 
 // The live traffic model workload drivers sample from. Scenario events

@@ -74,7 +74,6 @@ class WieraClient {
 
   const std::string& id() const { return client_id_; }
   const std::string& closest_peer() const { return peer_ids_.front(); }
-  const std::vector<std::string>& peer_order() const { return peer_ids_; }
 
   sim::Task<Result<PutResponse>> put(std::string key, Blob value);
   sim::Task<Result<GetResponse>> get(std::string key);

@@ -21,6 +21,9 @@ constexpr char kChangePrimaryMethod[] = "wui.change_primary";
 constexpr int kPingFailureThreshold = 2;
 // Pause between stop and restart of each peer in a rolling restart.
 constexpr Duration kRestartPause = msec(500);
+// Requests an instance's members must have served between them before
+// recommend_primary names one.
+constexpr int64_t kPlacementMinRequests = 100;
 
 // Default local-policy resolver: built-ins plus an empty ForwardingInstance
 // (Fig. 6b declares regions whose instances only forward).
@@ -230,8 +233,6 @@ Result<std::vector<std::string>> WieraController::start_instances(
         region.instance_name() == "ForwardingInstance";
     peer_config.dynamic_consistency_policy = options.dynamic_consistency;
     peer_config.change_primary_policy = options.change_primary;
-    peer_config.network_monitor = &network_monitor_;
-    peer_config.workload_monitor = &workload_monitor_;
     peer_config.health = &health_;
     if (options.customize) options.customize(peer_config);
 
@@ -381,8 +382,27 @@ std::string WieraController::recommend_primary(
     const std::string& wiera_id) const {
   auto it = instances_.find(wiera_id);
   if (it == instances_.end()) return "";
-  const std::string busiest = advisor_.recommend_primary(workload_monitor_);
-  return it->second.has(busiest) ? busiest : "";
+  // The §3.1 workload monitor is the peers' registry series. A forwarded
+  // put is not a direct put at the peer it was forwarded to, so each put
+  // counts once, where the client sent it.
+  const obs::Registry& metrics = sim_->telemetry().registry();
+  std::string busiest;
+  int64_t top = 0;
+  int64_t total = 0;
+  for (const std::string& id : it->second.peer_ids) {
+    const obs::LabelSet inst{{"instance", id}};
+    const obs::Histogram* gets =
+        metrics.find_histogram("wiera_get_latency_us", inst);
+    const int64_t requests =
+        metrics.counter_value("wiera_direct_puts_total", inst) +
+        (gets == nullptr ? 0 : gets->count());
+    total += requests;
+    if (requests > top) {
+      top = requests;
+      busiest = id;
+    }
+  }
+  return total < kPlacementMinRequests ? "" : busiest;
 }
 
 std::vector<std::string> WieraController::down_instances(

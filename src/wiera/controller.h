@@ -25,7 +25,6 @@
 
 #include "coord/lock_service.h"
 #include "wiera/health.h"
-#include "wiera/monitors.h"
 #include "wiera/peer.h"
 
 namespace wiera::geo {
@@ -165,16 +164,14 @@ class WieraController {
   int64_t replacements_spawned() const { return replacements_spawned_; }
   int64_t recoveries_completed() const { return recoveries_completed_; }
 
-  // §3.1 monitors, fed by every peer this controller launches, and the
-  // placement advisor built on them.
-  NetworkMonitor& network_monitor() { return network_monitor_; }
-  WorkloadMonitor& workload_monitor() { return workload_monitor_; }
   // Health-scored failure detection (docs/HEALTH.md): fed by the heartbeat
   // loop here and by client/peer latency observations.
   HealthTracker& health() { return health_; }
   const HealthTracker& health() const { return health_; }
-  // Recommended primary for a Wiera instance based on observed workload
-  // ("" when there is not enough signal).
+  // §3.1 placement advisor: the member of `wiera_id` that served the most
+  // requests (direct puts + gets, as its registry series count them), once
+  // the instance's members have served 100 between them; "" before that or
+  // for an unknown instance.
   std::string recommend_primary(const std::string& wiera_id) const;
 
   WieraPeer* peer(const std::string& instance_id);
@@ -287,10 +284,7 @@ class WieraController {
   int64_t primary_changes_ = 0;
   int64_t replacements_spawned_ = 0;
   int64_t recoveries_completed_ = 0;
-  NetworkMonitor network_monitor_;
-  WorkloadMonitor workload_monitor_;
   HealthTracker health_;
-  PlacementAdvisor advisor_;
 };
 
 }  // namespace wiera::geo

@@ -170,12 +170,4 @@ int HealthTracker::rank_penalty(const std::string& peer) const {
   return 0;
 }
 
-std::vector<std::string> HealthTracker::probation_peers() const {
-  std::vector<std::string> out;
-  for (const auto& [peer, h] : peers_) {
-    if (h.state == State::kProbation) out.push_back(peer);
-  }
-  return out;
-}
-
 }  // namespace wiera::geo

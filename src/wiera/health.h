@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -67,9 +66,6 @@ class HealthTracker {
   // by (penalty, own tiebreak) so health never overrides proximity between
   // equally healthy peers.
   int rank_penalty(const std::string& peer) const;
-
-  // Deterministically ordered list of peers currently in probation.
-  std::vector<std::string> probation_peers() const;
 
   // ---- counters (RUN-REPORT counters; registered only when enabled) ----
   int64_t probation_entries() const {

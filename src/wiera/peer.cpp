@@ -541,15 +541,6 @@ sim::Task<Result<PutResponse>> WieraPeer::client_put(PutRequest request) {
 
   const Duration latency = sim_->now() - start;
   put_hist_->record(latency);
-  if (config_.network_monitor != nullptr) {
-    config_.network_monitor->record_request_latency(config_.instance_id,
-                                                    latency);
-  }
-  if (config_.workload_monitor != nullptr && !request.forwarded) {
-    config_.workload_monitor->record_request(
-        config_.instance_id, /*is_put=*/true,
-        static_cast<int64_t>(request.value.size()));
-  }
   // In strong modes the client-perceived put latency is the monitoring
   // signal; in eventual mode the flusher feeds replication latencies.
   if (config_.mode != ConsistencyMode::kEventual) {
@@ -781,18 +772,7 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
     }
   }
 
-  const Duration get_latency = sim_->now() - start;
-  get_hist_->record(get_latency);
-  if (config_.network_monitor != nullptr) {
-    config_.network_monitor->record_request_latency(config_.instance_id,
-                                                    get_latency);
-  }
-  if (config_.workload_monitor != nullptr) {
-    const int64_t bytes =
-        result.ok() ? static_cast<int64_t>(result->value.size()) : 0;
-    config_.workload_monitor->record_request(config_.instance_id,
-                                             /*is_put=*/false, bytes);
-  }
+  get_hist_->record(sim_->now() - start);
   op_finished();
   co_return result;
 }
@@ -968,10 +948,6 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
     auto resp = co_await endpoint_->call(
         target, batched ? method::kReplicateBatch : method::kReplicate,
         std::move(msg), ctx_for(deadline, wire_span));
-    if (config_.network_monitor != nullptr) {
-      config_.network_monitor->record_link_latency(config_.instance_id, target,
-                                                   sim_->now() - start);
-    }
     if (config_.health != nullptr && resp.ok()) {
       // Successful acks only: timeouts would pollute the EWMA with the
       // deadline value instead of the peer's actual service time.
@@ -1655,7 +1631,9 @@ void WieraPeer::record_put_source(const std::string& origin, bool forwarded) {
   } else {
     direct_puts_->inc();
   }
-  put_history_.push_back(PutEvent{sim_->now(), origin, forwarded});
+  if (config_.change_primary_policy.has_value()) {
+    put_history_.push_back(PutEvent{sim_->now(), origin, forwarded});
+  }
 }
 
 sim::Task<void> WieraPeer::requests_monitor_loop(uint64_t generation) {
@@ -1701,7 +1679,6 @@ void WieraPeer::evaluate_requests_monitor() {
   }
   const Duration period = sim_->now() - requests_condition_start_;
 
-  if (!config_.change_primary_policy.has_value()) return;
   policy::MapContext ctx;
   ctx.set("forwarded_requests_per_each_instance",
           policy::Value::number_of(static_cast<double>(top_count)));

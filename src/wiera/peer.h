@@ -36,7 +36,6 @@
 #include "tiera/instance.h"
 #include "wiera/health.h"
 #include "wiera/messages.h"
-#include "wiera/monitors.h"
 #include "wiera/types.h"
 
 namespace wiera::geo {
@@ -79,14 +78,10 @@ class WieraPeer : public tiera::InstanceHooks {
     // objects are shipped there instead of being demoted locally.
     std::string centralized_cold_target;
     std::string cold_tier_label;  // tier that receives kColdStore objects
-    // Aggregation sinks for the §3.1 network/workload monitors (owned by
-    // the controller; null disables recording).
-    NetworkMonitor* network_monitor = nullptr;
-    WorkloadMonitor* workload_monitor = nullptr;
     // Health-scored failure detection (docs/HEALTH.md; owned by the
-    // controller, wired like the monitors). When set and enabled,
-    // replication fan-outs order probation targets last and successful
-    // replication acks feed the per-target latency EWMA. Null = disabled.
+    // controller). When set and enabled, replication fan-outs order
+    // probation targets last and successful replication acks feed the
+    // per-target latency EWMA. Null = disabled.
     HealthTracker* health = nullptr;
     // Hot-key / workload analytics (docs/METRICS_PIPELINE.md): a space-
     // saving top-K sketch over client accesses, windowed on the virtual
@@ -241,6 +236,9 @@ class WieraPeer : public tiera::InstanceHooks {
   const obs::KeyStats& key_stats() const { return key_stats_; }
 
   // ---- monitor state (read by tests/benches) ----
+  // The §3.1 monitors: views over wiera_put_latency_us, wiera_get_latency_us
+  // and wiera_direct_puts_total{instance=<id>}, the series the controller's
+  // recommend_primary reads.
   const LatencyHistogram& put_latency() const { return put_hist_->latency(); }
   const LatencyHistogram& get_latency() const { return get_hist_->latency(); }
   int64_t direct_puts() const { return direct_puts_->value(); }
@@ -281,8 +279,8 @@ class WieraPeer : public tiera::InstanceHooks {
       const std::vector<ReplicateRequest>& ops, TimePoint deadline,
       TraceContext parent, bool sync);
   // The chunk to one target, every attempt (retry budget, backoff, breaker,
-  // network monitor, health EWMA) inside one span per op; returns per-op
-  // status (size == ops.size()).
+  // health EWMA) inside one span per op; returns per-op status
+  // (size == ops.size()).
   sim::Task<std::vector<Status>> send_replicate(
       std::string target, const std::vector<ReplicateRequest>& ops,
       TimePoint deadline, TraceContext parent, bool sync);
@@ -428,7 +426,8 @@ class WieraPeer : public tiera::InstanceHooks {
   bool streak_violating_ = false;
   bool streak_valid_ = false;
 
-  // Requests monitor (Fig. 5b) state: put history over a sliding window.
+  // Requests monitor (Fig. 5b) state: put history over a sliding window,
+  // recorded only while a ChangePrimary policy runs the monitor.
   struct PutEvent {
     TimePoint time;
     std::string origin;

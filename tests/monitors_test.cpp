@@ -1,69 +1,18 @@
-// Tests for the §3.1 network/workload monitors, the placement advisor, and
-// §4.4 replica maintenance (replacement spawning + primary failover).
+// Tests for the §3.1 monitors (each peer's registry series) and the
+// placement advisor that reads them, and §4.4 replica maintenance
+// (replacement spawning + primary failover).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "fault_suite.h"
 #include "wiera/client.h"
 #include "wiera/controller.h"
-#include "wiera/monitors.h"
 
 namespace wiera::geo {
 namespace {
-
-// ------------------------------------------------------------ unit level
-
-TEST(NetworkMonitorTest, TracksRequestAndLinkLatency) {
-  NetworkMonitor monitor;
-  monitor.record_request_latency("a", msec(10));
-  monitor.record_request_latency("a", msec(20));
-  monitor.record_request_latency("b", msec(100));
-  monitor.record_link_latency("a", "b", msec(70));
-
-  ASSERT_NE(monitor.request_latency("a"), nullptr);
-  EXPECT_EQ(monitor.request_latency("a")->count(), 2);
-  EXPECT_EQ(monitor.request_latency("a")->mean().us(), 15000);
-  EXPECT_EQ(monitor.request_latency("zz"), nullptr);
-  ASSERT_NE(monitor.link_latency("a", "b"), nullptr);
-  EXPECT_EQ(monitor.link_latency("b", "a"), nullptr);  // directional
-  EXPECT_EQ(monitor.slowest_instance(), "b");
-
-  monitor.reset();
-  EXPECT_EQ(monitor.slowest_instance(), "");
-}
-
-TEST(WorkloadMonitorTest, AggregatesPerInstance) {
-  WorkloadMonitor monitor;
-  monitor.record_request("us-west", true, 1000);
-  monitor.record_request("us-west", false, 3000);
-  monitor.record_request("eu-west", false, 2000);
-
-  ASSERT_NE(monitor.counters("us-west"), nullptr);
-  EXPECT_EQ(monitor.counters("us-west")->puts, 1);
-  EXPECT_EQ(monitor.counters("us-west")->gets, 1);
-  EXPECT_EQ(monitor.counters("us-west")->bytes, 4000);
-  EXPECT_EQ(monitor.total_requests(), 3);
-  EXPECT_EQ(monitor.busiest_instance(), "us-west");
-  EXPECT_DOUBLE_EQ(monitor.mean_object_size(), 2000.0);
-
-  monitor.reset();
-  EXPECT_EQ(monitor.total_requests(), 0);
-  EXPECT_EQ(monitor.busiest_instance(), "");
-  EXPECT_DOUBLE_EQ(monitor.mean_object_size(), 0.0);
-}
-
-TEST(PlacementAdvisorTest, NeedsEnoughSignal) {
-  WorkloadMonitor monitor;
-  PlacementAdvisor advisor(/*min_requests=*/10);
-  for (int i = 0; i < 5; ++i) monitor.record_request("asia", false, 100);
-  EXPECT_EQ(advisor.recommend_primary(monitor), "");  // not enough data
-  for (int i = 0; i < 10; ++i) monitor.record_request("asia", false, 100);
-  EXPECT_EQ(advisor.recommend_primary(monitor), "asia");
-}
-
-// ------------------------------------------------------------ integrated
 
 // The integrated tests run on the fault suites' four-region cluster
 // (tests/fault_suite.h), most with a spare server in US East; this is their
@@ -72,49 +21,73 @@ WieraController::Config maintaining(int min_replicas) {
   return WieraController::Config{"wiera-controller", sec(1), min_replicas};
 }
 
+// `puts` puts of fresh keys, then `gets` gets (of those keys while they
+// last, then of missing ones: a miss is still a served request).
+sim::Task<void> serve(WieraClient& client, std::string prefix, int puts,
+                      int gets) {
+  for (int i = 0; i < puts; ++i) {
+    auto put = co_await client.put(prefix + std::to_string(i),
+                                   Blob::zeros(2048));
+    EXPECT_TRUE(put.ok()) << put.status().to_string();
+  }
+  for (int i = 0; i < gets; ++i) {
+    auto get = co_await client.get(prefix + std::to_string(i));
+    EXPECT_EQ(get.ok(), i < puts) << get.status().to_string();
+  }
+}
+
+// Runs the cluster until `traffic` has finished.
+void drive(suite::Cluster& cluster, sim::Task<void> traffic) {
+  bool done = false;
+  cluster.sim.spawn([](sim::Task<void> task, bool& flag,
+                       sim::Simulation& s) -> sim::Task<void> {
+    co_await std::move(task);
+    flag = true;
+    s.stop();
+  }(std::move(traffic), done, cluster.sim));
+  cluster.sim.run();
+  ASSERT_TRUE(done);
+}
+
+// The §3.1 monitors are the peers' registry series: every request a peer
+// serves is one latency sample, and a put counts as a direct put once, at
+// the peer its client sent it to. A PrimaryBackup backup forwards its
+// clients' puts to the primary, which counts them as forwarded, not direct.
 TEST(MonitorsIntegrationTest, PeersFeedControllerMonitors) {
   suite::Cluster cluster(3, maintaining(0), "tiera-spare");
   auto peers = cluster.controller.start_instances(
-      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
+      "w1", suite::Cluster::options_for(ConsistencyMode::kPrimaryBackupSync));
   ASSERT_TRUE(peers.ok());
+  ASSERT_EQ(cluster.controller.current_primary("w1"), "tiera-us-west");
+  WieraClient west(cluster.sim, cluster.network, cluster.registry, "app",
+                   "client-us-west", *peers);
+  WieraClient europe(cluster.sim, cluster.network, cluster.registry,
+                     "app-eu", "client-eu-west", *peers);
+  drive(cluster, serve(west, "w", 20, 20));
+  drive(cluster, serve(europe, "e", 10, 10));
 
-  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
-                     "client-us-west", *peers);
-  bool done = false;
-  auto body = [](WieraClient& c, bool& flag,
-                 sim::Simulation& s) -> sim::Task<void> {
-    for (int i = 0; i < 20; ++i) {
-      co_await c.put("k" + std::to_string(i), Blob::zeros(2048));
-      auto r = co_await c.get("k" + std::to_string(i));
-      EXPECT_TRUE(r.ok());
-    }
-    flag = true;
-    s.stop();
-  };
-  cluster.sim.spawn(body(client, done, cluster.sim));
-  cluster.sim.run();
-  ASSERT_TRUE(done);
-
-  // Workload monitor saw the traffic, all at the closest (US West) peer.
-  EXPECT_EQ(cluster.controller.workload_monitor().busiest_instance(),
-            "tiera-us-west");
-  const auto* counters =
-      cluster.controller.workload_monitor().counters("tiera-us-west");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->puts, 20);
-  EXPECT_EQ(counters->gets, 20);
-  EXPECT_DOUBLE_EQ(cluster.controller.workload_monitor().mean_object_size(),
-                   2048.0);
-  // Network monitor recorded request latencies there too.
-  ASSERT_NE(cluster.controller.network_monitor().request_latency(
-                "tiera-us-west"),
-            nullptr);
-  EXPECT_GE(cluster.controller.network_monitor()
-                .request_latency("tiera-us-west")
-                ->count(),
-            40);
-  // Placement advisor recommends keeping the primary near the traffic
-  // (needs >= 100 samples by default; we only have 40 -> "").
+  WieraPeer* primary = cluster.controller.peer("tiera-us-west");
+  WieraPeer* backup = cluster.controller.peer("tiera-eu-west");
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(backup, nullptr);
+  EXPECT_EQ(primary->direct_puts(), 20);
+  EXPECT_EQ(primary->forwarded_puts_from("tiera-eu-west"), 10);
+  EXPECT_EQ(primary->get_latency().count(), 20);
+  EXPECT_EQ(backup->direct_puts(), 10);
+  EXPECT_EQ(backup->get_latency().count(), 10);
+  EXPECT_EQ(cluster.controller.peer("tiera-us-east")->direct_puts(), 0);
+  // Latency: one sample per put the primary served, the forwarded ones
+  // included; a sync put waits at least for the 70 ms US West - US East
+  // round trip of its copy, and a backup's put adds the forward to it.
+  const obs::Registry& metrics = cluster.sim.telemetry().registry();
+  const obs::Histogram* primary_puts = metrics.find_histogram(
+      "wiera_put_latency_us", {{"instance", "tiera-us-west"}});
+  ASSERT_NE(primary_puts, nullptr);
+  EXPECT_EQ(primary_puts->count(), 30);
+  EXPECT_GE(primary_puts->percentile(0.5).us(), msec(70).us());
+  EXPECT_EQ(backup->put_latency().count(), 10);
+  EXPECT_GT(backup->put_latency().mean(), primary_puts->mean());
+  // 60 requests across the members: below the placement advisor's 100.
   EXPECT_EQ(cluster.controller.recommend_primary("w1"), "");
 }
 
@@ -125,21 +98,53 @@ TEST(MonitorsIntegrationTest, AdvisorRecommendsBusiestRegion) {
   ASSERT_TRUE(peers.ok());
   WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
                      "client-us-west", *peers);
-  bool done = false;
-  auto body = [](WieraClient& c, bool& flag,
-                 sim::Simulation& s) -> sim::Task<void> {
-    for (int i = 0; i < 120; ++i) {
-      auto r = co_await c.get("missing-key");
-      (void)r;  // misses still count as requests
-    }
-    flag = true;
-    s.stop();
-  };
-  cluster.sim.spawn(body(client, done, cluster.sim));
-  cluster.sim.run();
-  ASSERT_TRUE(done);
+  drive(cluster, serve(client, "k", 0, 120));
   EXPECT_EQ(cluster.controller.recommend_primary("w1"), "tiera-us-west");
   EXPECT_EQ(cluster.controller.recommend_primary("no-such-instance"), "");
+}
+
+// Each instance's recommendation sums only its own members' requests:
+// another instance on the same controller neither fills its 100-request
+// threshold nor takes its busiest peer.
+TEST(MonitorsIntegrationTest, AdvisorCountsOnlyTheInstancesOwnMembers) {
+  suite::Cluster cluster(3, maintaining(0), "tiera-spare");
+  auto w1 = cluster.controller.start_instances(
+      "w1", suite::Cluster::options_for(ConsistencyMode::kEventual));
+  ASSERT_TRUE(w1.ok());
+  WieraController::StartOptions solo = suite::Cluster::options_for(R"(
+Wiera Solo() {
+   Region1 = {name:LowLatencyInstance, region:US-East,
+      tier1 = {name:LocalMemory, size=5G},
+      tier2 = {name:LocalDisk, size=5G} }
+}
+)");
+  solo.node_for_region = [](const std::string&) { return "tiera-spare"; };
+  auto w2 = cluster.controller.start_instances("w2", std::move(solo));
+  ASSERT_TRUE(w2.ok());
+  ASSERT_EQ(*w2, std::vector<std::string>{"tiera-spare"});
+  WieraClient west(cluster.sim, cluster.network, cluster.registry, "app1",
+                   "client-us-west", *w1);
+  WieraClient asia(cluster.sim, cluster.network, cluster.registry, "app2",
+                   "client-asia-east", *w1);
+  WieraClient solo_client(cluster.sim, cluster.network, cluster.registry,
+                          "app3", "client-eu-west", *w2);
+
+  // 110 requests on the controller, the most at w2's peer, but only 50 in
+  // w2 and 60 in w1.
+  drive(cluster, serve(west, "a", 15, 15));
+  drive(cluster, serve(asia, "b", 15, 15));
+  drive(cluster, serve(solo_client, "c", 25, 25));
+  EXPECT_EQ(cluster.controller.recommend_primary("w1"), "");
+  EXPECT_EQ(cluster.controller.recommend_primary("w2"), "");
+
+  // w1 now has 330 requests, 300 of them at US West; w2 has 120.
+  drive(cluster, serve(west, "d", 100, 170));
+  drive(cluster, serve(solo_client, "e", 35, 35));
+  WieraPeer* spare = cluster.controller.peer("tiera-spare");
+  ASSERT_NE(spare, nullptr);
+  EXPECT_EQ(spare->direct_puts() + spare->get_latency().count(), 120);
+  EXPECT_EQ(cluster.controller.recommend_primary("w1"), "tiera-us-west");
+  EXPECT_EQ(cluster.controller.recommend_primary("w2"), "tiera-spare");
 }
 
 // ------------------------------------------------------------ §4.4

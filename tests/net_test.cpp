@@ -50,7 +50,7 @@ TEST(TopologyTest, SampleLatencyJitterIsBounded) {
   topo.set_jitter_fraction(0.05);
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
-    Duration d = topo.sample_latency("n1", "n2", 0, TimePoint::origin(), rng);
+    Duration d = topo.sample_latency("n1", "n2", TimePoint::origin(), rng);
     EXPECT_GT(d.us(), 35000 / 2);   // never below 50% of base
     EXPECT_LT(d.us(), 35000 * 2);   // 5% jitter can't double latency
   }
@@ -60,28 +60,8 @@ TEST(TopologyTest, ZeroJitterIsExact) {
   Topology topo = two_dc_topology();
   topo.set_jitter_fraction(0.0);
   Rng rng(3);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", 0, TimePoint::origin(), rng).us(),
+  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint::origin(), rng).us(),
             35000);
-}
-
-TEST(TopologyTest, TransferTimeScalesWithBytesAndThrottle) {
-  Topology topo;
-  topo.add_datacenter("dc", Provider::kAzure, "us-east");
-  topo.add_node("small", "dc", VmType::basic_a2());
-  topo.add_node("large", "dc", VmType::standard_d3());
-  topo.set_jitter_fraction(0.0);
-  Rng rng(1);
-  const double small_mbps = VmType::basic_a2().net_mbps;
-  const double large_mbps = VmType::standard_d3().net_mbps;
-  const int64_t payload = 12 * 1000 * 1000;
-  // Bottleneck is the slower endpoint's NIC.
-  Duration d = topo.sample_latency("small", "large", payload,
-                                   TimePoint::origin(), rng);
-  EXPECT_NEAR(d.seconds(), payload / (small_mbps * 1e6), 0.01);
-  topo.add_node("large2", "dc", VmType::standard_d3());
-  d = topo.sample_latency("large", "large2", payload,
-                          TimePoint::origin(), rng);
-  EXPECT_NEAR(d.seconds(), payload / (large_mbps * 1e6), 0.01);
 }
 
 TEST(TopologyTest, InjectedDelayAppliesOnlyInWindow) {
@@ -90,10 +70,10 @@ TEST(TopologyTest, InjectedDelayAppliesOnlyInWindow) {
   topo.inject_node_delay("n2", msec(500), TimePoint(1000000),
                          TimePoint(2000000));
   Rng rng(1);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", 0, TimePoint(0), rng).us(), 35000);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", 0, TimePoint(1500000), rng).us(),
+  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(0), rng).us(), 35000);
+  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(1500000), rng).us(),
             535000);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", 0, TimePoint(2000000), rng).us(),
+  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(2000000), rng).us(),
             35000);
 }
 
@@ -140,6 +120,32 @@ TEST(NetworkTest, TransferTakesOneWayLatency) {
   sim.run();
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.completed_at_us, 35000);
+}
+
+TEST(NetworkTest, TransferTimeScalesWithBytesAndThrottle) {
+  sim::Simulation sim;
+  Topology topo;
+  topo.add_datacenter("dc", Provider::kAzure, "us-east");
+  topo.add_node("small", "dc", VmType::basic_a2());
+  topo.add_node("large", "dc", VmType::standard_d3());
+  topo.add_node("large2", "dc", VmType::standard_d3());
+  topo.set_jitter_fraction(0.0);
+  Network net(sim, std::move(topo));
+  const double small_mbps = VmType::basic_a2().net_mbps;
+  const double large_mbps = VmType::standard_d3().net_mbps;
+  const int64_t payload = 12 * 1000 * 1000;
+  // Bottleneck is the slower endpoint's NIC.
+  TransferResult r;
+  sim.spawn(do_transfer(net, "small", "large", payload, r));
+  sim.run();
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_NEAR(r.completed_at_us / 1e6, payload / (small_mbps * 1e6), 0.01);
+  const int64_t start_us = sim.now().us();
+  sim.spawn(do_transfer(net, "large", "large2", payload, r));
+  sim.run();
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_NEAR((r.completed_at_us - start_us) / 1e6,
+              payload / (large_mbps * 1e6), 0.01);
 }
 
 TEST(NetworkTest, TrafficAccounting) {
