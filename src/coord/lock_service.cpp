@@ -2,18 +2,25 @@
 
 namespace wiera::coord {
 
-LockService::~LockService() { reaping_ = false; }
+LockService::~LockService() { stop_lease_reaper(); }
 
 void LockService::start_lease_reaper(Duration check_interval) {
   if (reaping_) return;
   reaping_ = true;
-  sim_->spawn(lease_reaper_loop(check_interval), "lock.lease-reaper");
+  sim_->spawn(lease_reaper_loop(check_interval, reaper_generation_),
+              "lock.lease-reaper");
 }
 
-sim::Task<void> LockService::lease_reaper_loop(Duration check_interval) {
-  while (reaping_) {
+void LockService::stop_lease_reaper() {
+  reaping_ = false;
+  reaper_generation_++;
+}
+
+sim::Task<void> LockService::lease_reaper_loop(Duration check_interval,
+                                               uint64_t generation) {
+  while (generation == reaper_generation_) {
     co_await sim_->delay(check_interval);
-    if (!reaping_) break;
+    if (generation != reaper_generation_) break;
     for (auto& [name, lock] : locks_) {
       if (lock->holder.empty()) continue;
       if (sim_->now() - lock->granted_at > kLease) {

@@ -56,7 +56,7 @@ class LockService {
   // `check_interval`; WieraController::start() runs it on the heartbeat.
   static constexpr Duration kLease = sec(20);
   void start_lease_reaper(Duration check_interval);
-  void stop_lease_reaper() { reaping_ = false; }
+  void stop_lease_reaper();
 
   static constexpr const char* kAcquireMethod = "lock.acquire";
   static constexpr const char* kReleaseMethod = "lock.release";
@@ -70,7 +70,8 @@ class LockService {
     TimePoint granted_at;
   };
 
-  sim::Task<void> lease_reaper_loop(Duration check_interval);
+  sim::Task<void> lease_reaper_loop(Duration check_interval,
+                                    uint64_t generation);
 
   sim::Task<Result<rpc::Message>> handle_acquire(rpc::Message request);
   sim::Task<Result<rpc::Message>> handle_release(rpc::Message request);
@@ -83,6 +84,10 @@ class LockService {
   int64_t acquires_served_ = 0;
   int64_t leases_expired_ = 0;
   bool reaping_ = false;
+  // Bumped by stop_lease_reaper(): the loop start_lease_reaper() spawned
+  // exits when it next wakes, so a restart inside one interval leaves only
+  // the new one.
+  uint64_t reaper_generation_ = 0;
 };
 
 // Client-side helpers: issue acquire/release RPCs from `client` to the lock

@@ -26,11 +26,13 @@ bool latest_dirty(const ObjectMeta& obj) {
 }  // namespace
 
 ObjectMeta& MetaDb::record(const std::string& key) {
-  auto [it, created] = objects_.try_emplace(key);
-  if (created) {
-    it->second.key = key;
-    it->second.created = ++records_created_;
+  if (auto found = index_.find(key); found != index_.end()) {
+    return found->second->second;
   }
+  auto it = objects_.try_emplace(key).first;
+  index_.emplace(it->first, it);
+  it->second.key = key;
+  it->second.created = ++records_created_;
   return it->second;
 }
 
@@ -53,9 +55,11 @@ void MetaDb::reindex(const ObjectMeta& obj, bool was_dirty) {
   }
 }
 
-void MetaDb::erase_record(Records::iterator it) {
+void MetaDb::erase_record(Index::iterator entry) {
+  const Records::iterator it = entry->second;
   if (open_scans_ > 0) erased_.push_back({it->first, it->second.created});
   dirty_.erase(it->first);
+  index_.erase(entry);
   objects_.erase(it);
 }
 
@@ -80,8 +84,8 @@ void MetaDb::restore_version(const std::string& key, const VersionMeta& row) {
 }
 
 const ObjectMeta* MetaDb::find(const std::string& key) const {
-  auto it = objects_.find(key);
-  return it == objects_.end() ? nullptr : &it->second;
+  auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &it->second->second;
 }
 
 const VersionMeta* MetaDb::find_version(const std::string& key,
@@ -94,24 +98,25 @@ const VersionMeta* MetaDb::find_version(const std::string& key,
 
 void MetaDb::record_access(const std::string& key, int64_t version,
                            TimePoint now) {
-  auto obj = objects_.find(key);
-  if (obj == objects_.end()) return;
-  auto it = obj->second.versions.find(version);
-  if (it == obj->second.versions.end()) return;
+  auto entry = index_.find(key);
+  if (entry == index_.end()) return;
+  ObjectMeta& obj = entry->second->second;
+  auto it = obj.versions.find(version);
+  if (it == obj.versions.end()) return;
   it->second.last_accessed = now;
   it->second.access_count++;
 }
 
 Status MetaDb::remove_version(const std::string& key, int64_t version) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return not_found("metadb object: " + key);
-  ObjectMeta& obj = it->second;
+  auto entry = index_.find(key);
+  if (entry == index_.end()) return not_found("metadb object: " + key);
+  ObjectMeta& obj = entry->second->second;
   const bool was_dirty = latest_dirty(obj);
   if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
   }
   if (obj.versions.empty()) {
-    erase_record(it);
+    erase_record(entry);
   } else {
     reindex(obj, was_dirty);
   }
@@ -119,16 +124,16 @@ Status MetaDb::remove_version(const std::string& key, int64_t version) {
 }
 
 Status MetaDb::remove_object(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return not_found("metadb object: " + key);
-  erase_record(it);
+  auto entry = index_.find(key);
+  if (entry == index_.end()) return not_found("metadb object: " + key);
+  erase_record(entry);
   return ok_status();
 }
 
 Status MetaDb::forget_version(const std::string& key, int64_t version) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return not_found("metadb object: " + key);
-  ObjectMeta& obj = it->second;
+  auto entry = index_.find(key);
+  if (entry == index_.end()) return not_found("metadb object: " + key);
+  ObjectMeta& obj = entry->second->second;
   const bool was_dirty = latest_dirty(obj);
   if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
@@ -202,7 +207,7 @@ const ObjectMeta* MetaDb::next_object(const Scan& scan,
   if (dirty_only) {
     auto it = after == nullptr ? dirty_.begin() : dirty_.upper_bound(*after);
     for (; it != dirty_.end(); ++it) {
-      const ObjectMeta& obj = objects_.find(*it)->second;
+      const ObjectMeta& obj = index_.find(*it)->second->second;
       if (in_scan(scan, obj)) return &obj;
     }
     return nullptr;
@@ -279,10 +284,12 @@ Status MetaDb::deserialize(const Bytes& data) {
     }
   }
   objects_ = std::move(loaded);
+  index_.clear();
   dirty_.clear();
-  for (auto& [key, obj] : objects_) {
-    obj.created = ++records_created_;
-    if (latest_dirty(obj)) dirty_.insert(dirty_.end(), key);
+  for (auto it = objects_.begin(); it != objects_.end(); ++it) {
+    index_.emplace(it->first, it);
+    it->second.created = ++records_created_;
+    if (latest_dirty(it->second)) dirty_.insert(dirty_.end(), it->first);
   }
   return ok_status();
 }

@@ -15,7 +15,9 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -93,8 +95,18 @@ struct ObjectMeta {
   TimePoint last_accessed() const;
 };
 
+// Records live in one key-ordered map, which every walk (scans, cold_objects,
+// keys, serialize) follows. A hash index over that map answers every point
+// lookup by key in O(1); only record(), erase_record() and deserialize()
+// create or drop records, so only they maintain it.
 class MetaDb {
  public:
+  MetaDb() = default;
+  // The index points into this store's own map: a copy would point into
+  // the source.
+  MetaDb(const MetaDb&) = delete;
+  MetaDb& operator=(const MetaDb&) = delete;
+
   // What a scan holds: the keys that had a record when it opened. A key
   // created later is not in it; a key erased and re-created since is.
   struct Scan {
@@ -169,15 +181,18 @@ class MetaDb {
 
  private:
   using Records = std::map<std::string, ObjectMeta>;
+  using Index = std::unordered_map<std::string_view, Records::iterator>;
 
   // The key's record, created (and stamped) when absent.
   ObjectMeta& record(const std::string& key);
   VersionMeta& upsert_row(ObjectMeta& obj, int64_t version);
   // Brings the dirty index up to date after a change to `obj`'s rows.
   void reindex(const ObjectMeta& obj, bool was_dirty);
-  void erase_record(Records::iterator it);
+  void erase_record(Index::iterator entry);
 
   Records objects_;
+  // Key -> record, keyed by a view of the map node's own key.
+  Index index_;
   std::set<std::string> dirty_;
   uint64_t records_created_ = 0;
   // Records erased while any scan is open (key, creation stamp); cleared

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "net/topology.h"
@@ -79,8 +80,10 @@ class Network {
   sim::Simulation& sim() { return *sim_; }
   Topology& topology() { return topology_; }
   const Topology& topology() const { return topology_; }
-  const TrafficStats& traffic() const { return traffic_; }
-  void reset_traffic() { traffic_ = TrafficStats{}; }
+  // The counters so far, with a dc_pair_bytes entry for every datacenter
+  // pair that carried a message (0-byte messages included).
+  TrafficStats traffic() const;
+  void reset_traffic();
 
   // ---- chaos injection ----
   void inject_chaos(ChaosWindow window) {
@@ -104,22 +107,31 @@ class Network {
   // concurrent transfers touching the same node queue behind each other for
   // their serialization time (bytes / slower endpoint's throughput), which
   // is what makes a VM's network throttle bound aggregate IOPS (Fig. 11).
-  sim::Task<Status> transfer(std::string from, std::string to, int64_t bytes);
-
-  // Deadline-aware variant: identical delivery semantics, but the
-  // unreachable-timeout waits (down node, partition, dropped message) are
-  // capped at the time remaining before `deadline`, so a sender with a
-  // deadline learns about unreachability no later than its deadline instead
+  //
+  // With a deadline, the unreachable-timeout waits (down node, partition,
+  // dropped message) are capped at the time remaining before it, so a
+  // sender learns about unreachability no later than its deadline instead
   // of always paying the full kUnreachableDelay. TimePoint::max() = none.
-  sim::Task<Status> transfer(std::string from, std::string to, int64_t bytes,
-                             TimePoint deadline);
+  sim::Task<Status> transfer(NodeId from, NodeId to, int64_t bytes,
+                             TimePoint deadline = TimePoint::max());
+  // The same transfer between nodes named in the topology.
+  sim::Task<Status> transfer(const std::string& from, const std::string& to,
+                             int64_t bytes,
+                             TimePoint deadline = TimePoint::max()) {
+    return transfer(topology_.node_id(from), topology_.node_id(to), bytes,
+                    deadline);
+  }
 
  private:
   // The capped wait a sender pays before concluding unreachability.
   Duration unreachable_wait(TimePoint deadline) const;
+  // Why a message leaving now from `from` for `to` is lost (a down node, a
+  // partition, a chaos drop); OK when it flies.
+  Status departure(NodeId from, NodeId to);
   // Reserve NIC time on both endpoints; returns when the transfer may end.
-  TimePoint reserve_nic(const std::string& from, const std::string& to,
-                        int64_t bytes);
+  TimePoint reserve_nic(NodeId from, NodeId to, int64_t bytes);
+  // Count a delivered message on its datacenter pair.
+  void count_traffic(NodeId from, NodeId to, int64_t bytes);
 
   bool chaos_drop(const std::string& from, const std::string& to);
   Duration chaos_extra_delay(const std::string& from, const std::string& to);
@@ -144,10 +156,14 @@ class Network {
 
   sim::Simulation* sim_;
   Topology topology_;
-  TrafficStats traffic_;
+  int64_t total_messages_ = 0;
+  int64_t total_bytes_ = 0;
+  // Bytes sent from one datacenter to another, by source then destination
+  // id; kNoTraffic where no message has passed. Rows grow on first use.
+  std::vector<std::vector<int64_t>> dc_pair_bytes_;
   ChaosStats chaos_stats_;
   std::vector<ChaosWindow> chaos_windows_;
-  std::map<std::string, TimePoint> nic_free_;  // per-node next free time
+  std::vector<TimePoint> nic_free_;  // next free time, by node id
 };
 
 }  // namespace wiera::net

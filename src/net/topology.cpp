@@ -15,69 +15,80 @@ std::string_view provider_name(Provider p) {
 }
 
 namespace {
-std::pair<std::string, std::string> ordered(const std::string& a,
-                                            const std::string& b) {
-  return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
+// An RTT matrix cell no set_rtt has written.
+constexpr Duration kNoRtt = usec(-1);
 }  // namespace
 
 Topology::Topology() = default;
 
 void Topology::add_datacenter(const std::string& name, Provider provider,
                               const std::string& region) {
-  datacenters_[name] = Datacenter{name, provider, region};
+  const auto [it, added] =
+      dc_ids_.try_emplace(name, static_cast<DcId>(datacenters_.size()));
+  if (!added) {
+    datacenters_[it->second] = Datacenter{name, provider, region};
+    return;
+  }
+  datacenters_.push_back(Datacenter{name, provider, region});
+  // Grow the RTT matrix by a row and a column, keeping every RTT set.
+  const size_t n = datacenters_.size();
+  std::vector<Duration> rtt(n * n, kNoRtt);
+  for (size_t a = 0; a + 1 < n; ++a) {
+    std::copy_n(&rtt_[a * (n - 1)], n - 1, &rtt[a * n]);
+  }
+  rtt.back() = usec(calibration::kSameDcRttUs);  // the new diagonal cell
+  rtt_ = std::move(rtt);
 }
 
 void Topology::set_rtt(const std::string& dc_a, const std::string& dc_b,
                        Duration rtt) {
-  assert(datacenters_.count(dc_a) && datacenters_.count(dc_b));
-  rtt_[ordered(dc_a, dc_b)] = rtt;
+  const size_t n = datacenters_.size();
+  const DcId a = datacenter_id(dc_a);
+  const DcId b = datacenter_id(dc_b);
+  rtt_[a * n + b] = rtt;
+  rtt_[b * n + a] = rtt;
 }
 
 void Topology::add_node(const std::string& name,
                         const std::string& datacenter, VmType vm) {
-  assert(datacenters_.count(datacenter) && "add the datacenter first");
-  nodes_[name] = Node{name, datacenter, std::move(vm)};
+  Node node{name, datacenter, std::move(vm), datacenter_id(datacenter)};
+  const auto [it, added] =
+      node_ids_.try_emplace(name, static_cast<NodeId>(nodes_.size()));
+  if (added) {
+    nodes_.push_back(std::move(node));
+  } else {
+    nodes_[it->second] = std::move(node);
+  }
 }
 
 bool Topology::has_node(const std::string& name) const {
-  return nodes_.count(name) > 0;
+  return node_ids_.count(name) > 0;
 }
 
-const Node& Topology::node(const std::string& name) const {
-  auto it = nodes_.find(name);
-  assert(it != nodes_.end() && "unknown node");
+NodeId Topology::node_id(const std::string& name) const {
+  auto it = node_ids_.find(name);
+  assert(it != node_ids_.end() && "unknown node");
+  return it->second;
+}
+
+DcId Topology::datacenter_id(const std::string& name) const {
+  auto it = dc_ids_.find(name);
+  assert(it != dc_ids_.end() && "add the datacenter first");
   return it->second;
 }
 
 const Datacenter& Topology::datacenter_of(const std::string& node_name) const {
-  auto it = datacenters_.find(node(node_name).datacenter);
-  assert(it != datacenters_.end());
-  return it->second;
+  return datacenters_[node(node_name).dc];
 }
 
 std::vector<std::string> Topology::node_names() const {
   std::vector<std::string> out;
-  out.reserve(nodes_.size());
-  for (const auto& [name, _] : nodes_) out.push_back(name);
+  out.reserve(node_ids_.size());
+  for (const auto& [name, _] : node_ids_) out.push_back(name);
   return out;
 }
 
-Duration Topology::base_rtt(const std::string& dc_a,
-                            const std::string& dc_b) const {
-  if (dc_a == dc_b) return usec(calibration::kSameDcRttUs);
-  auto it = rtt_.find(ordered(dc_a, dc_b));
-  assert(it != rtt_.end() && "no RTT configured for datacenter pair");
-  return it->second;
-}
-
-Duration Topology::base_one_way(const std::string& node_a,
-                                const std::string& node_b) const {
-  return base_rtt(node(node_a).datacenter, node(node_b).datacenter) / 2;
-}
-
-Duration Topology::sample_latency(const std::string& from,
-                                  const std::string& to, TimePoint now,
+Duration Topology::sample_latency(NodeId from, NodeId to, TimePoint now,
                                   Rng& rng) const {
   Duration lat = base_one_way(from, to);
   if (jitter_fraction_ > 0) {
@@ -90,35 +101,38 @@ Duration Topology::sample_latency(const std::string& from,
   // Slow-node windows scale the whole sample (the node's processing is
   // slow, so everything it touches takes longer), while injected extras add
   // on top.
-  const double slow = slow_multiplier(from, now) * slow_multiplier(to, now);
+  const std::string& from_name = nodes_[from].name;
+  const std::string& to_name = nodes_[to].name;
+  const double slow =
+      slow_multiplier(from_name, now) * slow_multiplier(to_name, now);
   if (slow != 1.0) lat = lat * slow;
 
-  lat += injected_extra(from, now);
-  lat += injected_extra(to, now);
+  lat += injected_extra(from_name, now);
+  lat += injected_extra(to_name, now);
   return lat;
 }
 
 void Topology::inject_node_delay(const std::string& node_name, Duration extra,
                                  TimePoint from, TimePoint until) {
-  assert(nodes_.count(node_name));
+  assert(has_node(node_name));
   delays_.push_back(DelayWindow{node_name, extra, from, until});
 }
 
 void Topology::inject_freeze(const std::string& node_name, TimePoint from,
                              TimePoint until) {
-  assert(nodes_.count(node_name));
+  assert(has_node(node_name));
   freezes_.push_back(FreezeWindow{node_name, from, until});
 }
 
 void Topology::inject_node_slow(const std::string& node_name, double factor,
                                 TimePoint from, TimePoint until) {
-  assert(nodes_.count(node_name));
+  assert(has_node(node_name));
   slows_.push_back(SlowWindow{node_name, factor, from, until});
 }
 
 void Topology::inject_outage(const std::string& node_name, TimePoint from,
                              TimePoint until) {
-  assert(nodes_.count(node_name));
+  assert(has_node(node_name));
   outages_.push_back(OutageWindow{node_name, from, until});
 }
 
@@ -140,7 +154,7 @@ bool Topology::node_down_during(const std::string& node_name, TimePoint from,
 void Topology::inject_partition(const std::string& src, const std::string& dst,
                                 TimePoint from, TimePoint until,
                                 bool bidirectional) {
-  assert(nodes_.count(src) && nodes_.count(dst));
+  assert(has_node(src) && has_node(dst));
   partitions_.push_back(PartitionWindow{src, dst, from, until});
   if (bidirectional) {
     partitions_.push_back(PartitionWindow{dst, src, from, until});
@@ -204,8 +218,8 @@ Topology Topology::paper_default() {
 
   auto dc_in_region = [&](const std::string& region,
                           Provider provider) -> std::string {
-    for (const auto& [name, dc] : topo.datacenters_) {
-      if (dc.region == region && dc.provider == provider) return name;
+    for (const Datacenter& dc : topo.datacenters_) {
+      if (dc.region == region && dc.provider == provider) return dc.name;
     }
     return {};
   };

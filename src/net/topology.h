@@ -9,6 +9,8 @@
 // Outages make transfers fail with kUnavailable after a timeout.
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -44,6 +46,11 @@ struct VmType {
   static VmType standard_d3() { return {"Standard D3", 12.2}; }
 };
 
+// Dense handles for the request path: a datacenter's or node's position in
+// the order it was first added. Re-adding a name keeps its id.
+using DcId = uint32_t;
+using NodeId = uint32_t;
+
 struct Datacenter {
   std::string name;    // e.g. "aws-us-east"
   Provider provider;
@@ -54,6 +61,7 @@ struct Node {
   std::string name;  // e.g. "tiera-us-west"
   std::string datacenter;
   VmType vm;
+  DcId dc = 0;  // the id of `datacenter`
 };
 
 // Static description of the world + dynamic fault state.
@@ -75,20 +83,44 @@ class Topology {
 
   // ---- queries ----
   bool has_node(const std::string& name) const;
-  const Node& node(const std::string& name) const;
+  // The id of a node added earlier.
+  NodeId node_id(const std::string& name) const;
+  const Node& node(NodeId id) const { return nodes_[id]; }
+  const Node& node(const std::string& name) const {
+    return nodes_[node_id(name)];
+  }
+  size_t node_count() const { return nodes_.size(); }
+  // The id of a datacenter added earlier.
+  DcId datacenter_id(const std::string& name) const;
+  const Datacenter& datacenter(DcId id) const { return datacenters_[id]; }
+  size_t datacenter_count() const { return datacenters_.size(); }
   const Datacenter& datacenter_of(const std::string& node_name) const;
+  // In name order.
   std::vector<std::string> node_names() const;
 
-  Duration base_rtt(const std::string& dc_a, const std::string& dc_b) const;
+  Duration base_rtt(DcId a, DcId b) const {
+    const Duration rtt = rtt_[a * datacenters_.size() + b];
+    assert(rtt >= Duration::zero() &&
+           "no RTT configured for datacenter pair");
+    return rtt;
+  }
+  Duration base_rtt(const std::string& dc_a, const std::string& dc_b) const {
+    return base_rtt(datacenter_id(dc_a), datacenter_id(dc_b));
+  }
   // Base one-way latency between two *nodes* (no jitter/faults applied).
+  Duration base_one_way(NodeId a, NodeId b) const {
+    return base_rtt(nodes_[a].dc, nodes_[b].dc) / 2;
+  }
   Duration base_one_way(const std::string& node_a,
-                        const std::string& node_b) const;
+                        const std::string& node_b) const {
+    return base_one_way(node_id(node_a), node_id(node_b));
+  }
 
   // One sampled one-way propagation latency for a message between nodes,
   // including jitter and active injected delays. Serialization through the
   // NICs is Network::reserve_nic's.
-  Duration sample_latency(const std::string& from, const std::string& to,
-                          TimePoint now, Rng& rng) const;
+  Duration sample_latency(NodeId from, NodeId to, TimePoint now,
+                          Rng& rng) const;
 
   // ---- fault injection ----
   // Add `extra` to every message touching `node_name` during [from, until).
@@ -160,9 +192,14 @@ class Topology {
   Duration injected_extra(const std::string& node_name, TimePoint now) const;
   double slow_multiplier(const std::string& node_name, TimePoint now) const;
 
-  std::map<std::string, Datacenter> datacenters_;
-  std::map<std::string, Node> nodes_;
-  std::map<std::pair<std::string, std::string>, Duration> rtt_;
+  // Indexed by id; the maps resolve names.
+  std::vector<Datacenter> datacenters_;
+  std::map<std::string, DcId> dc_ids_;
+  std::vector<Node> nodes_;
+  std::map<std::string, NodeId> node_ids_;
+  // Round-trip times, a datacenter_count()-square matrix by id: the
+  // same-DC default on the diagonal, kNoRtt where no pair was set.
+  std::vector<Duration> rtt_;
   double jitter_fraction_ = 0.05;
   std::vector<DelayWindow> delays_;
   std::vector<OutageWindow> outages_;

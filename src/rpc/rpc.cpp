@@ -127,9 +127,10 @@ sim::Task<Result<Message>> Endpoint::call_inner(std::string target_node,
     co_return co_await dispatch(method, std::move(request));
   }
 
+  const net::NodeId target_id = network_->topology().node_id(target_node);
   const int64_t request_size = request.wire_size();
-  Status st = co_await network_->transfer(node_name_, target_node,
-                                          request_size, request.deadline);
+  Status st = co_await network_->transfer(node_id_, target_id, request_size,
+                                          request.deadline);
   if (!st.ok()) co_return st;
 
   Endpoint* target = registry_->find(target_node);
@@ -164,8 +165,8 @@ sim::Task<Result<Message>> Endpoint::call_inner(std::string target_node,
                                                        std::move(request));
   if (!response.ok()) co_return response.status();
 
-  st = co_await network_->transfer(target_node, node_name_,
-                                   response->wire_size(), deadline);
+  st = co_await network_->transfer(target_id, node_id_, response->wire_size(),
+                                   deadline);
   if (!st.ok()) co_return st;
 
   if (network_->chaos_corrupt(target_node, node_name_) &&

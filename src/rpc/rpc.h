@@ -118,6 +118,7 @@ class Endpoint {
         node_name_(std::move(node_name)) {
     assert(network_->topology().has_node(node_name_) &&
            "endpoint node must exist in the topology");
+    node_id_ = network_->topology().node_id(node_name_);
     registered_ = registry_->add(node_name_, this);
     obs::Registry& metrics = network_->sim().telemetry().registry();
     const obs::LabelSet labels{{"node", node_name_}};
@@ -208,6 +209,7 @@ class Endpoint {
   net::Network* network_;
   Registry* registry_;
   std::string node_name_;
+  net::NodeId node_id_ = 0;
   bool registered_ = false;
   std::map<std::string, Handler> handlers_;
   obs::Counter* calls_handled_ = nullptr;

@@ -132,14 +132,6 @@ Blob torn_prefix(const Blob& value) {
 
 // ---------------------------------------------------------------- MemoryTier
 
-void MemoryTier::touch(const std::string& key) {
-  auto it = entries_.find(key);
-  assert(it != entries_.end());
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
-}
-
 void MemoryTier::evict_until_fits(int64_t incoming_bytes) {
   if (spec_.capacity_bytes <= 0) return;
   while (used_bytes_ + incoming_bytes > spec_.capacity_bytes &&
@@ -195,7 +187,7 @@ sim::Task<Result<Blob>> MemoryTier::get(std::string key, IoOptions /*opts*/) {
     stats_.get_misses++;
     co_return not_found("memory tier (evicted): " + key);
   }
-  touch(key);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // most recent first
   stats_.gets++;
   stats_.bytes_read += bytes;
   co_return it->second.value;
@@ -234,9 +226,7 @@ bool BlockTier::cache_lookup(const std::string& key) {
   if (!spec_.buffer_cache || memory_pressure_) return false;
   auto it = cache_.find(key);
   if (it == cache_.end()) return false;
-  cache_lru_.erase(it->second.lru_it);
-  cache_lru_.push_front(key);
-  it->second.lru_it = cache_lru_.begin();
+  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru_it);
   return true;
 }
 

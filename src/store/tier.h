@@ -208,7 +208,6 @@ class MemoryTier final : public StorageTier {
   bool corrupt_object(const std::string& key) override;
 
  private:
-  void touch(const std::string& key);
   void evict_until_fits(int64_t incoming_bytes);
 
   struct Entry {

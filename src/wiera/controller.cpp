@@ -182,10 +182,9 @@ Result<std::vector<std::string>> WieraController::start_instances(
   auto node_for = options.node_for_region ? options.node_for_region
                                           : default_node_for_region;
 
-  InstanceRecord record;
-  record.policy_id = options.global.name;
-  record.mode = *mode;
-
+  // Every region's peer is planned, and its node checked, before any is
+  // spawned: a refused start leaves nothing behind.
+  std::vector<std::pair<TieraServer*, WieraPeer::Config>> planned;
   for (const policy::RegionDecl& region : options.global.regions) {
     auto local_doc = resolve(region.instance_name());
     if (!local_doc.ok()) return local_doc.status();
@@ -218,6 +217,14 @@ Result<std::vector<std::string>> WieraController::start_instances(
       return not_found("no Tiera server registered on node " + node +
                        " for region " + region.region());
     }
+    // A second peer on the node would replace the one there, and its
+    // endpoint registration with it.
+    const bool planned_here =
+        std::any_of(planned.begin(), planned.end(),
+                    [&](const auto& p) { return p.first == server; });
+    if (server->occupied() || planned_here) {
+      return already_exists(node + " already hosts a peer");
+    }
 
     WieraPeer::Config peer_config;
     peer_config.instance_id = node;
@@ -235,7 +242,13 @@ Result<std::vector<std::string>> WieraController::start_instances(
     peer_config.change_primary_policy = options.change_primary;
     peer_config.health = &health_;
     if (options.customize) options.customize(peer_config);
+    planned.emplace_back(server, std::move(peer_config));
+  }
 
+  InstanceRecord record;
+  record.policy_id = options.global.name;
+  record.mode = *mode;
+  for (auto& [server, peer_config] : planned) {
     const bool can_store =
         !peer_config.forwarding_only && !peer_config.local.policy.tiers.empty();
     record.templates.push_back(peer_config);
@@ -475,10 +488,10 @@ void WieraController::register_handlers() {
       });
 }
 
-sim::Task<void> WieraController::heartbeat_loop() {
-  while (running_) {
+sim::Task<void> WieraController::heartbeat_loop(uint64_t generation) {
+  while (generation == heartbeat_generation_) {
     co_await sim_->delay(config_.heartbeat_interval);
-    if (!running_) break;
+    if (generation != heartbeat_generation_) break;
     // Snapshot the membership: add_server can grow servers_ (and a server's
     // peer set) while a ping is in flight, invalidating these iterators.
     const std::vector<TieraServer*> servers = servers_;
@@ -939,9 +952,12 @@ void WieraController::start() {
   if (running_) return;
   running_ = true;
   lock_service_->start_lease_reaper(config_.heartbeat_interval);
-  sim_->spawn(heartbeat_loop(), "controller.heartbeat");
+  sim_->spawn(heartbeat_loop(heartbeat_generation_), "controller.heartbeat");
 }
 
-void WieraController::stop() { running_ = false; }
+void WieraController::stop() {
+  running_ = false;
+  heartbeat_generation_++;
+}
 
 }  // namespace wiera::geo

@@ -52,6 +52,8 @@ class TieraServer {
   Status retire_peer(const std::string& instance_id);
   WieraPeer* peer(const std::string& instance_id);
   std::vector<std::string> peer_ids() const;
+  // Whether a peer, running or retired, holds this node's endpoint.
+  bool occupied() const { return !peers_.empty() || !retired_.empty(); }
 
  private:
   sim::Simulation* sim_;
@@ -222,7 +224,7 @@ class WieraController {
 
   void wire_control_plane(const std::string& wiera_id, WieraPeer* peer);
   void register_handlers();
-  sim::Task<void> heartbeat_loop();
+  sim::Task<void> heartbeat_loop(uint64_t generation);
   // §4.4: if an instance has fewer than min_replicas live peers, join a
   // replacement on a spare Tiera server.
   void maintain_replicas();
@@ -277,6 +279,9 @@ class WieraController {
   std::map<std::string, InstanceRecord> instances_;
   std::map<std::string, PeerState> peer_state_;
   bool running_ = false;
+  // Bumped by stop(): the heartbeat loop start() spawned exits when it next
+  // wakes, so a restart inside one interval leaves only the new one.
+  uint64_t heartbeat_generation_ = 0;
   int64_t drains_completed_ = 0;
   int64_t peers_added_ = 0;
   int64_t rolling_restarts_ = 0;

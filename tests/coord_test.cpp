@@ -247,5 +247,30 @@ TEST(LockServiceTest, HealthyHolderUnaffectedByReaper) {
   f.service.stop_lease_reaper();
 }
 
+// Lease-reaper passes between 2.5 s and 10.5 s, with a 1 s interval: an
+// idle service runs no other event. With `bounce`, the reaper is stopped at
+// 0.2 s and started again at 0.4 s, inside its first interval.
+int64_t reaper_passes_from_2_5s_to_10_5s(bool bounce) {
+  Fixture f;
+  f.service.start_lease_reaper(sec(1));
+  if (bounce) {
+    f.sim.run_until(TimePoint(msec(200).us()));
+    f.service.stop_lease_reaper();
+    f.sim.run_until(TimePoint(msec(400).us()));
+    f.service.start_lease_reaper(sec(1));
+  }
+  f.sim.run_until(TimePoint(msec(2500).us()));
+  const uint64_t before = f.sim.events_executed();
+  f.sim.run_until(TimePoint(msec(10500).us()));
+  const auto passes = static_cast<int64_t>(f.sim.events_executed() - before);
+  f.service.stop_lease_reaper();
+  return passes;
+}
+
+TEST(LockServiceTest, BounceInsideAnIntervalLeavesOneLeaseReaper) {
+  EXPECT_EQ(reaper_passes_from_2_5s_to_10_5s(/*bounce=*/false), 8);
+  EXPECT_EQ(reaper_passes_from_2_5s_to_10_5s(/*bounce=*/true), 8);
+}
+
 }  // namespace
 }  // namespace wiera::coord

@@ -3,12 +3,18 @@
 
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "metadb/metadb.h"
 
 namespace wiera::metadb {
 namespace {
+
+// The point index holds iterators into the store's own record map: a copy
+// would point into the source, so MetaDb must not be copyable.
+static_assert(!std::is_copy_constructible_v<MetaDb>);
+static_assert(!std::is_copy_assignable_v<MetaDb>);
 
 TEST(MetaDbTest, UpsertCreatesObjectAndVersion) {
   MetaDb db;

@@ -1,6 +1,11 @@
 // Tests for the WAN topology and network transport model.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/units.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -48,9 +53,11 @@ TEST(TopologyTest, BaseOneWayIsHalfRtt) {
 TEST(TopologyTest, SampleLatencyJitterIsBounded) {
   Topology topo = two_dc_topology();
   topo.set_jitter_fraction(0.05);
+  const NodeId n1 = topo.node_id("n1");
+  const NodeId n2 = topo.node_id("n2");
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
-    Duration d = topo.sample_latency("n1", "n2", TimePoint::origin(), rng);
+    Duration d = topo.sample_latency(n1, n2, TimePoint::origin(), rng);
     EXPECT_GT(d.us(), 35000 / 2);   // never below 50% of base
     EXPECT_LT(d.us(), 35000 * 2);   // 5% jitter can't double latency
   }
@@ -60,7 +67,9 @@ TEST(TopologyTest, ZeroJitterIsExact) {
   Topology topo = two_dc_topology();
   topo.set_jitter_fraction(0.0);
   Rng rng(3);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint::origin(), rng).us(),
+  EXPECT_EQ(topo.sample_latency(topo.node_id("n1"), topo.node_id("n2"),
+                                TimePoint::origin(), rng)
+                .us(),
             35000);
 }
 
@@ -69,11 +78,13 @@ TEST(TopologyTest, InjectedDelayAppliesOnlyInWindow) {
   topo.set_jitter_fraction(0.0);
   topo.inject_node_delay("n2", msec(500), TimePoint(1000000),
                          TimePoint(2000000));
+  const NodeId n1 = topo.node_id("n1");
+  const NodeId n2 = topo.node_id("n2");
   Rng rng(1);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(0), rng).us(), 35000);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(1500000), rng).us(),
+  EXPECT_EQ(topo.sample_latency(n1, n2, TimePoint(0), rng).us(), 35000);
+  EXPECT_EQ(topo.sample_latency(n1, n2, TimePoint(1500000), rng).us(),
             535000);
-  EXPECT_EQ(topo.sample_latency("n1", "n2", TimePoint(2000000), rng).us(),
+  EXPECT_EQ(topo.sample_latency(n1, n2, TimePoint(2000000), rng).us(),
             35000);
 }
 
@@ -95,6 +106,64 @@ TEST(TopologyTest, PaperDefaultHasAllRegions) {
   EXPECT_EQ(topo.base_rtt("azure-us-east", "aws-us-east").us(), 2000);
   // Azure US East inherits AWS US East distances.
   EXPECT_EQ(topo.base_rtt("azure-us-east", "aws-us-west").us(), 70000);
+}
+
+TEST(TopologyTest, IdsAreDenseInAddOrderAndSurviveReAdding) {
+  Topology topo = two_dc_topology();
+  EXPECT_EQ(topo.datacenter_count(), 2u);
+  EXPECT_EQ(topo.datacenter_id("dc-a"), 0u);
+  EXPECT_EQ(topo.datacenter_id("dc-b"), 1u);
+  ASSERT_EQ(topo.node_count(), 3u);
+  EXPECT_EQ(topo.node_id("n1"), 0u);
+  EXPECT_EQ(topo.node_id("n2"), 1u);
+  EXPECT_EQ(topo.node_id("n3"), 2u);
+  for (NodeId id = 0; id < topo.node_count(); ++id) {
+    EXPECT_EQ(topo.node_id(topo.node(id).name), id);
+    EXPECT_EQ(topo.node(id).dc, topo.datacenter_id(topo.node(id).datacenter));
+  }
+
+  // Re-adding replaces what the name describes, never its id.
+  topo.add_node("n2", "dc-a", VmType::standard_d2());
+  topo.add_datacenter("dc-b", Provider::kAzure, "us-west-2");
+  EXPECT_EQ(topo.node_id("n2"), 1u);
+  EXPECT_EQ(topo.node(1).datacenter, "dc-a");
+  EXPECT_EQ(topo.node(1).dc, 0u);
+  EXPECT_EQ(topo.node(1).vm.name, "Standard D2");
+  EXPECT_EQ(topo.datacenter_id("dc-b"), 1u);
+  EXPECT_EQ(topo.datacenter(1).region, "us-west-2");
+  EXPECT_EQ(topo.base_rtt("dc-a", "dc-b").us(), 70000);
+  EXPECT_EQ(topo.node_count(), 3u);
+  EXPECT_EQ(topo.datacenter_count(), 2u);
+
+  // New names take the next ids; node_names() stays in name order.
+  topo.add_datacenter("dc-0", Provider::kAws, "eu-west");
+  topo.add_node("m0", "dc-0");
+  EXPECT_EQ(topo.datacenter_id("dc-0"), 2u);
+  EXPECT_EQ(topo.node_id("m0"), 3u);
+  EXPECT_EQ(topo.node_names(),
+            (std::vector<std::string>{"m0", "n1", "n2", "n3"}));
+}
+
+TEST(TopologyTest, RttMatrixIsSymmetricWithTheSameDcDefault) {
+  Topology topo = Topology::paper_default();
+  // Growing the matrix keeps every RTT set before.
+  topo.add_datacenter("aws-sa-east", Provider::kAws, "sa-east");
+  topo.set_rtt("aws-sa-east", "aws-us-east", msec(120));
+  const DcId n = static_cast<DcId>(topo.datacenter_count());
+  ASSERT_EQ(n, 6u);
+  for (DcId a = 0; a < n; ++a) {
+    EXPECT_EQ(topo.base_rtt(a, a).us(), calibration::kSameDcRttUs);
+  }
+  // paper_default() sets every pair of its five datacenters.
+  for (DcId a = 0; a < 5; ++a) {
+    for (DcId b = 0; b < 5; ++b) {
+      EXPECT_EQ(topo.base_rtt(a, b).us(), topo.base_rtt(b, a).us());
+    }
+  }
+  EXPECT_EQ(topo.base_rtt("aws-us-east", "aws-us-west").us(), 70000);
+  EXPECT_EQ(topo.base_rtt("aws-asia-east", "aws-eu-west").us(), 240000);
+  EXPECT_EQ(topo.base_rtt("aws-us-east", "aws-sa-east").us(), 120000);
+  EXPECT_EQ(topo.base_rtt("aws-sa-east", "aws-us-east").us(), 120000);
 }
 
 // ------------------------------------------------------------ Network
@@ -255,6 +324,72 @@ TEST(NetworkTest, ResetTrafficClearsCounters) {
   sim.run();
   EXPECT_EQ(net.traffic().total_messages, 1);
   EXPECT_EQ(net.traffic().total_bytes, 200);
+}
+
+// The dense per-pair counters against a recount keyed by datacenter name,
+// over a mixed run: every direction between three datacenters, intra-DC
+// and 0-byte messages, a pair that carried only 0-byte messages, transfers
+// to and from a down node (not billed), and a reset_traffic() between two
+// rounds.
+TEST(NetworkTest, DcPairBytesMatchANameKeyedRecount) {
+  sim::Simulation sim(7);
+  Topology topo = two_dc_topology();
+  topo.add_datacenter("dc-c", Provider::kAzure, "us-east");
+  topo.set_rtt("dc-a", "dc-c", msec(2));
+  topo.set_rtt("dc-b", "dc-c", msec(70));
+  topo.add_node("n4", "dc-c");
+  topo.add_node("down", "dc-c");
+  topo.inject_outage("down", TimePoint(0), TimePoint(sec(1000).us()));
+  Network net(sim, std::move(topo));
+  const std::vector<std::string> nodes = {"n1", "n2", "n3", "down"};
+
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      net.reset_traffic();
+      EXPECT_TRUE(net.traffic().dc_pair_bytes.empty());
+      EXPECT_EQ(net.traffic().total_messages, 0);
+      EXPECT_EQ(net.traffic().total_bytes, 0);
+    }
+    // n4 sends only empty messages: dc-c -> dc-a must show up with 0 bytes.
+    std::vector<std::pair<std::string, std::string>> sent = {{"n4", "n1"}};
+    std::vector<int64_t> sizes = {0};
+    std::vector<TransferResult> results(61);
+    for (size_t i = 1; i < results.size(); ++i) {
+      const auto pick = [&] {
+        return nodes[static_cast<size_t>(sim.rng().uniform_int(0, 3))];
+      };
+      const std::string from = pick();
+      const std::string to = pick();
+      // Every fourth message carries no payload at all.
+      sent.emplace_back(from, to);
+      sizes.push_back(i % 4 == 0 ? 0 : sim.rng().uniform_int(1, 5000));
+    }
+    for (size_t i = 0; i < results.size(); ++i) {
+      sim.spawn(do_transfer(net, sent[i].first, sent[i].second, sizes[i],
+                            results[i]));
+    }
+    sim.run();
+
+    std::map<std::pair<std::string, std::string>, int64_t> recount;
+    int64_t messages = 0;
+    int64_t total = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].status.ok()) continue;
+      const Topology& t = net.topology();
+      recount[{t.node(sent[i].first).datacenter,
+               t.node(sent[i].second).datacenter}] += sizes[i];
+      messages++;
+      total += sizes[i];
+    }
+    ASSERT_EQ(recount.count({"dc-c", "dc-a"}), 1u);
+    EXPECT_EQ(recount.at({"dc-c", "dc-a"}), 0);
+    const TrafficStats traffic = net.traffic();
+    EXPECT_EQ(traffic.dc_pair_bytes, recount) << "round " << round;
+    EXPECT_EQ(traffic.total_messages, messages);
+    EXPECT_EQ(traffic.total_bytes, total);
+    EXPECT_GT(messages, 0);
+    EXPECT_LT(messages, static_cast<int64_t>(results.size()));
+  }
 }
 
 TEST(NetworkTest, ChaosDropWindowLosesEveryMessageInside) {

@@ -4,6 +4,7 @@
 // convergence as a pure function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -193,6 +194,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistogramAccuracy,
 
 class MetaDbFuzz : public ::testing::TestWithParam<uint64_t> {};
 
+// The point index against the ordered records: every key in keys()
+// resolves to its own record, and every other key of `universe` (never
+// written, or removed since) to none.
+void expect_index_matches_records(const metadb::MetaDb& db,
+                                  const std::vector<std::string>& universe,
+                                  int op) {
+  const std::vector<std::string> keys = db.keys();
+  for (const std::string& k : keys) {
+    const metadb::ObjectMeta* obj = db.find(k);
+    ASSERT_NE(obj, nullptr) << k << " after operation " << op;
+    ASSERT_EQ(obj->key, k) << "after operation " << op;
+  }
+  for (const std::string& k : universe) {
+    const bool held = std::binary_search(keys.begin(), keys.end(), k);
+    ASSERT_EQ(db.find(k) != nullptr, held) << k << " after operation " << op;
+  }
+}
+
 TEST_P(MetaDbFuzz, SerializeDeserializeIsIdentityUnderRandomOps) {
   Rng rng(GetParam());
   metadb::MetaDb db;
@@ -221,6 +240,9 @@ TEST_P(MetaDbFuzz, SerializeDeserializeIsIdentityUnderRandomOps) {
   const Bytes snapshot = db.serialize();
   metadb::MetaDb copy;
   ASSERT_TRUE(copy.deserialize(snapshot).ok());
+  std::vector<std::string> universe;
+  for (int k = 0; k <= 30; ++k) universe.push_back("k" + std::to_string(k));
+  expect_index_matches_records(copy, universe, 500);
   // Serialization is canonical (ordered maps): identity check via bytes.
   EXPECT_EQ(copy.serialize(), snapshot);
   EXPECT_EQ(copy.object_count(), db.object_count());
@@ -234,14 +256,16 @@ TEST_P(MetaDbFuzz, SerializeDeserializeIsIdentityUnderRandomOps) {
   }
 }
 
-// The dirty index and every open scan against a recount after each
-// mutation: the index holds exactly the keys whose latest row is dirty,
-// and a scan holds exactly the keys that had a record when it opened (a
-// keys() copy taken then), whatever was erased, re-created or reloaded
-// since.
+// The point index, the dirty index and every open scan against a recount
+// after each mutation: find() resolves exactly the keys in keys(), the
+// dirty index holds exactly the keys whose latest row is dirty, and a scan
+// holds exactly the keys that had a record when it opened (a keys() copy
+// taken then), whatever was erased, re-created or reloaded since.
 TEST_P(MetaDbFuzz, DirtyIndexAndScansMatchARecount) {
   Rng rng(GetParam());
   metadb::MetaDb db;
+  std::vector<std::string> universe;
+  for (int k = 0; k <= 20; ++k) universe.push_back("k" + std::to_string(k));
   struct OpenScan {
     metadb::MetaDb::Scan scan;
     std::set<std::string> keys;  // db.keys() when it opened
@@ -286,6 +310,8 @@ TEST_P(MetaDbFuzz, DirtyIndexAndScansMatchARecount) {
       scans.erase(scans.begin() + static_cast<std::ptrdiff_t>(at));
     }
 
+    expect_index_matches_records(db, universe, i);
+    if (::testing::Test::HasFatalFailure()) return;
     std::set<std::string> dirty;
     for (const std::string& k : db.keys()) {
       const metadb::VersionMeta* latest = db.find(k)->latest();

@@ -96,6 +96,63 @@ TEST(WieraControllerTest, StartStopGetInstances) {
             StatusCode::kNotFound);
 }
 
+// An instance asking for a node that already hosts a peer is refused before
+// anything is spawned: the running peer keeps its node, its endpoint
+// registration and its clients.
+TEST(WieraControllerTest, StartOnAnOccupiedNodeIsRefused) {
+  suite::Cluster cluster(1, {}, "tiera-spare");
+  auto w1 = cluster.controller.start_instances(
+      "w1", cluster.options_for(policy::builtin::eventual_consistency()));
+  ASSERT_TRUE(w1.ok()) << w1.status().to_string();
+  WieraPeer* west = cluster.controller.peer("tiera-us-west");
+  ASSERT_NE(west, nullptr);
+
+  auto solo = cluster.controller.start_instances(
+      "w2", cluster.options_for(R"(
+Wiera Solo() {
+   Region1 = {name:LowLatencyInstance, region:US-West,
+      tier1 = {name:LocalMemory, size=5G},
+      tier2 = {name:LocalDisk, size=5G} }
+}
+)"));
+  EXPECT_EQ(solo.status().code(), StatusCode::kAlreadyExists);
+  // With a free node first in the policy, the occupied second one still
+  // refuses the whole start: the free node gets no peer.
+  WieraController::StartOptions pair = cluster.options_for(R"(
+Wiera Pair() {
+   Region1 = {name:LowLatencyInstance, region:Spare,
+      tier1 = {name:LocalMemory, size=5G} }
+   Region2 = {name:LowLatencyInstance, region:US-West,
+      tier1 = {name:LocalMemory, size=5G} }
+}
+)");
+  pair.node_for_region = [](const std::string& region) -> std::string {
+    return region == "Spare" ? "tiera-spare" : "tiera-us-west";
+  };
+  auto both = cluster.controller.start_instances("w3", std::move(pair));
+  EXPECT_EQ(both.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_FALSE(cluster.controller.get_instances("w2").ok());
+  EXPECT_FALSE(cluster.controller.get_instances("w3").ok());
+  EXPECT_EQ(cluster.controller.peer("tiera-spare"), nullptr);
+  EXPECT_EQ(cluster.controller.peer("tiera-us-west"), west);
+  EXPECT_EQ(cluster.registry.find("tiera-us-west"), &west->endpoint());
+
+  // A US West put lands on the running peer, with no WAN failover.
+  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
+                     "client-us-west", *w1);
+  bool done = false;
+  auto put_once = [](WieraClient& c, bool& flag) -> sim::Task<void> {
+    auto put = co_await c.put("k", Blob("v"));
+    EXPECT_TRUE(put.ok()) << put.status().to_string();
+    flag = true;
+  };
+  cluster.sim.spawn(put_once(client, done));
+  cluster.sim.run_until(TimePoint(sec(5).us()));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(west->direct_puts(), 1);
+  EXPECT_LT(client.put_latency().mean().ms(), 35.0);
+}
+
 // ------------------------------------------------------------ MultiPrimaries
 
 TEST(MultiPrimariesTest, PutReplicatesEverywhereUnderGlobalLock) {
@@ -617,6 +674,32 @@ TEST(PeerRestartTest, BounceInsideAnIntervalLeavesOneScrubLoop) {
   const int64_t unbounced = scrub_rounds_by_10_9s(/*bounce=*/false);
   EXPECT_EQ(unbounced, 8);
   EXPECT_EQ(scrub_rounds_by_10_9s(/*bounce=*/true), unbounced);
+}
+
+// Heartbeat pings the controller sends by 10.9 s, with a 1 s interval and
+// four peers. With `bounce`, the controller is stopped at 0.2 s and
+// started again at 0.4 s, inside the first interval.
+int64_t heartbeat_pings_by_10_9s(bool bounce) {
+  Cluster cluster;
+  auto peers = cluster.controller.start_instances(
+      "w1", cluster.options_for(policy::builtin::eventual_consistency()));
+  EXPECT_TRUE(peers.ok()) << peers.status().to_string();
+  cluster.controller.start();
+  if (bounce) {
+    cluster.sim.run_until(TimePoint(msec(200).us()));
+    cluster.controller.stop();
+    cluster.sim.run_until(TimePoint(msec(400).us()));
+    cluster.controller.start();
+  }
+  cluster.sim.run_until(TimePoint(msec(10900).us()));
+  return cluster.sim.telemetry().registry().counter_value(
+      "rpc_calls_sent_total", {{"node", "wiera-controller"}});
+}
+
+TEST(ControllerRestartTest, BounceInsideAnIntervalLeavesOneHeartbeatLoop) {
+  const int64_t unbounced = heartbeat_pings_by_10_9s(/*bounce=*/false);
+  EXPECT_EQ(unbounced, 32);
+  EXPECT_EQ(heartbeat_pings_by_10_9s(/*bounce=*/true), unbounced);
 }
 
 // ------------------------------------------------------------ health ranking
