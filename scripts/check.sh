@@ -5,7 +5,8 @@
 #   2. clang-tidy over src/ (skipped with a notice when clang-tidy is not
 #      installed — the container image may only carry gcc; any finding is an
 #      error via WarningsAsErrors and fails this script)
-#   3. an ASan+UBSan build running the full ctest suite
+#   3. an ASan+UBSan build, with asserts live (no NDEBUG), running the full
+#      ctest suite
 #   4. the regular RelWithDebInfo build + ctest (includes the SimChecker
 #      suite and the determinism-hash tests)
 #
@@ -50,7 +51,8 @@ run_sanitized() {
   echo "==== ASan + UBSan build ===="
   cmake -B build-asan "${GEN[@]}" \
     -DWIERA_SANITIZE=address,undefined \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
   cmake --build build-asan -j "$JOBS"
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"

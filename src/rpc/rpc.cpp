@@ -204,13 +204,11 @@ struct Endpoint::AdmissionAwaiter {
       AdmissionWaiter* oldest = ep->adm_queue_.front();
       ep->adm_queue_.pop_front();
       oldest->shed = true;
-      ep->network_->sim().schedule_at(ep->network_->sim().now(),
-                                      oldest->handle);
+      ep->network_->sim().wake(oldest->entry);
     }
-    waiter.handle = h;
+    waiter.entry = ep->network_->sim().checker().on_block(
+        h, sim::WaitKind::kAdmission, ep, "rpc.admission");
     ep->adm_queue_.push_back(&waiter);
-    ep->network_->sim().checker().on_block(
-        h.address(), sim::WaitKind::kAdmission, ep, "rpc.admission");
   }
 
   // True = admitted (an inflight slot is held); false = shed.
@@ -228,7 +226,7 @@ void Endpoint::admission_exit() {
     AdmissionWaiter* next = adm_queue_.back();
     adm_queue_.pop_back();
     adm_inflight_++;
-    network_->sim().schedule_at(network_->sim().now(), next->handle);
+    network_->sim().wake(next->entry);
   }
 }
 

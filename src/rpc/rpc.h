@@ -167,7 +167,7 @@ class Endpoint {
 
  private:
   struct AdmissionWaiter {
-    std::coroutine_handle<> handle;
+    sim::Waiter entry;  // the queued coroutine and its task
     bool shed = false;
   };
   struct AdmissionAwaiter;

@@ -6,12 +6,15 @@
 // never-signalled primitive all look like an innocently drained event queue.
 // The checker instruments the runtime itself:
 //
-//  * Wait-for graph. Every blocking suspension (Event / SimMutex /
-//    SimSemaphore / Channel / Future) records which logical task is blocked
-//    on which primitive; SimMutex additionally records its owner. When
-//    Simulation::run() drains the queue with blocked waiters left over, the
-//    checker reports every stuck task by name and detects lock cycles
-//    (classic ABBA deadlocks) in the graph.
+//  * Wait-for graph. The checker lists every live task once (TaskRecord: id,
+//    name, what it is blocked on). Scheduling names the task: each run-queue
+//    item and each primitive's waiter entry carries the task its coroutine
+//    belongs to, so the checker always knows which task an event resumes,
+//    and SimMutex records its holder. Every blocking suspension (Event /
+//    SimMutex / SimSemaphore / Channel / Future / rpc admission) records the
+//    primitive on the running task. When Simulation::run() drains the queue
+//    with blocked waiters left over, the checker reports every stuck task by
+//    name and detects lock cycles (classic ABBA deadlocks) in the graph.
 //
 //  * Lifecycle diagnostics. Misuse that used to be a bare `assert` (which
 //    vanishes under NDEBUG, i.e. in the default RelWithDebInfo build) is
@@ -27,28 +30,16 @@
 //    branches, real-time leakage).
 //
 // Diagnostics are *recorded* (and echoed to stderr for errors); they do not
-// alter simulation semantics. Tests query `checker().diagnostics()`;
-// `set_fail_fast(true)` aborts on the first error for fuzz/CI runs.
-//
-// The whole checker compiles to no-ops when the CMake option
-// `WIERA_SIM_CHECKER=OFF` (-DWIERA_SIM_CHECKER_ENABLED=0): the class loses
-// its members and every hook is an empty inline function, so the release hot
-// path is untouched.
+// alter simulation semantics. Tests query `checker().diagnostics()`.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <list>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
-
-#ifndef WIERA_SIM_CHECKER_ENABLED
-#define WIERA_SIM_CHECKER_ENABLED 1
-#endif
-
-#if WIERA_SIM_CHECKER_ENABLED
-#include <unordered_map>
-#endif
 
 namespace wiera::sim {
 
@@ -64,6 +55,34 @@ enum class WaitKind : uint8_t {
 };
 
 const char* wait_kind_name(WaitKind kind);
+
+// One live task: a root handed to Simulation::spawn, listed from the spawn
+// until its root coroutine returns. Run-queue items and waiter entries point
+// at the record of the task they resume.
+struct TaskRecord {
+  uint64_t id;
+  std::string name;              // empty: reported as "task#<id>"
+  std::coroutine_handle<> root;  // the detached root frame
+  // What the task is blocked on; kNone while runnable or on a timer. The
+  // primitive's name is a string literal, so it outlives the primitive.
+  WaitKind wait_kind = WaitKind::kNone;
+  const void* wait_prim = nullptr;
+  const char* wait_prim_name = "";
+  // A SimMutex wait: the mutex's holder slot (a task id, 0 = none).
+  const uint64_t* wait_holder = nullptr;
+};
+
+// The id of `task`; 0 for none.
+inline uint64_t task_id(const TaskRecord* task) {
+  return task == nullptr ? 0 : task->id;
+}
+
+// A coroutine blocked on a primitive and the task it belongs to (null when
+// it blocked outside any task). Waking it resumes that task, not the waker.
+struct Waiter {
+  std::coroutine_handle<> handle;
+  TaskRecord* task;
+};
 
 struct SimDiagnostic {
   enum class Kind : uint8_t {
@@ -92,22 +111,11 @@ struct SimDiagnostic {
 
 const char* diagnostic_kind_name(SimDiagnostic::Kind kind);
 
-#if WIERA_SIM_CHECKER_ENABLED
-
 class SimChecker {
  public:
-  SimChecker();
-  ~SimChecker();
-
+  SimChecker() = default;
   SimChecker(const SimChecker&) = delete;
   SimChecker& operator=(const SimChecker&) = delete;
-
-  // ---- configuration -------------------------------------------------
-  // Runtime master switch (compile-time switch is WIERA_SIM_CHECKER).
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-  // Abort the process on the first *error* diagnostic (asserts upgraded).
-  void set_fail_fast(bool on) { fail_fast_ = on; }
 
   // ---- results -------------------------------------------------------
   const std::vector<SimDiagnostic>& diagnostics() const {
@@ -121,10 +129,13 @@ class SimChecker {
   void clear_diagnostics();
 
   // Number of logical tasks spawned / completed so far.
-  uint64_t tasks_spawned() const { return tasks_spawned_; }
-  uint64_t tasks_completed() const { return tasks_completed_; }
-  // Names of tasks that are alive (spawned, not yet completed).
+  uint64_t tasks_spawned() const { return next_task_id_ - 1; }
+  uint64_t tasks_completed() const { return tasks_spawned() - tasks_.size(); }
+  // Live tasks (spawned, not yet completed) in spawn order, and their names.
+  const std::list<TaskRecord>& live_tasks() const { return tasks_; }
   std::vector<std::string> live_task_names() const;
+  // The task the running event belongs to (null outside events).
+  TaskRecord* current_task() const { return current_; }
 
   // FNV-1a hash over the executed (time, seq) event trace. Two runs of the
   // same scenario with the same seed must agree; see docs/DETERMINISM.md.
@@ -133,7 +144,9 @@ class SimChecker {
   // Fold an externally computed value into the trace hash. The fault
   // injector records every applied FaultEvent this way, so a replayed
   // chaos run must apply the identical fault schedule to reproduce a hash.
-  void fold_trace(uint64_t value);
+  void fold_trace(uint64_t value) {
+    trace_hash_ = fnv1a64_u64(trace_hash_, value);
+  }
 
   // The checker owning the innermost live Simulation on this thread (used by
   // ~Task to report dropped coroutines, where no Simulation* is reachable).
@@ -150,27 +163,38 @@ class SimChecker {
   void begin_teardown();
   void end_teardown();
 
-  // A root task was handed to Simulation::spawn. Returns its task id.
-  uint64_t on_task_spawn(const void* root_handle, std::string name);
-  void on_task_complete(const void* root_handle);
+  // A root was handed to Simulation::spawn: list it as a live task.
+  std::list<TaskRecord>::iterator on_task_spawn(std::coroutine_handle<> root,
+                                                std::string name);
+  // The task's root coroutine returned.
+  void on_task_complete(std::list<TaskRecord>::iterator task);
 
-  // Simulation::step is about to resume / just resumed `handle`.
-  void begin_event(const void* handle, int64_t time_us, uint64_t seq);
-  void end_event();
+  // Simulation::step is about to resume / just resumed a coroutine of
+  // `task` (null for a resumption scheduled outside any task).
+  void begin_event(TaskRecord* task, int64_t time_us, uint64_t seq) {
+    trace_hash_ = fnv1a64_u64(
+        fnv1a64_u64(trace_hash_, static_cast<uint64_t>(time_us)), seq);
+    current_ = task;
+    if (task != nullptr) {
+      task->wait_kind = WaitKind::kNone;
+      task->wait_prim = nullptr;
+      task->wait_holder = nullptr;
+    }
+  }
+  void end_event() { current_ = nullptr; }
 
-  // A handle was pushed on the run queue (timer wakeups, primitive wakeups,
-  // spawns). Binds not-yet-known handles to the current task so identity
-  // survives arbitrary suspension points.
-  void on_scheduled(const void* handle);
-
-  // The current task suspended, blocked on `prim`.
-  void on_block(const void* handle, WaitKind kind, const void* prim,
-                const char* prim_name);
-
-  // SimMutex ownership tracking (for deadlock cycles).
-  void on_mutex_acquired(const void* mutex, const char* name);
-  void on_mutex_handoff(const void* mutex, const void* next_handle);
-  void on_mutex_released(const void* mutex);
+  // The running task suspends `h` on `prim` (`holder`: a SimMutex's holder
+  // slot). Returns the waiter entry the primitive queues.
+  Waiter on_block(std::coroutine_handle<> h, WaitKind kind, const void* prim,
+                  const char* prim_name, const uint64_t* holder = nullptr) {
+    if (current_ != nullptr) {
+      current_->wait_kind = kind;
+      current_->wait_prim = prim;
+      current_->wait_prim_name = prim_name;
+      current_->wait_holder = holder;
+    }
+    return Waiter{h, current_};
+  }
 
   // A primitive is being destroyed with `waiters` coroutines still blocked.
   void on_primitive_destroyed(WaitKind kind, const void* prim,
@@ -192,82 +216,19 @@ class SimChecker {
   void on_quiescent();
 
  private:
-  struct TaskInfo {
-    std::string name;
-    WaitKind wait_kind = WaitKind::kNone;
-    const void* wait_prim = nullptr;
-    std::string wait_prim_name;
-  };
-
-  static constexpr uint64_t kNoTask = 0;
-
-  TaskInfo* current_info();
   void add(SimDiagnostic diag);
-  std::string task_name(uint64_t id) const;
-  void mutex_owner_erase_owned(uint64_t id);
-
-  bool enabled_ = true;
-  bool fail_fast_ = false;
+  // The live task holding the SimMutex `task` waits on, or nullptr.
+  const TaskRecord* holder_of(const TaskRecord& task) const;
 
   uint64_t next_task_id_ = 1;
-  uint64_t current_ = kNoTask;
-  uint64_t tasks_spawned_ = 0;
-  uint64_t tasks_completed_ = 0;
   uint64_t trace_hash_ = kFnv1aBasis;
+  TaskRecord* current_ = nullptr;
 
-  std::unordered_map<uint64_t, TaskInfo> tasks_;          // live tasks
-  std::unordered_map<const void*, uint64_t> handle_task_; // suspended → task
-  std::unordered_map<const void*, uint64_t> mutex_owner_; // mutex → task
+  std::list<TaskRecord> tasks_;  // live tasks, in spawn (= id) order
   std::vector<SimDiagnostic> diagnostics_;
   size_t error_count_ = 0;
 
   SimChecker* prev_current_ = nullptr;  // enclosing Simulation's checker
 };
-
-#else  // !WIERA_SIM_CHECKER_ENABLED — every hook is an inline no-op.
-
-class SimChecker {
- public:
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void set_fail_fast(bool) {}
-
-  const std::vector<SimDiagnostic>& diagnostics() const {
-    static const std::vector<SimDiagnostic> kEmpty;
-    return kEmpty;
-  }
-  size_t error_count() const { return 0; }
-  size_t warning_count() const { return 0; }
-  bool has(SimDiagnostic::Kind) const { return false; }
-  const SimDiagnostic* find(SimDiagnostic::Kind) const { return nullptr; }
-  void clear_diagnostics() {}
-  uint64_t tasks_spawned() const { return 0; }
-  uint64_t tasks_completed() const { return 0; }
-  std::vector<std::string> live_task_names() const { return {}; }
-  uint64_t trace_hash() const { return 0; }
-  void fold_trace(uint64_t) {}
-  static SimChecker* current() { return nullptr; }
-  static bool in_teardown() { return false; }
-
-  void on_simulation_created() {}
-  void begin_teardown() {}
-  void end_teardown() {}
-  uint64_t on_task_spawn(const void*, std::string) { return 0; }
-  void on_task_complete(const void*) {}
-  void begin_event(const void*, int64_t, uint64_t) {}
-  void end_event() {}
-  void on_scheduled(const void*) {}
-  void on_block(const void*, WaitKind, const void*, const char*) {}
-  void on_mutex_acquired(const void*, const char*) {}
-  void on_mutex_handoff(const void*, const void*) {}
-  void on_mutex_released(const void*) {}
-  void on_primitive_destroyed(WaitKind, const void*, const char*, size_t) {}
-  void report_error(SimDiagnostic::Kind, const char*, std::string) {}
-  void report_warning(SimDiagnostic::Kind, const char*, std::string) {}
-  static void report_dropped_task() {}
-  void on_quiescent() {}
-};
-
-#endif  // WIERA_SIM_CHECKER_ENABLED
 
 }  // namespace wiera::sim

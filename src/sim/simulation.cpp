@@ -8,25 +8,24 @@ namespace wiera::sim {
 
 namespace {
 
-// Wrapper coroutine that owns a detached Task<void>. It unregisters itself
-// from the simulation's root list when the task completes; if the simulation
+// Wrapper coroutine that owns a detached Task<void>. When the task
+// completes it takes the task off the checker's live list; if the simulation
 // dies first, destroying this frame destroys the task (and transitively any
 // child task frames it is awaiting).
 struct RootTask {
   struct promise_type {
-    Simulation* sim = nullptr;
-    std::list<std::coroutine_handle<>>::iterator registry_it;
-    bool registered = false;
+    SimChecker* checker = nullptr;
+    std::list<TaskRecord>::iterator task;
 
     RootTask get_return_object() {
       return RootTask{
           std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
-    // No final suspension: after unregistering (in return_void) the frame
-    // destroys itself when it runs off the end.
+    // No final suspension: after completing the task (in return_void) the
+    // frame destroys itself when it runs off the end.
     std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() noexcept;
+    void return_void() noexcept { checker->on_task_complete(task); }
     [[noreturn]] void unhandled_exception() noexcept {
       std::fprintf(stderr, "wiera::sim: exception escaped a root task\n");
       std::abort();
@@ -37,31 +36,6 @@ struct RootTask {
 
 RootTask run_root(Task<void> task) { co_await std::move(task); }
 
-}  // namespace
-
-struct Simulation::RootRegistry {
-  static void register_root(Simulation& sim,
-                            std::coroutine_handle<RootTask::promise_type> h) {
-    sim.roots_.push_back(h);
-    h.promise().sim = &sim;
-    h.promise().registry_it = std::prev(sim.roots_.end());
-    h.promise().registered = true;
-  }
-  static void unregister_root(RootTask::promise_type& p) {
-    if (p.registered && p.sim != nullptr) {
-      p.sim->checker_.on_task_complete(
-          std::coroutine_handle<RootTask::promise_type>::from_promise(p)
-              .address());
-      p.sim->roots_.erase(p.registry_it);
-      p.registered = false;
-    }
-  }
-};
-
-namespace {
-void RootTask::promise_type::return_void() noexcept {
-  Simulation::RootRegistry::unregister_root(*this);
-}
 }  // namespace
 
 Simulation::Simulation(uint64_t seed)
@@ -77,29 +51,28 @@ Simulation::~Simulation() {
   // queued handles are exactly the *resumable leaves* of chains, and each
   // leaf belongs to one root chain, so destroy roots only.
   // (Leaves suspended on sync primitives are also reclaimed this way.)
+  // The task records stay listed until the checker goes: a SimMutex hand-off
+  // that a frame's destructor makes still reads a live record.
   stopped_ = true;
   checker_.begin_teardown();
-  while (!roots_.empty()) {
-    auto h = roots_.front();
-    roots_.pop_front();
-    h.destroy();
-  }
+  for (const TaskRecord& task : checker_.live_tasks()) task.root.destroy();
   checker_.end_teardown();
 }
 
-void Simulation::schedule_at(TimePoint t, std::coroutine_handle<> h) {
+void Simulation::enqueue(TimePoint t, std::coroutine_handle<> h,
+                         TaskRecord* task) {
   assert(h);
   if (t < now_) t = now_;  // never schedule into the past
-  checker_.on_scheduled(h.address());
-  queue_.push(QueueItem{t, next_seq_++, h});
+  queue_.push(QueueItem{t, next_seq_++, h, task});
 }
 
 void Simulation::spawn(Task<void> task, std::string name) {
   if (!task.valid()) return;
   RootTask root = run_root(std::move(task));
-  RootRegistry::register_root(*this, root.handle);
-  checker_.on_task_spawn(root.handle.address(), std::move(name));
-  schedule_at(now_, root.handle);
+  auto record = checker_.on_task_spawn(root.handle, std::move(name));
+  root.handle.promise().checker = &checker_;
+  root.handle.promise().task = record;
+  enqueue(now_, root.handle, &*record);
 }
 
 bool Simulation::step() {
@@ -109,7 +82,7 @@ bool Simulation::step() {
   assert(item.time >= now_);
   now_ = item.time;
   events_executed_++;
-  checker_.begin_event(item.handle.address(), item.time.us(), item.seq);
+  checker_.begin_event(item.task, item.time.us(), item.seq);
   item.handle.resume();
   checker_.end_event();
   return true;

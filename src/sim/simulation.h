@@ -14,7 +14,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <queue>
 #include <string>
 #include <vector>
@@ -47,15 +46,20 @@ class Simulation {
   const obs::Telemetry& telemetry() const { return telemetry_; }
 
   // The simulation sanitizer (wait-for graph, lifecycle diagnostics,
-  // determinism hash). Compiles to a no-op stub when WIERA_SIM_CHECKER=OFF.
+  // determinism hash). It also lists the live tasks.
   SimChecker& checker() { return checker_; }
   const SimChecker& checker() const { return checker_; }
 
-  // Low-level: schedule a bare coroutine resumption.
-  void schedule_at(TimePoint t, std::coroutine_handle<> h);
+  // Low-level: schedule a bare coroutine resumption as part of the running
+  // task (a timer wakeup of the coroutine that is suspending).
+  void schedule_at(TimePoint t, std::coroutine_handle<> h) {
+    enqueue(t, h, checker_.current_task());
+  }
   void schedule_after(Duration d, std::coroutine_handle<> h) {
     schedule_at(now_ + d, h);
   }
+  // Wake a blocked coroutine now, as part of the task it belongs to.
+  void wake(const Waiter& w) { enqueue(now_, w.handle, w.task); }
 
   // co_await sim.delay(d): suspend for d of virtual time.
   auto delay(Duration d) {
@@ -96,20 +100,19 @@ class Simulation {
   // Route the global logger's timestamps through this sim's clock.
   void attach_logger();
 
-  // Implementation detail of spawn(): bookkeeping for detached root frames.
-  struct RootRegistry;
-
  private:
   struct QueueItem {
     TimePoint time;
     uint64_t seq;
     std::coroutine_handle<> handle;
+    TaskRecord* task;  // the task `handle` belongs to
     bool operator>(const QueueItem& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
+  void enqueue(TimePoint t, std::coroutine_handle<> h, TaskRecord* task);
   bool step();  // execute one event; false if queue empty/stopped
 
   TimePoint now_ = TimePoint::origin();
@@ -119,7 +122,6 @@ class Simulation {
   bool stopped_ = false;
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
       queue_;
-  std::list<std::coroutine_handle<>> roots_;  // live detached root frames
   Rng rng_;
   obs::Telemetry telemetry_;
   SimChecker checker_;

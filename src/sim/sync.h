@@ -6,12 +6,16 @@
 //
 // None of these are thread-safe — the simulation is single-threaded.
 //
-// Every primitive takes an optional `name` (a pointer that must outlive the
-// primitive, typically a string literal) used by the SimChecker to label
-// stuck-task / deadlock / misuse diagnostics. API misuse that used to be a
-// bare `assert` (double unlock, send on a closed channel, double-fulfilled
-// promise, negative release) is reported as a structured checker error and
-// then handled gracefully, so the diagnostics survive NDEBUG builds.
+// Every waiter entry keeps the waiter's task next to its handle, so a wake
+// resumes the waiter as part of its own task, whoever calls it.
+//
+// Every primitive takes an optional `name`, used by the SimChecker to label
+// stuck-task / deadlock / misuse diagnostics. It must be a string literal: a
+// blocked task's wait record keeps the pointer and can outlive a destroyed
+// primitive. API misuse that used to be a bare `assert` (double unlock, send
+// on a closed channel, double-fulfilled promise, negative release) is
+// reported as a structured checker error and then handled gracefully, so the
+// diagnostics survive NDEBUG builds.
 #pragma once
 
 #include <cassert>
@@ -24,14 +28,6 @@
 
 #include "sim/checker.h"
 #include "sim/simulation.h"
-
-// Fallback for builds with the checker compiled out: keep the original
-// assert so misuse still trips in debug binaries.
-#if WIERA_SIM_CHECKER_ENABLED
-#define WIERA_SIM_FALLBACK_ASSERT(cond) ((void)0)
-#else
-#define WIERA_SIM_FALLBACK_ASSERT(cond) assert(cond)
-#endif
 
 namespace wiera::sim {
 
@@ -57,7 +53,7 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_->schedule_at(sim_->now(), h);
+    for (const Waiter& w : waiters_) sim_->wake(w);
     waiters_.clear();
   }
 
@@ -68,9 +64,8 @@ class Event {
       Event* event;
       bool await_ready() const noexcept { return event->set_; }
       void await_suspend(std::coroutine_handle<> h) {
-        event->waiters_.push_back(h);
-        event->sim_->checker().on_block(h.address(), WaitKind::kEvent, event,
-                                        event->name_);
+        event->waiters_.push_back(event->sim_->checker().on_block(
+            h, WaitKind::kEvent, event, event->name_));
       }
       void await_resume() const noexcept {}
     };
@@ -81,12 +76,13 @@ class Event {
   Simulation* sim_;
   const char* name_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<Waiter> waiters_;
 };
 
 // FIFO mutex. Models exclusive critical sections in virtual time (e.g. the
-// serialization a single-writer store imposes). The checker tracks the
-// owning task, which is what makes ABBA deadlock cycles reportable by name.
+// serialization a single-writer store imposes). The mutex records its
+// holder's task id, which is what makes ABBA deadlock cycles reportable by
+// name.
 class SimMutex {
  public:
   explicit SimMutex(Simulation& sim, const char* name = "")
@@ -110,15 +106,14 @@ class SimMutex {
       bool await_ready() const noexcept {
         if (!m->locked_) {
           m->locked_ = true;
-          m->sim_->checker().on_mutex_acquired(m, m->name_);
+          m->holder_ = task_id(m->sim_->checker().current_task());
           return true;
         }
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        m->waiters_.push_back(h);
-        m->sim_->checker().on_block(h.address(), WaitKind::kMutex, m,
-                                    m->name_);
+        m->waiters_.push_back(m->sim_->checker().on_block(
+            h, WaitKind::kMutex, m, m->name_, &m->holder_));
       }
       void await_resume() const noexcept {}
     };
@@ -127,7 +122,6 @@ class SimMutex {
 
   void unlock() {
     if (!locked_) {
-      WIERA_SIM_FALLBACK_ASSERT(locked_);
       sim_->checker().report_error(
           SimDiagnostic::Kind::kDoubleUnlock, name_,
           std::string("SimMutex '") + display_name() +
@@ -136,14 +130,14 @@ class SimMutex {
     }
     if (waiters_.empty()) {
       locked_ = false;
-      sim_->checker().on_mutex_released(this);
+      holder_ = 0;
       return;
     }
     // Hand the lock to the next waiter; it stays logically locked.
-    auto h = waiters_.front();
+    Waiter next = waiters_.front();
     waiters_.pop_front();
-    sim_->checker().on_mutex_handoff(this, h.address());
-    sim_->schedule_at(sim_->now(), h);
+    holder_ = task_id(next.task);
+    sim_->wake(next);
   }
 
  private:
@@ -154,7 +148,8 @@ class SimMutex {
   Simulation* sim_;
   const char* name_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  uint64_t holder_ = 0;  // holder's task id; 0 = none
+  std::deque<Waiter> waiters_;
 };
 
 // Counting semaphore; models bounded resources (IOPS tokens, connection
@@ -189,9 +184,8 @@ class SimSemaphore {
         return false;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        s->waiters_.push_back(h);
-        s->sim_->checker().on_block(h.address(), WaitKind::kSemaphore, s,
-                                    s->name_);
+        s->waiters_.push_back(s->sim_->checker().on_block(
+            h, WaitKind::kSemaphore, s, s->name_));
       }
       void await_resume() const noexcept {}
     };
@@ -201,7 +195,6 @@ class SimSemaphore {
   // release(0) is an explicit no-op; a negative n is reported and ignored.
   void release(int64_t n = 1) {
     if (n < 0) {
-      WIERA_SIM_FALLBACK_ASSERT(n >= 0);
       sim_->checker().report_error(
           SimDiagnostic::Kind::kNegativeRelease, name_,
           std::string("SimSemaphore released with negative count ") +
@@ -209,9 +202,8 @@ class SimSemaphore {
       return;
     }
     while (n > 0 && !waiters_.empty()) {
-      auto h = waiters_.front();
+      sim_->wake(waiters_.front());
       waiters_.pop_front();
-      sim_->schedule_at(sim_->now(), h);
       n--;
     }
     count_ += n;
@@ -221,7 +213,7 @@ class SimSemaphore {
   Simulation* sim_;
   const char* name_;
   int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
 };
 
 // Unbounded MPSC/MPMC channel. Used for the `queue` response (asynchronous
@@ -245,7 +237,6 @@ class Channel {
 
   void send(T item) {
     if (closed_) {
-      WIERA_SIM_FALLBACK_ASSERT(!closed_ && "send on closed channel");
       sim_->checker().report_error(
           SimDiagnostic::Kind::kSendAfterClose, name_,
           std::string("send on closed Channel '") +
@@ -253,18 +244,23 @@ class Channel {
       // Fall through: deliver anyway so release builds keep their historic
       // best-effort behaviour.
     }
-    items_.push_back(std::move(item));
-    wake_one();
+    if (waiters_.empty()) {
+      items_.push_back(std::move(item));
+      return;
+    }
+    // Hand the item to the receiver this send wakes, so no receive that
+    // runs before it can take the item.
+    Receiver next = waiters_.front();
+    waiters_.pop_front();
+    next.item->emplace(std::move(item));
+    sim_->wake(next.waiter);
   }
 
   void close() {
     closed_ = true;
     // Wake everyone; drained receivers observe nullopt.
-    while (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->schedule_at(sim_->now(), h);
-    }
+    for (const Receiver& r : waiters_) sim_->wake(r.waiter);
+    waiters_.clear();
   }
 
   bool closed() const { return closed_; }
@@ -274,22 +270,22 @@ class Channel {
   auto recv() {
     struct Awaiter {
       Channel* ch;
+      std::optional<T> handed;  // the item of the send() that woke us
       bool await_ready() const noexcept {
         return !ch->items_.empty() || ch->closed_;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        ch->waiters_.push_back(h);
-        ch->sim_->checker().on_block(h.address(), WaitKind::kChannel, ch,
-                                     ch->name_);
+        ch->waiters_.push_back(Receiver{
+            ch->sim_->checker().on_block(h, WaitKind::kChannel, ch,
+                                         ch->name_),
+            &handed});
       }
       std::optional<T> await_resume() {
-        if (ch->items_.empty()) return std::nullopt;  // closed & drained
-        T item = std::move(ch->items_.front());
-        ch->items_.pop_front();
-        return item;
+        if (handed.has_value()) return std::move(handed);
+        return ch->try_recv();  // nullopt: closed & drained
       }
     };
-    return Awaiter{this};
+    return Awaiter{this, std::nullopt};
   }
 
   // Non-blocking receive.
@@ -301,18 +297,17 @@ class Channel {
   }
 
  private:
-  void wake_one() {
-    if (waiters_.empty()) return;
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    sim_->schedule_at(sim_->now(), h);
-  }
+  // A blocked recv() and the slot in its awaiter that send() fills.
+  struct Receiver {
+    Waiter waiter;
+    std::optional<T>* item;
+  };
 
   Simulation* sim_;
   const char* name_;
   bool closed_ = false;
   std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Receiver> waiters_;  // non-empty only while items_ is empty
 };
 
 // One-shot future/promise pair, the RPC completion mechanism. Multiple
@@ -335,7 +330,7 @@ struct FutureState {
   Simulation* sim;
   const char* name;
   std::optional<T> value;
-  std::vector<std::coroutine_handle<>> waiters;
+  std::vector<Waiter> waiters;
   // Live Promise handles over this state; when the last one drops without
   // fulfilling while coroutines wait, those waiters can never wake — the
   // checker reports a broken promise.
@@ -374,8 +369,6 @@ class Promise {
   // Fulfilling twice is a structured checker error; the first value wins.
   void set_value(T value) {
     if (state_->value.has_value()) {
-      WIERA_SIM_FALLBACK_ASSERT(!state_->value.has_value() &&
-                                "promise fulfilled twice");
       state_->sim->checker().report_error(
           SimDiagnostic::Kind::kPromiseDoubleSet, state_->name,
           std::string("Promise '") +
@@ -384,9 +377,7 @@ class Promise {
       return;
     }
     state_->value.emplace(std::move(value));
-    for (auto h : state_->waiters) {
-      state_->sim->schedule_at(state_->sim->now(), h);
-    }
+    for (const Waiter& w : state_->waiters) state_->sim->wake(w);
     state_->waiters.clear();
   }
 
@@ -424,9 +415,8 @@ class Future {
       std::shared_ptr<FutureState<T>> state;
       bool await_ready() const noexcept { return state->value.has_value(); }
       void await_suspend(std::coroutine_handle<> h) {
-        state->waiters.push_back(h);
-        state->sim->checker().on_block(h.address(), WaitKind::kFuture,
-                                       state.get(), state->name);
+        state->waiters.push_back(state->sim->checker().on_block(
+            h, WaitKind::kFuture, state.get(), state->name));
       }
       T await_resume() {
         assert(state->value.has_value());

@@ -1,6 +1,9 @@
 // Tests for the wire format and RPC layer.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/network.h"
 #include "rpc/rpc.h"
 #include "rpc/wire.h"
@@ -382,6 +385,51 @@ TEST(RpcAdmissionTest, ZeroQueueShedsImmediately) {
   EXPECT_TRUE(a_ok || b.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(server.calls_shed(), 1);
+}
+
+TEST(RpcAdmissionTest, AdmittedWaiterIsReportedStuckUnderItsOwnName) {
+  Fixture f;
+  Endpoint server(f.network, f.registry, "server");
+  Endpoint client(f.network, f.registry, "client");
+  sim::Simulation* simp = &f.sim;
+  sim::Event never(f.sim, "e.never");
+  int started = 0;
+  // The first call holds the only slot for 10 ms; the second waits in the
+  // admission queue, is admitted by the first call's exit, and hangs.
+  server.register_handler(
+      "hang", [simp, &never, &started](Message req)
+                  -> sim::Task<Result<Message>> {
+        if (started++ == 0) {
+          co_await simp->delay(msec(10));
+        } else {
+          co_await never.wait();
+        }
+        co_return req;
+      });
+  server.set_admission(/*max_inflight=*/1, /*max_queue=*/1);
+
+  Result<Message> out[2] = {internal_error("unset"), internal_error("unset")};
+  int64_t at_us[2] = {-1, -1};
+  f.sim.spawn(run_call(client, "server", "hang", make_msg("a"), out[0],
+                       at_us[0], f.sim),
+              "caller-a");
+  f.sim.spawn(run_call(client, "server", "hang", make_msg("b"), out[1],
+                       at_us[1], f.sim),
+              "caller-b");
+  f.sim.run();
+
+  EXPECT_TRUE(out[0].ok());
+  EXPECT_EQ(server.adm_inflight(), 1);  // caller-b holds the slot
+  std::vector<const sim::SimDiagnostic*> stuck;
+  for (const sim::SimDiagnostic& d : f.sim.checker().diagnostics()) {
+    EXPECT_EQ(d.message.find("caller-a"), std::string::npos) << d.message;
+    if (d.kind == sim::SimDiagnostic::Kind::kStuckTask) stuck.push_back(&d);
+  }
+  ASSERT_EQ(stuck.size(), 1u);
+  EXPECT_EQ(stuck[0]->task, "caller-b");
+  EXPECT_EQ(stuck[0]->primitive, "e.never");
+  EXPECT_NE(stuck[0]->message.find("Event 'e.never'"), std::string::npos)
+      << stuck[0]->message;
 }
 
 // ------------------------------------------------------------ registry

@@ -5,6 +5,7 @@
 // produce identical event-trace hashes for identical seeds.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,6 @@ namespace wiera::sim {
 namespace {
 
 using Kind = SimDiagnostic::Kind;
-
-#if WIERA_SIM_CHECKER_ENABLED
 
 // ------------------------------------------------------------ deadlock
 
@@ -270,15 +269,140 @@ TEST(SimCheckerTest, CleanScenarioProducesNoDiagnostics) {
   EXPECT_TRUE(sim.checker().diagnostics().empty());
 }
 
-TEST(SimCheckerTest, RuntimeDisableSilencesChecker) {
-  Simulation sim;
-  sim.checker().set_enabled(false);
-  SimMutex m(sim, "m.any");
-  m.unlock();  // would be a double-unlock error
-  EXPECT_TRUE(sim.checker().diagnostics().empty());
+// ------------------------------------------------------------ wake attribution
+//
+// A coroutine woken by another task resumes as part of its own task. The
+// "sleeper" blocks on a primitive, a "waker" task signals it 1 ms later,
+// and the sleeper then blocks forever on 'e.never': the stuck report must
+// name the sleeper and its new primitive, and the completed waker nowhere.
+
+Task<void> hang_after(Task<void> first, Event& never) {
+  co_await std::move(first);
+  co_await never.wait();
 }
 
-#endif  // WIERA_SIM_CHECKER_ENABLED
+Task<void> after_1ms(Simulation& sim, std::function<void()> fn) {
+  co_await sim.delay(msec(1));
+  fn();
+}
+
+void expect_sleeper_stuck_on_never(const SimChecker& checker) {
+  std::vector<const SimDiagnostic*> stuck;
+  for (const SimDiagnostic& d : checker.diagnostics()) {
+    EXPECT_EQ(d.message.find("waker"), std::string::npos) << d.message;
+    if (d.kind == Kind::kStuckTask) stuck.push_back(&d);
+  }
+  ASSERT_EQ(stuck.size(), 1u);
+  EXPECT_EQ(stuck[0]->task, "sleeper");
+  EXPECT_EQ(stuck[0]->primitive, "e.never");
+  EXPECT_EQ(stuck[0]->message,
+            "task 'sleeper' still blocked on Event 'e.never' when the event "
+            "queue drained (never signalled: lost wakeup?)");
+}
+
+Task<void> acquire_one(SimSemaphore& s) { co_await s.acquire(); }
+Task<void> wait_event(Event& e) { co_await e.wait(); }
+Task<void> recv_one(Channel<int>& ch) { (void)co_await ch.recv(); }
+Task<void> await_future(Future<int> f) { (void)co_await f; }
+
+TEST(SimCheckerTest, TaskWokenBySemaphoreReleaseIsReportedUnderItsOwnName) {
+  Simulation sim;
+  SimSemaphore gate(sim, 0, "s.gate");
+  Event never(sim, "e.never");
+  sim.spawn(hang_after(acquire_one(gate), never), "sleeper");
+  sim.spawn(after_1ms(sim, [&gate] { gate.release(); }), "waker");
+  sim.run();
+  expect_sleeper_stuck_on_never(sim.checker());
+}
+
+TEST(SimCheckerTest, TaskWokenByEventSetIsReportedUnderItsOwnName) {
+  Simulation sim;
+  Event gate(sim, "e.gate");
+  Event never(sim, "e.never");
+  sim.spawn(hang_after(wait_event(gate), never), "sleeper");
+  sim.spawn(after_1ms(sim, [&gate] { gate.set(); }), "waker");
+  sim.run();
+  expect_sleeper_stuck_on_never(sim.checker());
+}
+
+TEST(SimCheckerTest, TaskWokenByChannelSendIsReportedUnderItsOwnName) {
+  Simulation sim;
+  Channel<int> gate(sim, "ch.gate");
+  Event never(sim, "e.never");
+  sim.spawn(hang_after(recv_one(gate), never), "sleeper");
+  sim.spawn(after_1ms(sim, [&gate] { gate.send(1); }), "waker");
+  sim.run();
+  expect_sleeper_stuck_on_never(sim.checker());
+}
+
+TEST(SimCheckerTest, TaskWokenByPromiseIsReportedUnderItsOwnName) {
+  Simulation sim;
+  Promise<int> gate(sim, "p.gate");
+  Event never(sim, "e.never");
+  sim.spawn(hang_after(await_future(gate.future()), never), "sleeper");
+  sim.spawn(after_1ms(sim, [&gate] { gate.set_value(1); }), "waker");
+  sim.run();
+  expect_sleeper_stuck_on_never(sim.checker());
+}
+
+// ------------------------------------------------------------ mutex holder
+
+Task<void> lock_then_hang(SimMutex& m, Event& never) {
+  co_await m.lock();
+  co_await never.wait();
+}
+
+Task<void> lock_for_1ms(Simulation& sim, SimMutex& m) {
+  co_await m.lock();
+  co_await sim.delay(msec(1));
+  m.unlock();
+}
+
+const SimDiagnostic* stuck_report_of(const SimChecker& checker,
+                                     const std::string& task) {
+  for (const SimDiagnostic& d : checker.diagnostics()) {
+    if (d.kind == Kind::kStuckTask && d.task == task) return &d;
+  }
+  return nullptr;
+}
+
+TEST(SimCheckerTest, HandedOffMutexNamesTheWaiterItWentTo) {
+  Simulation sim;
+  SimMutex m(sim, "m.shared");
+  Event never(sim, "e.never");
+  sim.spawn(lock_for_1ms(sim, m), "first");
+  sim.spawn(lock_then_hang(m, never), "second");  // takes m from 'first'
+  sim.spawn(lock_then_hang(m, never), "third");   // queued behind 'second'
+  sim.run();
+
+  const SimDiagnostic* third = stuck_report_of(sim.checker(), "third");
+  ASSERT_NE(third, nullptr);
+  EXPECT_EQ(third->message,
+            "task 'third' still blocked on SimMutex 'm.shared' when the "
+            "event queue drained (held by 'second')");
+  EXPECT_FALSE(sim.checker().has(Kind::kDeadlock));
+}
+
+Task<void> lock_and_return(SimMutex& m) { co_await m.lock(); }
+
+TEST(SimCheckerTest, HolderThatCompletedHoldingTheMutexIsNamedNowhere) {
+  Simulation sim;
+  SimMutex m(sim, "m.abandoned");
+  sim.spawn(lock_and_return(m), "quitter");  // completes still holding m
+  sim.spawn(lock_and_return(m), "waiter");
+  sim.run();
+
+  const SimDiagnostic* waiter = stuck_report_of(sim.checker(), "waiter");
+  ASSERT_NE(waiter, nullptr);
+  EXPECT_EQ(waiter->message,
+            "task 'waiter' still blocked on SimMutex 'm.abandoned' when the "
+            "event queue drained");
+  for (const SimDiagnostic& d : sim.checker().diagnostics()) {
+    EXPECT_EQ(d.message.find("quitter"), std::string::npos) << d.message;
+  }
+  EXPECT_EQ(sim.checker().live_task_names(),
+            std::vector<std::string>{"waiter"});
+}
 
 // ------------------------------------------------------------ determinism
 //
@@ -308,9 +432,7 @@ Task<void> chaos_drain(Channel<int>& ch, int expected) {
   }
 }
 
-// [[maybe_unused]]: with WIERA_SIM_CHECKER=OFF the determinism tests skip
-// at compile time and nothing references this helper.
-[[maybe_unused]] uint64_t run_chaos(uint64_t seed) {
+uint64_t run_chaos(uint64_t seed) {
   Simulation sim(seed);
   SimMutex m(sim, "chaos.m");
   SimSemaphore s(sim, 2, "chaos.s");
@@ -328,21 +450,16 @@ Task<void> chaos_drain(Channel<int>& ch, int expected) {
 }
 
 TEST(SimDeterminismTest, SameSeedProducesIdenticalEventTraceHash) {
-#if WIERA_SIM_CHECKER_ENABLED
   const uint64_t a = run_chaos(1234);
   const uint64_t b = run_chaos(1234);
   EXPECT_EQ(a, b) << "simulation diverged between two runs with one seed";
-#else
-  GTEST_SKIP() << "WIERA_SIM_CHECKER=OFF: trace hashing compiled out";
-#endif
+  // Pinned: a kernel change that reorders same-time events in both runs
+  // alike still moves this value.
+  EXPECT_EQ(a, 0x76E9A98C35F35854ull);
 }
 
 TEST(SimDeterminismTest, DifferentSeedsDiverge) {
-#if WIERA_SIM_CHECKER_ENABLED
   EXPECT_NE(run_chaos(1234), run_chaos(4321));
-#else
-  GTEST_SKIP() << "WIERA_SIM_CHECKER=OFF: trace hashing compiled out";
-#endif
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // task composition, synchronization primitives, determinism.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -406,6 +407,33 @@ TEST(ChannelTest, TryRecvNonBlocking) {
   auto v = ch.try_recv();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 9);
+}
+
+TEST(ChannelTest, WokenReceiverKeepsItsItemWhenTheSenderTriesToReceive) {
+  Simulation sim;
+  Channel<int> ch(sim, "ch.demo");
+  std::optional<int> got;
+  bool closed_when_woken = true;
+  std::optional<int> taken_by_sender;
+  auto receiver = [](Channel<int>* c, std::optional<int>* out,
+                     bool* closed) -> Task<void> {
+    *out = co_await c->recv();
+    *closed = c->closed();
+  };
+  auto sender = [](Simulation* s, Channel<int>* c,
+                   std::optional<int>* taken) -> Task<void> {
+    co_await s->delay(msec(1));
+    c->send(7);
+    // Same event: the receiver this send woke has not run yet.
+    *taken = c->try_recv();
+  };
+  sim.spawn(receiver(&ch, &got, &closed_when_woken));
+  sim.spawn(sender(&sim, &ch, &taken_by_sender));
+  sim.run();
+  ASSERT_TRUE(got.has_value()) << "an open channel's receiver got nullopt";
+  EXPECT_EQ(*got, 7);
+  EXPECT_FALSE(taken_by_sender.has_value());
+  EXPECT_FALSE(closed_when_woken);
 }
 
 TEST(ChannelTest, MultipleConsumersEachGetItems) {
