@@ -1,5 +1,7 @@
 #include "coord/lock_service.h"
 
+#include <algorithm>
+
 namespace wiera::coord {
 
 LockService::~LockService() { stop_lease_reaper(); }
@@ -21,16 +23,24 @@ sim::Task<void> LockService::lease_reaper_loop(Duration check_interval,
   while (generation == reaper_generation_) {
     co_await sim_->delay(check_interval);
     if (generation != reaper_generation_) break;
-    for (auto& [name, lock] : locks_) {
-      if (lock->holder.empty()) continue;
-      if (sim_->now() - lock->granted_at > kLease) {
-        // The holder exceeded its lease (crashed or wedged): evict it so
-        // queued writers make progress. A late release from the old holder
-        // will fail with a holder mismatch, like an expired ZK session.
-        lock->holder.clear();
-        lock->mutex.unlock();
-        leases_expired_++;
+    // A holder past its lease (crashed or wedged) is evicted so queued
+    // writers make progress. A late release from the old holder will fail
+    // with a holder mismatch, like an expired ZK session. Each unlock wakes
+    // a waiter, so the evictions run in name order.
+    std::vector<LockState*> expired;
+    for (const auto& lock : locks_) {
+      if (!lock->holder.empty() && sim_->now() - lock->granted_at > kLease) {
+        expired.push_back(lock.get());
       }
+    }
+    std::sort(expired.begin(), expired.end(),
+              [](const LockState* a, const LockState* b) {
+                return a->name < b->name;
+              });
+    for (LockState* lock : expired) {
+      lock->holder.clear();
+      lock->mutex.unlock();
+      leases_expired_++;
     }
   }
 }
@@ -44,21 +54,27 @@ LockService::LockService(sim::Simulation& sim, rpc::Endpoint& endpoint)
 }
 
 LockService::LockState& LockService::state_for(const std::string& lock_name) {
-  auto it = locks_.find(lock_name);
-  if (it == locks_.end()) {
-    it = locks_.emplace(lock_name, std::make_unique<LockState>(*sim_)).first;
-  }
-  return *it->second;
+  if (LockState** found = by_name_.find(lock_name)) return **found;
+  LockState* lock =
+      locks_.emplace_back(std::make_unique<LockState>(*sim_, lock_name)).get();
+  by_name_.try_emplace(std::string_view(lock->name), lock);
+  return *lock;
+}
+
+const LockService::LockState* LockService::find(
+    const std::string& lock_name) const {
+  LockState* const* found = by_name_.find(lock_name);
+  return found == nullptr ? nullptr : *found;
 }
 
 std::string LockService::holder(const std::string& lock_name) const {
-  auto it = locks_.find(lock_name);
-  return it == locks_.end() ? "" : it->second->holder;
+  const LockState* lock = find(lock_name);
+  return lock == nullptr ? "" : lock->holder;
 }
 
 int64_t LockService::waiting(const std::string& lock_name) const {
-  auto it = locks_.find(lock_name);
-  return it == locks_.end() ? 0 : it->second->waiting;
+  const LockState* lock = find(lock_name);
+  return lock == nullptr ? 0 : lock->waiting;
 }
 
 sim::Task<Result<rpc::Message>> LockService::handle_acquire(
@@ -85,18 +101,19 @@ sim::Task<Result<rpc::Message>> LockService::handle_release(
   auto req = rpc::decode<LockRequest>(request);
   if (!req.ok()) co_return req.status();
 
-  auto it = locks_.find(req->lock_name);
-  if (it == locks_.end() || it->second->holder.empty()) {
+  LockState* const* found = by_name_.find(req->lock_name);
+  if (found == nullptr || (*found)->holder.empty()) {
     co_return rpc::encode_status(
         failed_precondition("release of unheld lock " + req->lock_name));
   }
-  if (it->second->holder != req->requester) {
+  LockState& lock = **found;
+  if (lock.holder != req->requester) {
     co_return rpc::encode_status(failed_precondition(
-        "lock " + req->lock_name + " held by " + it->second->holder +
-        ", not " + req->requester));
+        "lock " + req->lock_name + " held by " + lock.holder + ", not " +
+        req->requester));
   }
-  it->second->holder.clear();
-  it->second->mutex.unlock();
+  lock.holder.clear();
+  lock.mutex.unlock();
   co_return rpc::encode_status(ok_status());
 }
 

@@ -12,12 +12,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
+#include "common/flat_hash.h"
 #include "rpc/rpc.h"
 #include "sim/sync.h"
 
@@ -63,7 +64,9 @@ class LockService {
 
  private:
   struct LockState {
-    explicit LockState(sim::Simulation& sim) : mutex(sim, "lock.state") {}
+    LockState(sim::Simulation& sim, std::string lock_name)
+        : name(std::move(lock_name)), mutex(sim, "lock.state") {}
+    std::string name;
     sim::SimMutex mutex;
     std::string holder;
     int64_t waiting = 0;
@@ -77,10 +80,15 @@ class LockService {
   sim::Task<Result<rpc::Message>> handle_release(rpc::Message request);
 
   LockState& state_for(const std::string& lock_name);
+  const LockState* find(const std::string& lock_name) const;
 
   sim::Simulation* sim_;
   rpc::Endpoint* endpoint_;
-  std::map<std::string, std::unique_ptr<LockState>> locks_;
+  // Every lock named so far, in creation order. A SimMutex must not move,
+  // so each state has its own allocation; the table maps a view of its name
+  // to it.
+  std::vector<std::unique_ptr<LockState>> locks_;
+  FlatHashMap<std::string_view, LockState*> by_name_;
   int64_t acquires_served_ = 0;
   int64_t leases_expired_ = 0;
   bool reaping_ = false;

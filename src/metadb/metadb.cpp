@@ -26,11 +26,9 @@ bool latest_dirty(const ObjectMeta& obj) {
 }  // namespace
 
 ObjectMeta& MetaDb::record(const std::string& key) {
-  if (auto found = index_.find(key); found != index_.end()) {
-    return found->second->second;
-  }
+  if (Records::iterator* found = index_.find(key)) return (*found)->second;
   auto it = objects_.try_emplace(key).first;
-  index_.emplace(it->first, it);
+  index_.try_emplace(std::string_view(it->first), it);
   it->second.key = key;
   it->second.created = ++records_created_;
   return it->second;
@@ -55,11 +53,10 @@ void MetaDb::reindex(const ObjectMeta& obj, bool was_dirty) {
   }
 }
 
-void MetaDb::erase_record(Index::iterator entry) {
-  const Records::iterator it = entry->second;
+void MetaDb::erase_record(Records::iterator it) {
   if (open_scans_ > 0) erased_.push_back({it->first, it->second.created});
   dirty_.erase(it->first);
-  index_.erase(entry);
+  index_.erase(std::string_view(it->first));
   objects_.erase(it);
 }
 
@@ -84,8 +81,8 @@ void MetaDb::restore_version(const std::string& key, const VersionMeta& row) {
 }
 
 const ObjectMeta* MetaDb::find(const std::string& key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? nullptr : &it->second->second;
+  const Records::iterator* it = index_.find(key);
+  return it == nullptr ? nullptr : &(*it)->second;
 }
 
 const VersionMeta* MetaDb::find_version(const std::string& key,
@@ -98,9 +95,9 @@ const VersionMeta* MetaDb::find_version(const std::string& key,
 
 void MetaDb::record_access(const std::string& key, int64_t version,
                            TimePoint now) {
-  auto entry = index_.find(key);
-  if (entry == index_.end()) return;
-  ObjectMeta& obj = entry->second->second;
+  Records::iterator* entry = index_.find(key);
+  if (entry == nullptr) return;
+  ObjectMeta& obj = (*entry)->second;
   auto it = obj.versions.find(version);
   if (it == obj.versions.end()) return;
   it->second.last_accessed = now;
@@ -108,15 +105,15 @@ void MetaDb::record_access(const std::string& key, int64_t version,
 }
 
 Status MetaDb::remove_version(const std::string& key, int64_t version) {
-  auto entry = index_.find(key);
-  if (entry == index_.end()) return not_found("metadb object: " + key);
-  ObjectMeta& obj = entry->second->second;
+  Records::iterator* entry = index_.find(key);
+  if (entry == nullptr) return not_found("metadb object: " + key);
+  ObjectMeta& obj = (*entry)->second;
   const bool was_dirty = latest_dirty(obj);
   if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
   }
   if (obj.versions.empty()) {
-    erase_record(entry);
+    erase_record(*entry);
   } else {
     reindex(obj, was_dirty);
   }
@@ -124,16 +121,16 @@ Status MetaDb::remove_version(const std::string& key, int64_t version) {
 }
 
 Status MetaDb::remove_object(const std::string& key) {
-  auto entry = index_.find(key);
-  if (entry == index_.end()) return not_found("metadb object: " + key);
-  erase_record(entry);
+  Records::iterator* entry = index_.find(key);
+  if (entry == nullptr) return not_found("metadb object: " + key);
+  erase_record(*entry);
   return ok_status();
 }
 
 Status MetaDb::forget_version(const std::string& key, int64_t version) {
-  auto entry = index_.find(key);
-  if (entry == index_.end()) return not_found("metadb object: " + key);
-  ObjectMeta& obj = entry->second->second;
+  Records::iterator* entry = index_.find(key);
+  if (entry == nullptr) return not_found("metadb object: " + key);
+  ObjectMeta& obj = (*entry)->second;
   const bool was_dirty = latest_dirty(obj);
   if (obj.versions.erase(version) == 0) {
     return not_found("metadb version of " + key);
@@ -207,7 +204,7 @@ const ObjectMeta* MetaDb::next_object(const Scan& scan,
   if (dirty_only) {
     auto it = after == nullptr ? dirty_.begin() : dirty_.upper_bound(*after);
     for (; it != dirty_.end(); ++it) {
-      const ObjectMeta& obj = index_.find(*it)->second->second;
+      const ObjectMeta& obj = (*index_.find(*it))->second;
       if (in_scan(scan, obj)) return &obj;
     }
     return nullptr;
@@ -287,7 +284,7 @@ Status MetaDb::deserialize(const Bytes& data) {
   index_.clear();
   dirty_.clear();
   for (auto it = objects_.begin(); it != objects_.end(); ++it) {
-    index_.emplace(it->first, it);
+    index_.try_emplace(std::string_view(it->first), it);
     it->second.created = ++records_created_;
     if (latest_dirty(it->second)) dirty_.insert(dirty_.end(), it->first);
   }

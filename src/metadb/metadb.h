@@ -17,10 +17,10 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/flat_hash.h"
 #include "common/small_vec.h"
 #include "common/status.h"
 #include "common/time.h"
@@ -96,9 +96,9 @@ struct ObjectMeta {
 };
 
 // Records live in one key-ordered map, which every walk (scans, cold_objects,
-// keys, serialize) follows. A hash index over that map answers every point
-// lookup by key in O(1); only record(), erase_record() and deserialize()
-// create or drop records, so only they maintain it.
+// keys, serialize) follows. A flat hash index over that map answers every
+// point lookup by key with one probe; only record(), erase_record() and
+// deserialize() create or drop records, so only they maintain it.
 class MetaDb {
  public:
   MetaDb() = default;
@@ -181,14 +181,14 @@ class MetaDb {
 
  private:
   using Records = std::map<std::string, ObjectMeta>;
-  using Index = std::unordered_map<std::string_view, Records::iterator>;
+  using Index = FlatHashMap<std::string_view, Records::iterator>;
 
   // The key's record, created (and stamped) when absent.
   ObjectMeta& record(const std::string& key);
   VersionMeta& upsert_row(ObjectMeta& obj, int64_t version);
   // Brings the dirty index up to date after a change to `obj`'s rows.
   void reindex(const ObjectMeta& obj, bool was_dirty);
-  void erase_record(Index::iterator entry);
+  void erase_record(Records::iterator it);
 
   Records objects_;
   // Key -> record, keyed by a view of the map node's own key.

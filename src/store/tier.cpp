@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 
 #include "common/strings.h"
 
@@ -128,6 +129,26 @@ Blob flip_middle_byte(const Blob& value) {
 Blob torn_prefix(const Blob& value) {
   return Blob(Bytes(value.data(), value.data() + value.size() / 2));
 }
+
+using Copies = FlatHashMap<std::string, Blob>;
+
+// Commits `value` as the copy of `key` and returns the change in stored
+// bytes. The copy it replaces is sized here, at commit, not when the write
+// was admitted: a remove or another put may land during the device wait.
+int64_t commit_copy(Copies& copies, std::string key, Blob value) {
+  const auto stored = static_cast<int64_t>(value.size());
+  auto [copy, inserted] = copies.try_emplace(std::move(key));
+  const int64_t replaced = inserted ? 0 : static_cast<int64_t>(copy->size());
+  *copy = std::move(value);
+  return stored - replaced;
+}
+
+bool corrupt_copy(Copies& copies, const std::string& key) {
+  Blob* copy = copies.find(key);
+  if (copy == nullptr || copy->empty()) return false;
+  *copy = flip_middle_byte(*copy);
+  return true;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- MemoryTier
@@ -135,12 +156,11 @@ Blob torn_prefix(const Blob& value) {
 void MemoryTier::evict_until_fits(int64_t incoming_bytes) {
   if (spec_.capacity_bytes <= 0) return;
   while (used_bytes_ + incoming_bytes > spec_.capacity_bytes &&
-         !lru_.empty()) {
-    const std::string victim = lru_.back();
+         lru_.size() > 1) {
+    const Entry& victim = lru_.back();
+    used_bytes_ -= static_cast<int64_t>(victim.value.size());
+    entries_.erase(std::string_view(victim.key));
     lru_.pop_back();
-    auto it = entries_.find(victim);
-    used_bytes_ -= static_cast<int64_t>(it->second.value.size());
-    entries_.erase(it);
     stats_.evictions++;
   }
 }
@@ -154,15 +174,21 @@ sim::Task<Status> MemoryTier::put(std::string key, Blob value,
   }
   co_await sim_->delay(service_time(spec_.write_base, bytes));
 
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    used_bytes_ -= static_cast<int64_t>(it->second.value.size());
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
+  // The entry goes to the front first, so one probe keyed by its own key
+  // either claims a slot or finds the copy it replaces.
+  lru_.push_front(Entry{std::move(key), std::move(value)});
+  auto [node, inserted] =
+      entries_.try_emplace(std::string_view(lru_.front().key), lru_.begin());
+  if (!inserted) {
+    // An overwrite: the old node, which the table keys by, takes the value
+    // and moves to the front.
+    const Lru::iterator old = *node;
+    used_bytes_ -= static_cast<int64_t>(old->value.size());
+    old->value = std::move(lru_.front().value);
+    lru_.pop_front();
+    lru_.splice(lru_.begin(), lru_, old);
   }
   evict_until_fits(bytes);  // memcached-style LRU eviction
-  lru_.push_front(key);
-  entries_[key] = Entry{std::move(value), lru_.begin()};
   used_bytes_ += bytes;
   stats_.puts++;
   stats_.bytes_written += bytes;
@@ -170,44 +196,43 @@ sim::Task<Status> MemoryTier::put(std::string key, Blob value,
 }
 
 sim::Task<Result<Blob>> MemoryTier::get(std::string key, IoOptions /*opts*/) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const Lru::iterator* node = entries_.find(key);
+  if (node == nullptr) {
     stats_.gets++;
     stats_.get_misses++;
     co_await sim_->delay(service_time(spec_.read_base, 0));
     co_return not_found("memory tier: " + key);
   }
   // wiera-lint: allow(await-hazard) the await above is in a co_returning miss branch; the hit path re-fetches below
-  const auto bytes = static_cast<int64_t>(it->second.value.size());
+  const auto bytes = static_cast<int64_t>((*node)->value.size());
   co_await sim_->delay(service_time(spec_.read_base, bytes));
   // Entry may have been evicted while this op was "in flight".
-  it = entries_.find(key);
-  if (it == entries_.end()) {
+  node = entries_.find(key);
+  if (node == nullptr) {
     stats_.gets++;
     stats_.get_misses++;
     co_return not_found("memory tier (evicted): " + key);
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // most recent first
+  lru_.splice(lru_.begin(), lru_, *node);  // most recent first
   stats_.gets++;
   stats_.bytes_read += bytes;
-  co_return it->second.value;
+  co_return (*node)->value;
 }
 
 bool MemoryTier::corrupt_object(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.value.empty()) return false;
-  it->second.value = flip_middle_byte(it->second.value);
+  const Lru::iterator* node = entries_.find(key);
+  if (node == nullptr || (*node)->value.empty()) return false;
+  (*node)->value = flip_middle_byte((*node)->value);
   stats_.corruptions++;
   return true;
 }
 
 sim::Task<Status> MemoryTier::remove(std::string key) {
   co_await sim_->delay(service_time(spec_.write_base / 2, 0));
-  auto it = entries_.find(key);
-  if (it == entries_.end()) co_return not_found("memory tier: " + key);
-  used_bytes_ -= static_cast<int64_t>(it->second.value.size());
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+  const std::optional<Lru::iterator> node = entries_.take(key);
+  if (!node) co_return not_found("memory tier: " + key);
+  used_bytes_ -= static_cast<int64_t>((*node)->value.size());
+  lru_.erase(*node);
   stats_.removes++;
   co_return ok_status();
 }
@@ -224,36 +249,43 @@ TimePoint BlockTier::reserve_device_slot() {
 
 bool BlockTier::cache_lookup(const std::string& key) {
   if (!spec_.buffer_cache || memory_pressure_) return false;
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return false;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru_it);
+  const CacheLru::iterator* node = cache_.find(key);
+  if (node == nullptr) return false;
+  cache_lru_.splice(cache_lru_.begin(), cache_lru_, *node);
   return true;
 }
 
 void BlockTier::cache_insert(const std::string& key, int64_t bytes) {
   if (!spec_.buffer_cache || memory_pressure_) return;
-  cache_erase(key);
+  // As in MemoryTier::put: front first, then one probe by the node's key.
+  cache_lru_.push_front(CacheEntry{key, bytes});
+  auto [node, inserted] = cache_.try_emplace(
+      std::string_view(cache_lru_.front().key), cache_lru_.begin());
+  if (!inserted) {
+    const CacheLru::iterator old = *node;
+    cache_bytes_ -= old->bytes;
+    old->bytes = bytes;
+    cache_lru_.pop_front();
+    cache_lru_.splice(cache_lru_.begin(), cache_lru_, old);
+  }
   if (spec_.buffer_cache_bytes > 0) {
+    // Evicts from the LRU end, sparing the entry just inserted.
     while (cache_bytes_ + bytes > spec_.buffer_cache_bytes &&
-           !cache_lru_.empty()) {
-      const std::string victim = cache_lru_.back();
+           cache_lru_.size() > 1) {
+      const CacheEntry& victim = cache_lru_.back();
+      cache_bytes_ -= victim.bytes;
+      cache_.erase(std::string_view(victim.key));
       cache_lru_.pop_back();
-      auto it = cache_.find(victim);
-      cache_bytes_ -= it->second.bytes;
-      cache_.erase(it);
     }
   }
-  cache_lru_.push_front(key);
-  cache_[key] = CacheEntry{bytes, cache_lru_.begin()};
   cache_bytes_ += bytes;
 }
 
 void BlockTier::cache_erase(const std::string& key) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return;
-  cache_bytes_ -= it->second.bytes;
-  cache_lru_.erase(it->second.lru_it);
-  cache_.erase(it);
+  const std::optional<CacheLru::iterator> node = cache_.take(key);
+  if (!node) return;
+  cache_bytes_ -= (*node)->bytes;
+  cache_lru_.erase(*node);
 }
 
 sim::Task<Status> BlockTier::put(std::string key, Blob value, IoOptions opts) {
@@ -262,11 +294,12 @@ sim::Task<Status> BlockTier::put(std::string key, Blob value, IoOptions opts) {
   }
   if (Status fault = write_fault(); !fault.ok()) co_return fault;
   const auto bytes = static_cast<int64_t>(value.size());
-  const bool had = contains(key);
-  const int64_t old_bytes =
-      had ? static_cast<int64_t>(entries_[key].size()) : 0;
+  // Admission only: commit_copy accounts for the copy this write replaces.
+  const Blob* current = entries_.find(key);
+  const int64_t current_bytes =
+      current == nullptr ? 0 : static_cast<int64_t>(current->size());
   if (spec_.capacity_bytes > 0 &&
-      used_bytes_ - old_bytes + bytes > spec_.capacity_bytes) {
+      used_bytes_ - current_bytes + bytes > spec_.capacity_bytes) {
     co_return resource_exhausted("block tier full: " + spec_.name);
   }
 
@@ -291,25 +324,19 @@ sim::Task<Status> BlockTier::put(std::string key, Blob value, IoOptions opts) {
     if (spec_.crash_consistent) {
       // Shadow commit: the partial write stays staged in the journal and is
       // discarded by recover(); the previous committed copy is untouched.
-      journal_[key] = torn_prefix(value);
+      *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
       co_return data_loss("torn write staged on tier " + spec_.name);
     }
     // Legacy in-place write: the torn prefix silently replaces the object.
     // Size checks can't tell (metadata records the intended size); only the
     // object checksum can.
-    Blob torn = torn_prefix(value);
-    const auto torn_bytes = static_cast<int64_t>(torn.size());
-    used_bytes_ += torn_bytes - old_bytes;
-    entries_[key] = std::move(torn);
-    stats_.puts++;
-    stats_.bytes_written += torn_bytes;
-    co_return ok_status();
+    value = torn_prefix(value);
   }
 
-  used_bytes_ += bytes - old_bytes;
-  entries_[key] = std::move(value);
+  const auto stored = static_cast<int64_t>(value.size());
+  used_bytes_ += commit_copy(entries_, std::move(key), std::move(value));
   stats_.puts++;
-  stats_.bytes_written += bytes;
+  stats_.bytes_written += stored;
   co_return ok_status();
 }
 
@@ -319,9 +346,7 @@ void BlockTier::recover() {
 }
 
 bool BlockTier::corrupt_object(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.empty()) return false;
-  it->second = flip_middle_byte(it->second);
+  if (!corrupt_copy(entries_, key)) return false;
   stats_.corruptions++;
   return true;
 }
@@ -330,15 +355,15 @@ sim::Task<Result<Blob>> BlockTier::get(std::string key, IoOptions opts) {
   if (io_deadline_expired(opts, sim_->now())) {
     co_return deadline_exceeded("block tier get: " + spec_.name);
   }
-  auto it = entries_.find(key);
+  const Blob* copy = entries_.find(key);
   stats_.gets++;
-  if (it == entries_.end()) {
+  if (copy == nullptr) {
     stats_.get_misses++;
     co_await sim_->delay(service_time(usec(calibration::kCacheHitUs), 0));
     co_return not_found("block tier: " + key);
   }
   // wiera-lint: allow(await-hazard) the await above is in a co_returning miss branch; the device path re-fetches below
-  const auto bytes = static_cast<int64_t>(it->second.size());
+  const auto bytes = static_cast<int64_t>(copy->size());
 
   if (!opts.direct && cache_lookup(key)) {
     stats_.cache_hits++;
@@ -351,18 +376,17 @@ sim::Task<Result<Blob>> BlockTier::get(std::string key, IoOptions opts) {
     if (!opts.direct) cache_insert(key, bytes);
   }
 
-  it = entries_.find(key);
-  if (it == entries_.end()) co_return not_found("block tier (removed): " + key);
+  copy = entries_.find(key);
+  if (copy == nullptr) co_return not_found("block tier (removed): " + key);
   stats_.bytes_read += bytes;
-  co_return it->second;
+  co_return *copy;
 }
 
 sim::Task<Status> BlockTier::remove(std::string key) {
   co_await sim_->delay(service_time(usec(calibration::kCacheHitUs), 0));
-  auto it = entries_.find(key);
-  if (it == entries_.end()) co_return not_found("block tier: " + key);
-  used_bytes_ -= static_cast<int64_t>(it->second.size());
-  entries_.erase(it);
+  const std::optional<Blob> copy = entries_.take(key);
+  if (!copy) co_return not_found("block tier: " + key);
+  used_bytes_ -= static_cast<int64_t>(copy->size());
   cache_erase(key);
   stats_.removes++;
   co_return ok_status();
@@ -383,18 +407,13 @@ sim::Task<Status> ObjectTier::put(std::string key, Blob value,
     if (spec_.crash_consistent) {
       // Staged in the journal, discarded by recover(); the previous
       // committed copy is untouched.
-      journal_[key] = torn_prefix(value);
+      *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
       co_return data_loss("torn write staged on tier " + spec_.name);
     }
     value = torn_prefix(value);
   }
   const auto stored = static_cast<int64_t>(value.size());
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    used_bytes_ -= static_cast<int64_t>(it->second.size());
-  }
-  entries_[key] = std::move(value);
-  used_bytes_ += stored;
+  used_bytes_ += commit_copy(entries_, std::move(key), std::move(value));
   stats_.puts++;
   stats_.bytes_written += stored;
   co_return ok_status();
@@ -406,9 +425,7 @@ void ObjectTier::recover() {
 }
 
 bool ObjectTier::corrupt_object(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.empty()) return false;
-  it->second = flip_middle_byte(it->second);
+  if (!corrupt_copy(entries_, key)) return false;
   stats_.corruptions++;
   return true;
 }
@@ -418,27 +435,26 @@ sim::Task<Result<Blob>> ObjectTier::get(std::string key, IoOptions opts) {
     co_return deadline_exceeded("object tier get: " + spec_.name);
   }
   stats_.gets++;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const Blob* copy = entries_.find(key);
+  if (copy == nullptr) {
     stats_.get_misses++;
     co_await sim_->delay(service_time(spec_.read_base, 0));
     co_return not_found("object tier: " + key);
   }
   // wiera-lint: allow(await-hazard) the await above is in a co_returning miss branch; re-fetched below
-  const auto bytes = static_cast<int64_t>(it->second.size());
+  const auto bytes = static_cast<int64_t>(copy->size());
   co_await sim_->delay(service_time(spec_.read_base, bytes));
-  it = entries_.find(key);
-  if (it == entries_.end()) co_return not_found("object tier (removed): " + key);
+  copy = entries_.find(key);
+  if (copy == nullptr) co_return not_found("object tier (removed): " + key);
   stats_.bytes_read += bytes;
-  co_return it->second;
+  co_return *copy;
 }
 
 sim::Task<Status> ObjectTier::remove(std::string key) {
   co_await sim_->delay(service_time(spec_.write_base / 4, 0));
-  auto it = entries_.find(key);
-  if (it == entries_.end()) co_return not_found("object tier: " + key);
-  used_bytes_ -= static_cast<int64_t>(it->second.size());
-  entries_.erase(it);
+  const std::optional<Blob> copy = entries_.take(key);
+  if (!copy) co_return not_found("object tier: " + key);
+  used_bytes_ -= static_cast<int64_t>(copy->size());
   stats_.removes++;
   co_return ok_status();
 }

@@ -15,13 +15,13 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/time.h"
@@ -191,7 +191,7 @@ class MemoryTier final : public StorageTier {
   sim::Task<Status> remove(std::string key) override;
 
   bool contains(const std::string& key) const override {
-    return entries_.count(key) > 0;
+    return entries_.contains(key);
   }
   int64_t used_bytes() const override { return used_bytes_; }
   int64_t object_count() const override {
@@ -208,14 +208,20 @@ class MemoryTier final : public StorageTier {
   bool corrupt_object(const std::string& key) override;
 
  private:
+  // Evicts from the LRU end, sparing the front entry (the one being
+  // stored, not yet counted in used_bytes_).
   void evict_until_fits(int64_t incoming_bytes);
 
+  // The LRU list owns each entry (front = most recent); the table maps a
+  // view of the entry's own key to its node, so the key is stored once and
+  // an eviction takes one probe.
   struct Entry {
+    std::string key;
     Blob value;
-    std::list<std::string>::iterator lru_it;
   };
-  std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  // front = most recent
+  using Lru = std::list<Entry>;
+  FlatHashMap<std::string_view, Lru::iterator> entries_;
+  Lru lru_;
   int64_t used_bytes_ = 0;
 };
 
@@ -231,7 +237,7 @@ class BlockTier final : public StorageTier {
   sim::Task<Status> remove(std::string key) override;
 
   bool contains(const std::string& key) const override {
-    return entries_.count(key) > 0;
+    return entries_.contains(key);
   }
   int64_t used_bytes() const override { return used_bytes_; }
   int64_t object_count() const override {
@@ -260,20 +266,23 @@ class BlockTier final : public StorageTier {
   void cache_insert(const std::string& key, int64_t bytes);
   void cache_erase(const std::string& key);
 
-  std::unordered_map<std::string, Blob> entries_;
+  FlatHashMap<std::string, Blob> entries_;
   // Shadow journal: torn writes staged here instead of entries_ when the
   // tier is crash-consistent; recover() discards them.
-  std::unordered_map<std::string, Blob> journal_;
+  FlatHashMap<std::string, Blob> journal_;
   int64_t used_bytes_ = 0;
   bool memory_pressure_ = false;
   TimePoint next_device_slot_ = TimePoint::origin();
 
+  // Page cache, laid out like MemoryTier's entries: the LRU list owns each
+  // cached key (front = most recent) and the table points at its node.
   struct CacheEntry {
-    int64_t bytes;
-    std::list<std::string>::iterator lru_it;
+    std::string key;
+    int64_t bytes = 0;
   };
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::list<std::string> cache_lru_;
+  using CacheLru = std::list<CacheEntry>;
+  FlatHashMap<std::string_view, CacheLru::iterator> cache_;
+  CacheLru cache_lru_;
   int64_t cache_bytes_ = 0;
 };
 
@@ -289,7 +298,7 @@ class ObjectTier final : public StorageTier {
   sim::Task<Status> remove(std::string key) override;
 
   bool contains(const std::string& key) const override {
-    return entries_.count(key) > 0;
+    return entries_.contains(key);
   }
   int64_t used_bytes() const override { return used_bytes_; }
   int64_t object_count() const override {
@@ -300,8 +309,8 @@ class ObjectTier final : public StorageTier {
   bool corrupt_object(const std::string& key) override;
 
  private:
-  std::map<std::string, Blob> entries_;
-  std::unordered_map<std::string, Blob> journal_;  // staged torn writes
+  FlatHashMap<std::string, Blob> entries_;
+  FlatHashMap<std::string, Blob> journal_;  // staged torn writes
   int64_t used_bytes_ = 0;
 };
 

@@ -1,6 +1,9 @@
 // Tests for the global lock service (ZooKeeper stand-in).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "coord/lock_service.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -244,6 +247,41 @@ TEST(LockServiceTest, HealthyHolderUnaffectedByReaper) {
   f.sim.run_until(TimePoint(sec(10).us()));
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(f.service.leases_expired(), 0);
+  f.service.stop_lease_reaper();
+}
+
+TEST(LockServiceTest, LocksExpiringInOnePassAreGrantedInNameOrder) {
+  Fixture f;
+  f.service.start_lease_reaper(sec(1));
+  rpc::Endpoint east(f.network, f.registry, "client-east");
+  rpc::Endpoint west(f.network, f.registry, "client-west");
+  LockClient c_east(east, "zk");
+  LockClient c_west(west, "zk");
+
+  // East takes "b" and then "a" and crashes holding both; their leases run
+  // out in the same reaper pass. West queues on "b" first.
+  auto crasher = [](LockClient c) -> sim::Task<void> {
+    EXPECT_TRUE((co_await c.acquire("b")).ok());
+    EXPECT_TRUE((co_await c.acquire("a")).ok());
+  };
+  std::vector<std::string> granted;
+  auto waiter = [](LockClient c, std::string name,
+                   std::vector<std::string>& order) -> sim::Task<void> {
+    EXPECT_TRUE((co_await c.acquire(name)).ok());
+    order.push_back(name);
+  };
+  f.sim.spawn(crasher(c_east));
+  f.sim.run_until(TimePoint(sec(1).us()));
+  f.sim.spawn(waiter(c_west, "b", granted));
+  f.sim.spawn(waiter(c_west, "a", granted));
+  f.sim.run_until(TimePoint::origin() + LockService::kLease + sec(5));
+
+  EXPECT_EQ(f.service.leases_expired(), 2);
+  // Both grants go out in the pass that evicts the crasher, in name order,
+  // and reach west in that order.
+  EXPECT_EQ(granted, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(f.service.holder("a"), "client-west");
+  EXPECT_EQ(f.service.holder("b"), "client-west");
   f.service.stop_lease_reaper();
 }
 

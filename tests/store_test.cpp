@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "common/units.h"
 #include "sim/simulation.h"
@@ -490,6 +491,69 @@ TEST(BlockTierTest, LegacyTornWritePublishesTruncatedPrefix) {
   EXPECT_EQ(disk->used_bytes(), 2048);
   disk->recover();
   EXPECT_EQ(disk->stats().torn_discards, 0);  // nothing was journalled
+}
+
+// ----------------------------------------------- byte accounting at commit
+
+// One put or remove of `key` as its own task, expected to succeed.
+sim::Task<void> put_bytes(StorageTier* tier, std::string key, size_t size,
+                          uint8_t fill) {
+  EXPECT_TRUE(
+      (co_await tier->put(std::move(key), Blob(Bytes(size, fill)))).ok());
+}
+sim::Task<void> remove_key(StorageTier* tier, std::string key) {
+  EXPECT_TRUE((co_await tier->remove(std::move(key))).ok());
+}
+
+TEST(BlockTierTest, RemoveDuringOverwriteKeepsByteAccounting) {
+  // The 300 B overwrite waits ~1.2 ms on the device; the remove lands in
+  // that wait, so the overwrite replaces nothing when it commits.
+  sim::Simulation sim;
+  auto disk = make_tier(sim, block_spec(TierKind::kBlockSsd, /*cache=*/false));
+  sim.spawn(put_bytes(disk.get(), "k", 100, 1));
+  sim.run();
+  sim.spawn(put_bytes(disk.get(), "k", 300, 2));
+  sim.spawn(remove_key(disk.get(), "k"));
+  sim.run();
+  EXPECT_TRUE(disk->contains("k"));
+  EXPECT_EQ(disk->used_bytes(), 300);
+}
+
+TEST(BlockTierTest, OverlappingOverwritesKeepByteAccounting) {
+  // Both overwrites are admitted while the 100 B copy is stored; the
+  // second commits over the first one's copy, not over the 100 B one.
+  sim::Simulation sim;
+  auto disk = make_tier(sim, block_spec(TierKind::kBlockSsd, /*cache=*/false));
+  sim.spawn(put_bytes(disk.get(), "k", 100, 1));
+  sim.run();
+  sim.spawn(put_bytes(disk.get(), "k", 200, 2));
+  sim.spawn(put_bytes(disk.get(), "k", 300, 3));
+  sim.run();
+  EXPECT_EQ(disk->used_bytes(), 300);
+  EXPECT_EQ(disk->object_count(), 1);
+  run(sim, [&]() -> sim::Task<void> {
+    auto r = co_await disk->get("k");
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    EXPECT_EQ(r->size(), 300u);
+  });
+}
+
+TEST(BlockTierTest, LegacyTornOverwriteAccountsAtCommit) {
+  // The legacy in-place path stores the torn prefix; a remove during its
+  // device wait leaves only that prefix counted.
+  sim::Simulation sim;
+  TierSpec spec = block_spec(TierKind::kBlockSsd, /*cache=*/false);
+  spec.crash_consistent = false;
+  auto disk = make_tier(sim, spec);
+  sim.spawn(put_bytes(disk.get(), "k", 100, 1));
+  sim.run();
+  disk->inject_torn_writes(sim.now(), sim.now() + sec(10));
+  sim.spawn(put_bytes(disk.get(), "k", 4096, 2));
+  sim.spawn(remove_key(disk.get(), "k"));
+  sim.run();
+  EXPECT_EQ(disk->stats().torn_writes, 1);
+  EXPECT_EQ(disk->used_bytes(), 2048);
 }
 
 TEST(ObjectTierTest, TornWriteJournalledAndDiscardedByRecover) {

@@ -1,14 +1,14 @@
 // unordered-iteration: flag range-for loops over std::unordered_{map,set}
-// variables. Hash-table iteration order is implementation- and
-// size-history-dependent; when such a loop feeds rendered diagnostics, the
-// determinism trace hash, or replication fan-out, the output silently varies
-// across platforms and across runs that grew the table differently
-// (docs/DETERMINISM.md). Collect-and-sort, or use std::map, instead.
+// and wiera::FlatHashMap variables. Hash-table iteration order is
+// implementation- and size-history-dependent; when such a loop feeds
+// rendered diagnostics, the determinism trace hash, or replication fan-out,
+// the output silently varies across platforms and across runs that grew the
+// table differently (docs/DETERMINISM.md). Collect-and-sort, or use
+// std::map, instead.
 //
 // A name declared as an unordered container in one place and an ordered one
-// in another (tier.h names both kinds `entries_`) is ambiguous at token
-// level and deliberately skipped — the check under-reports rather than
-// cries wolf.
+// in another is ambiguous at token level and deliberately skipped — the
+// check under-reports rather than cries wolf.
 #include "lint.h"
 
 namespace wiera::lint {

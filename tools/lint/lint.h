@@ -104,8 +104,7 @@ class Project {
 
   // Variable name -> container kinds seen for that name across the tree.
   // A name declared both ordered and unordered somewhere is ambiguous and
-  // skipped by unordered-iteration (tier.h deliberately names both kinds
-  // `entries_`).
+  // skipped by unordered-iteration.
   enum ContainerKind { kUnordered = 1, kOrdered = 2 };
   std::map<std::string, int> container_vars;
 

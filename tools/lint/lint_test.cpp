@@ -29,13 +29,13 @@ TEST(LintFixtures, ExactFindingCountsPerCheck) {
   const auto counts = count_by_check(result);
 
   EXPECT_EQ(counts.at("determinism-source"), 5);
-  EXPECT_EQ(counts.at("unordered-iteration"), 1);
+  EXPECT_EQ(counts.at("unordered-iteration"), 2);
   EXPECT_EQ(counts.at("status-discipline"), 3);
   EXPECT_EQ(counts.at("await-hazard"), 3);
   EXPECT_EQ(counts.at("span-pairing"), 3);
   EXPECT_EQ(counts.at("layering"), 2);
   EXPECT_EQ(counts.at("bad-suppression"), 2);
-  EXPECT_EQ(result.findings.size(), 19u);
+  EXPECT_EQ(result.findings.size(), 20u);
   EXPECT_EQ(result.files_scanned, 19);
 }
 
@@ -100,13 +100,13 @@ TEST(LintFixtures, BaselineRoundTripSilencesEverything) {
   Options write_options = fixture_options();
   write_options.write_baseline_path = baseline;
   const RunResult first = run_lint(write_options);
-  ASSERT_EQ(first.findings.size(), 19u);
+  ASSERT_EQ(first.findings.size(), 20u);
 
   Options read_options = fixture_options();
   read_options.baseline_path = baseline;
   const RunResult second = run_lint(read_options);
   EXPECT_EQ(second.findings.size(), 0u);
-  EXPECT_EQ(second.baselined, 19);
+  EXPECT_EQ(second.baselined, 20);
 
   std::remove(baseline.c_str());
 }

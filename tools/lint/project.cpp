@@ -107,7 +107,8 @@ void parse_includes(SourceFile& file) {
 
 bool is_unordered_name(const std::string& t) {
   return t == "unordered_map" || t == "unordered_set" ||
-         t == "unordered_multimap" || t == "unordered_multiset";
+         t == "unordered_multimap" || t == "unordered_multiset" ||
+         t == "FlatHashMap";
 }
 
 bool is_ordered_name(const std::string& t) {
