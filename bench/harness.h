@@ -40,8 +40,7 @@ struct PaperCluster {
       : sim(seed),
         network(sim, make_topology(jitter)),
         controller(sim, network, registry,
-                   geo::WieraController::Config{"wiera-controller", sec(1),
-                                                  0}) {
+                   geo::WieraController::Config{"wiera-controller", 0}) {
     for (const std::string& region : paper_regions()) {
       const std::string node = "tiera-" + region;
       servers.push_back(std::make_unique<geo::TieraServer>(

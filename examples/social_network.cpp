@@ -83,7 +83,7 @@ int main() {
   net::Network network(sim, make_topology());
   rpc::Registry registry;
   geo::WieraController controller(
-      sim, network, registry, {"wiera-controller", sec(1), 0});
+      sim, network, registry, {"wiera-controller", 0});
   std::vector<std::unique_ptr<geo::TieraServer>> servers;
   for (const char* region : {"us-west", "us-east", "eu-west", "asia-east"}) {
     servers.push_back(std::make_unique<geo::TieraServer>(

@@ -47,10 +47,10 @@ sim::Task<void> LockService::lease_reaper_loop(Duration check_interval,
 
 LockService::LockService(sim::Simulation& sim, rpc::Endpoint& endpoint)
     : sim_(&sim), endpoint_(&endpoint) {
-  endpoint_->register_handler(
-      kAcquireMethod, [this](rpc::Message req) { return handle_acquire(std::move(req)); });
-  endpoint_->register_handler(
-      kReleaseMethod, [this](rpc::Message req) { return handle_release(std::move(req)); });
+  endpoint_->serve(kAcquire,
+                   [this](const LockRequest& r) { return handle_acquire(r); });
+  endpoint_->serve(kRelease,
+                   [this](const LockRequest& r) { return handle_release(r); });
 }
 
 LockService::LockState& LockService::state_for(const std::string& lock_name) {
@@ -77,65 +77,51 @@ int64_t LockService::waiting(const std::string& lock_name) const {
   return lock == nullptr ? 0 : lock->waiting;
 }
 
-sim::Task<Result<rpc::Message>> LockService::handle_acquire(
-    rpc::Message request) {
-  auto req = rpc::decode<LockRequest>(request);
-  if (!req.ok()) co_return req.status();
-
-  LockState& lock = state_for(req->lock_name);
-  if (lock.holder == req->requester) {
-    co_return rpc::encode_status(
-        failed_precondition("lock already held by requester (not reentrant)"));
+sim::Task<Status> LockService::handle_acquire(const LockRequest& req) {
+  LockState& lock = state_for(req.lock_name);
+  if (lock.holder == req.requester) {
+    co_return failed_precondition(
+        "lock already held by requester (not reentrant)");
   }
   lock.waiting++;
   co_await lock.mutex.lock();
   lock.waiting--;
-  lock.holder = req->requester;
+  lock.holder = req.requester;
   lock.granted_at = sim_->now();
   acquires_served_++;
-  co_return rpc::encode_status(ok_status());
+  co_return ok_status();
 }
 
-sim::Task<Result<rpc::Message>> LockService::handle_release(
-    rpc::Message request) {
-  auto req = rpc::decode<LockRequest>(request);
-  if (!req.ok()) co_return req.status();
-
-  LockState* const* found = by_name_.find(req->lock_name);
+sim::Task<Status> LockService::handle_release(const LockRequest& req) {
+  LockState* const* found = by_name_.find(req.lock_name);
   if (found == nullptr || (*found)->holder.empty()) {
-    co_return rpc::encode_status(
-        failed_precondition("release of unheld lock " + req->lock_name));
+    co_return failed_precondition("release of unheld lock " + req.lock_name);
   }
   LockState& lock = **found;
-  if (lock.holder != req->requester) {
-    co_return rpc::encode_status(failed_precondition(
-        "lock " + req->lock_name + " held by " + lock.holder + ", not " +
-        req->requester));
+  if (lock.holder != req.requester) {
+    co_return failed_precondition("lock " + req.lock_name + " held by " +
+                                  lock.holder + ", not " + req.requester);
   }
   lock.holder.clear();
   lock.mutex.unlock();
-  co_return rpc::encode_status(ok_status());
+  co_return ok_status();
 }
 
 // NOTE: request messages are built into named locals before the co_await.
 // Building temporaries inside the co_await expression trips a GCC coroutine
 // frame-lifetime bug (double destruction of aggregate temporaries).
 sim::Task<Status> LockClient::acquire(std::string lock_name) {
-  rpc::Message request =
-      rpc::encode(LockRequest{std::move(lock_name), client_->node_name()});
-  auto resp = co_await client_->call(
-      service_node_, LockService::kAcquireMethod, std::move(request));
-  if (!resp.ok()) co_return resp.status();
-  co_return rpc::decode_status(*resp);
+  const LockRequest request{std::move(lock_name), client_->node_name()};
+  auto ack = co_await client_->call(service_node_, LockService::kAcquire,
+                                    request);
+  co_return rpc::acked(ack);
 }
 
 sim::Task<Status> LockClient::release(std::string lock_name) {
-  rpc::Message request =
-      rpc::encode(LockRequest{std::move(lock_name), client_->node_name()});
-  auto resp = co_await client_->call(
-      service_node_, LockService::kReleaseMethod, std::move(request));
-  if (!resp.ok()) co_return resp.status();
-  co_return rpc::decode_status(*resp);
+  const LockRequest request{std::move(lock_name), client_->node_name()};
+  auto ack = co_await client_->call(service_node_, LockService::kRelease,
+                                    request);
+  co_return rpc::acked(ack);
 }
 
 }  // namespace wiera::coord

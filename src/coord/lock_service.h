@@ -59,8 +59,10 @@ class LockService {
   void start_lease_reaper(Duration check_interval);
   void stop_lease_reaper();
 
-  static constexpr const char* kAcquireMethod = "lock.acquire";
-  static constexpr const char* kReleaseMethod = "lock.release";
+  // Both answer with an in-band ack (a refusal included); acquire's ack
+  // arrives once the lock is held.
+  static constexpr rpc::Method<LockRequest, rpc::Ack> kAcquire{"lock.acquire"};
+  static constexpr rpc::Method<LockRequest, rpc::Ack> kRelease{"lock.release"};
 
  private:
   struct LockState {
@@ -76,8 +78,8 @@ class LockService {
   sim::Task<void> lease_reaper_loop(Duration check_interval,
                                     uint64_t generation);
 
-  sim::Task<Result<rpc::Message>> handle_acquire(rpc::Message request);
-  sim::Task<Result<rpc::Message>> handle_release(rpc::Message request);
+  sim::Task<Status> handle_acquire(const LockRequest& req);
+  sim::Task<Status> handle_release(const LockRequest& req);
 
   LockState& state_for(const std::string& lock_name);
   const LockState* find(const std::string& lock_name) const;

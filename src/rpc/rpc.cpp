@@ -6,23 +6,10 @@
 
 namespace wiera::rpc {
 
-Message encode_status(const Status& st) {
-  WireWriter w;
-  w.put_bool(st.ok());
-  w.put_u32(static_cast<uint32_t>(st.code()));
-  w.put_string(st.message());
-  return Message{w.take_body()};
-}
-
-Status decode_status(const Message& msg) {
-  WireReader r(msg.body);
-  const bool ok = r.get_bool();
-  const auto code = static_cast<StatusCode>(r.get_u32());
-  std::string message = r.get_string();
-  if (!r.ok()) return r.status();
-  if (ok) return ok_status();
-  return Status(code, std::move(message));
-}
+template Message encode(const Ack&);
+template Result<Ack> decode<Ack>(const Message&);
+template Message encode(const Empty&);
+template Result<Empty> decode<Empty>(const Message&);
 
 bool Registry::add(const std::string& node_name, Endpoint* endpoint) {
   auto [it, inserted] = endpoints_.try_emplace(node_name, endpoint);

@@ -1,9 +1,11 @@
 // Typed request/response RPC over the simulated network (Thrift stand-in).
 //
-// Each node hosts one Endpoint; handlers are registered per method name and
-// are coroutines (they can perform storage work / further RPCs before
-// responding). A call pays: request transfer -> handler execution ->
-// response transfer. Failures (outages) surface as non-OK Status.
+// Each node hosts one Endpoint. A method is declared once, as an
+// rpc::Method naming its request and response types; `serve` registers a
+// coroutine handler for it (it can perform storage work / further RPCs
+// before responding) and `call` issues it, both doing the codec. A call
+// pays: request transfer -> handler execution -> response transfer.
+// Failures (outages) surface as non-OK Status.
 //
 // Request-lifecycle defenses (see docs/OVERLOAD.md):
 //  * Deadlines — a call issued with a Context deadline races the RPC
@@ -23,6 +25,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "common/bytes.h"
 #include "common/context.h"
@@ -62,12 +66,6 @@ struct Message {
   }
 };
 
-// A Status as a message body, for acknowledgements and errors carried
-// in-band: a bool, the u32 code, then the message string. A truncated body
-// decodes to kInvalidArgument.
-Message encode_status(const Status& st);
-Status decode_status(const Message& msg);
-
 // A field-list struct (wire.h) as a message body, and back. A truncated or
 // malformed body decodes to kInvalidArgument.
 template <WireStruct T>
@@ -87,6 +85,40 @@ Result<T> decode(const Message& msg) {
   if (!r.ok()) out = r.status();
   return out;
 }
+
+// The response of a method that answers with a Status alone: the body is
+// that Status (a bool, the u32 code, then the message string).
+struct Ack {
+  Status status;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.status); }
+};
+
+// The request of a method that takes no arguments: an empty body.
+struct Empty {
+  template <class Self>
+  static auto wire_fields(Self&) { return std::tie(); }
+};
+
+// One RPC method: its name and the types of its request and response.
+// Endpoint::serve and Endpoint::call take it, so a handler or a call site
+// with the wrong message type does not compile.
+template <class Req, class Resp>
+struct Method {
+  const char* name;
+};
+
+// The one Status of an acked call: its out-of-band failure, else the ack.
+inline Status acked(const Result<Ack>& r) {
+  return r.ok() ? r->status : r.status();
+}
+
+// Compiled once, in rpc.cpp.
+extern template Message encode(const Ack&);
+extern template Result<Ack> decode<Ack>(const Message&);
+extern template Message encode(const Empty&);
+extern template Result<Empty> decode<Empty>(const Message&);
 
 class Endpoint;
 
@@ -139,6 +171,29 @@ class Endpoint {
     handlers_[method] = std::move(handler);
   }
 
+  // Serves `method` with `handler(Req) -> sim::Task<Result<Resp>>`. The
+  // request is decoded first (a body that does not decode is refused with
+  // kInvalidArgument and the handler never runs); a request with
+  // `deadline` / `trace` members receives the frame's. A handler's error
+  // goes back out of band: the caller fails at once, no response leg. A
+  // response, an Ack included, is an in-band body that pays the return
+  // leg. An Ack method's handler may instead return a plain Status, always
+  // acked in band.
+  template <class Req, class Resp, class Fn>
+  void serve(const Method<Req, Resp>& method, Fn handler);
+
+  // Calls `method` on `target_node`: encodes `request` before returning,
+  // then decodes the response; a body that does not decode fails the call
+  // with kInvalidArgument. Pass the request as a named local: GCC 12
+  // destroys an aggregate temporary built inside a co_await twice.
+  template <class Req, class Resp>
+  sim::Task<Result<Resp>> call(std::string target_node,
+                               const Method<Req, Resp>& method,
+                               const Req& request, Context ctx = {}) {
+    return decoded<Resp>(call(std::move(target_node), method.name,
+                              encode(request), std::move(ctx)));
+  }
+
   // Bound concurrent handler execution: at most `max_inflight` handlers run
   // at once and at most `max_queue` requests wait behind them; beyond that
   // the *oldest* waiter is shed with kResourceExhausted (LIFO service).
@@ -171,6 +226,10 @@ class Endpoint {
     bool shed = false;
   };
   struct AdmissionAwaiter;
+
+  // The typed call's second half: awaits the raw call, decodes its body.
+  template <class Resp>
+  static sim::Task<Result<Resp>> decoded(sim::Task<Result<Message>> raw);
 
   obs::Tracer& tracer() { return network_->sim().telemetry().tracer(); }
 
@@ -222,5 +281,56 @@ class Endpoint {
   int adm_inflight_ = 0;
   std::deque<AdmissionWaiter*> adm_queue_;  // front = oldest
 };
+
+namespace detail {
+template <class T>
+struct TaskValue;
+template <class T>
+struct TaskValue<sim::Task<T>> {
+  using type = T;
+};
+}  // namespace detail
+
+template <class Req, class Resp, class Fn>
+void Endpoint::serve(const Method<Req, Resp>& method, Fn handler) {
+  using Out =
+      typename detail::TaskValue<std::invoke_result_t<const Fn&, Req>>::type;
+  constexpr bool kAlwaysAcks =
+      std::is_same_v<Resp, Ack> && std::is_same_v<Out, Status>;
+  static_assert(kAlwaysAcks || std::is_same_v<Out, Result<Resp>>,
+                "a handler returns sim::Task<Result<Response>>, or "
+                "sim::Task<Status> for an Ack method");
+  register_handler(
+      method.name,
+      [fn = std::move(handler)](Message msg) -> sim::Task<Result<Message>> {
+        Result<Req> request = decode<Req>(msg);
+        if (!request.ok()) co_return request.status();
+        if constexpr (requires(Req& r, Message& m) {
+                        r.deadline = m.deadline;
+                      }) {
+          request->deadline = msg.deadline;
+        }
+        if constexpr (requires(Req& r, Message& m) { r.trace = m.trace(); }) {
+          request->trace = msg.trace();
+        }
+        // The request outlives the handler's task, which may hold a
+        // reference to it.
+        sim::Task<Out> task = fn(std::move(request).value());
+        Out out = co_await std::move(task);
+        if constexpr (kAlwaysAcks) {
+          co_return encode(Ack{std::move(out)});
+        } else {
+          if (!out.ok()) co_return out.status();
+          co_return encode(*out);
+        }
+      });
+}
+
+template <class Resp>
+sim::Task<Result<Resp>> Endpoint::decoded(sim::Task<Result<Message>> raw) {
+  Result<Message> response = co_await std::move(raw);
+  if (!response.ok()) co_return response.status();
+  co_return decode<Resp>(*response);
+}
 
 }  // namespace wiera::rpc

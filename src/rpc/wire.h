@@ -277,9 +277,10 @@ class WireReader {
 //   };
 //
 // The wire types: bool (u8), int64_t, uint64_t, strings and Blobs (u32
-// length, then the bytes), TimePoint (i64 µs), enums (u32), vectors (u32
-// count, then the elements) and nested field-list structs. Fields a struct
-// leaves out of its list (frame metadata such as deadlines) never travel.
+// length, then the bytes), TimePoint (i64 µs), enums (u32), Status (ok as
+// a bool, the code, the message), vectors (u32 count, then the elements)
+// and nested field-list structs. Fields a struct leaves out of its list
+// (frame metadata such as deadlines) never travel.
 template <class T>
 concept WireStruct = requires(T& m) { T::wire_fields(m); };
 
@@ -289,6 +290,11 @@ inline void put_field(WireWriter& w, uint64_t v) { w.put_u64(v); }
 inline void put_field(WireWriter& w, const std::string& v) { w.put_string(v); }
 inline void put_field(WireWriter& w, const Blob& v) { w.put_blob(v); }
 inline void put_field(WireWriter& w, TimePoint v) { w.put_i64(v.us()); }
+inline void put_field(WireWriter& w, const Status& st) {
+  w.put_bool(st.ok());
+  w.put_u32(static_cast<uint32_t>(st.code()));
+  w.put_string(st.message());
+}
 template <class E>
   requires std::is_enum_v<E>
 void put_field(WireWriter& w, E v) {
@@ -314,6 +320,18 @@ inline void get_field(WireReader& r, std::string& v) { v = r.get_string(); }
 inline void get_field(WireReader& r, Blob& v) { v = r.get_blob(); }
 inline void get_field(WireReader& r, TimePoint& v) {
   v = TimePoint(r.get_i64());
+}
+// A truncated Status reads as OK here and fails the whole decode; a body
+// flagged not-ok whose code is kOk reads as OK.
+inline void get_field(WireReader& r, Status& st) {
+  const bool ok = r.get_bool();
+  const auto code = static_cast<StatusCode>(r.get_u32());
+  std::string message = r.get_string();
+  if (r.ok() && !ok && code != StatusCode::kOk) {
+    st = Status(code, std::move(message));
+  } else {
+    st = ok_status();
+  }
 }
 template <class E>
   requires std::is_enum_v<E>

@@ -32,11 +32,6 @@ WieraClient::WieraClient(sim::Simulation& sim, net::Network& network,
   hedged_wins_ = metrics_->counter("wiera_client_hedged_wins_total", labels);
   checksum_failures_ =
       metrics_->counter("wiera_client_checksum_failures_total", labels);
-  // Client-side hot-key sketch (docs/METRICS_PIPELINE.md): series register
-  // lazily on the first recorded access, so the default (disabled) config
-  // leaves telemetry dumps unchanged.
-  key_stats_.configure(config_.key_stats);
-  key_stats_.bind(metrics_, client_id_);
   // Closest instance first (§4.1 places it at the head of the list).
   std::stable_sort(peer_ids_.begin(), peer_ids_.end(),
                    [&](const std::string& a, const std::string& b) {
@@ -75,13 +70,6 @@ void WieraClient::finish_op(std::string_view op_kind, const TraceContext& span,
   }
 }
 
-sim::Task<Result<rpc::Message>> WieraClient::call_any(
-    std::string rpc_method, std::function<rpc::Message()> make_request,
-    TraceContext trace) {
-  co_return co_await call_any_ctx(std::move(rpc_method),
-                                  std::move(make_request), make_ctx(trace));
-}
-
 void WieraClient::rank_peers_by_health() {
   if (config_.health == nullptr || !config_.health->enabled() ||
       peer_ids_.size() < 2) {
@@ -94,16 +82,15 @@ void WieraClient::rank_peers_by_health() {
                    });
 }
 
-sim::Task<Result<rpc::Message>> WieraClient::call_any_ctx(
-    std::string rpc_method, std::function<rpc::Message()> make_request,
-    Context ctx) {
+template <class Req, class Resp>
+sim::Task<Result<Resp>> WieraClient::call_any(
+    const rpc::Method<Req, Resp>& method, const Req& request, Context ctx) {
   rank_peers_by_health();
-  Result<rpc::Message> resp = internal_error("no peers");
+  Result<Resp> resp = internal_error("no peers");
   const size_t attempts = peer_ids_.size();
   for (size_t i = 0; i < attempts; ++i) {
     const std::string peer = peer_ids_.front();
     const TimePoint attempt_start = sim_->now();
-    rpc::Message msg = make_request();
     // With failover_attempt_timeout set (and another replica to try), bound
     // this attempt tighter than the op deadline: a black-holed or draining
     // peer then costs one attempt window, not the whole op budget.
@@ -118,8 +105,7 @@ sim::Task<Result<rpc::Message>> WieraClient::call_any_ctx(
         attempt_bounded = true;
       }
     }
-    resp = co_await endpoint_->call(peer, rpc_method, std::move(msg),
-                                    attempt);
+    resp = co_await endpoint_->call(peer, method, request, attempt);
     if (resp.ok()) {
       // Successful exchanges feed the per-target latency EWMA; failures are
       // liveness signals and must not pollute the baseline.
@@ -164,7 +150,7 @@ sim::Task<Result<rpc::Message>> WieraClient::call_any_ctx(
     tracer().annotate(ctx.trace, "failover_from=" + peer);
     std::rotate(peer_ids_.begin(), peer_ids_.begin() + 1, peer_ids_.end());
   }
-  co_return resp;
+  co_return std::move(resp);
 }
 
 bool WieraClient::hedge_ready() const {
@@ -172,8 +158,8 @@ bool WieraClient::hedge_ready() const {
          get_hist_->count() >= config_.hedge_min_samples;
 }
 
-sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
-                                                         TraceContext trace) {
+sim::Task<Result<GetResponse>> WieraClient::call_hedged(GetRequest request,
+                                                        TraceContext trace) {
   // Rank before choosing the trigger so peer_ids_.front() / [1] reflect
   // health: the backup request targets the best non-preferred replica, and
   // a non-clean preferred replica hedges at kHedgeMinDelay instead of
@@ -185,7 +171,7 @@ sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
       config_.health->rank_penalty(peer_ids_.front()) > 0) {
     trigger = kHedgeMinDelay;
   }
-  auto promise = std::make_shared<sim::Promise<Result<rpc::Message>>>(
+  auto promise = std::make_shared<sim::Promise<Result<GetResponse>>>(
       *sim_, "client.hedged-get");
   Context ctx = make_ctx(trace);
 
@@ -193,10 +179,9 @@ sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
   // outcome (first writer wins — the promise ignores late arrivals).
   sim_->spawn(
       [](WieraClient* self, GetRequest req, Context c,
-         std::shared_ptr<sim::Promise<Result<rpc::Message>>> p)
+         std::shared_ptr<sim::Promise<Result<GetResponse>>> p)
           -> sim::Task<void> {
-        auto resp = co_await self->call_any_ctx(
-            method::kClientGet, [&] { return encode(req); }, c);
+        auto resp = co_await self->call_any(method::kClientGet, req, c);
         if (!p->fulfilled()) p->set_value(std::move(resp));
       }(this, request, ctx, promise),
       client_id_ + "/hedge-primary");
@@ -206,15 +191,15 @@ sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
   // — a failed hedge must not mask a primary still in flight.
   sim_->spawn(
       [](WieraClient* self, GetRequest req, Context c, Duration delay,
-         std::shared_ptr<sim::Promise<Result<rpc::Message>>> p)
+         std::shared_ptr<sim::Promise<Result<GetResponse>>> p)
           -> sim::Task<void> {
         co_await self->sim_->delay(delay);
         if (p->fulfilled() || c.cancelled()) co_return;
         self->hedged_gets_->inc();
         self->tracer().annotate(c.trace, "hedged=true");
         const std::string backup = self->peer_ids_[1];
-        auto resp = co_await self->endpoint_->call(
-            backup, method::kClientGet, encode(req), c);
+        auto resp = co_await self->endpoint_->call(backup, method::kClientGet,
+                                                   req, c);
         if (resp.ok() && !p->fulfilled()) {
           self->hedged_wins_->inc();
           self->tracer().annotate(c.trace, "hedge_won=true");
@@ -223,7 +208,7 @@ sim::Task<Result<rpc::Message>> WieraClient::call_hedged(GetRequest request,
       }(this, request, ctx, trigger, promise),
       client_id_ + "/hedge-backup");
 
-  Result<rpc::Message> winner = co_await promise->future();
+  Result<GetResponse> winner = co_await promise->future();
   // The loser keeps running until its own RPC resolves (or the deadline
   // cancels it); it holds the promise alive, so no dangling completion.
   co_return winner;
@@ -256,25 +241,21 @@ sim::Task<Result<PutResponse>> WieraClient::update_impl(std::string key,
   // Checksum the payload before it leaves the application: every hop to the
   // storing replica re-verifies it (docs/INTEGRITY.md).
   req.checksum = object_checksum(req.key, req.version, req.value);
-  key_stats_.record_access(req.key, client_id_, start, /*is_put=*/true);
 
-  Result<rpc::Message> resp =
-      co_await call_any(method::kClientPut, [&] { return encode(req); }, op);
+  Result<PutResponse> resp =
+      co_await call_any(method::kClientPut, req, make_ctx(op));
   if (!resp.ok()) co_return resp.status();
-  auto decoded = decode<PutResponse>(*resp);
-  if (!decoded.ok()) co_return decoded.status();
   // The serving peer echoed a checksum bound to (key, allocated version,
   // payload). Recomputing it over the bytes we sent proves the ack — and in
   // particular the version number in it — survived the return leg intact.
-  if (decoded->checksum != 0 &&
-      object_checksum(req.key, decoded->version, req.value) !=
-          decoded->checksum) {
+  if (resp->checksum != 0 &&
+      object_checksum(req.key, resp->version, req.value) != resp->checksum) {
     checksum_failures_->inc();
     co_return data_loss("put " + req.key +
                         ": response corrupted in transit (checksum mismatch)");
   }
   put_hist_->record(sim_->now() - start);
-  co_return std::move(decoded).value();
+  co_return std::move(resp);
 }
 
 sim::Task<Result<GetResponse>> WieraClient::get(std::string key) {
@@ -301,33 +282,28 @@ sim::Task<Result<GetResponse>> WieraClient::get_version_impl(std::string key,
   // Request integrity: binds (key, version, client) so a request garbled in
   // transit is rejected by the peer instead of answered as a clean miss.
   req.checksum = object_checksum(req.key, req.version, req.client);
-  key_stats_.record_access(req.key, client_id_, start, /*is_put=*/false);
 
   // NOTE: no ternary around co_await — GCC 12 miscompiles conditional
   // operators whose branches both await (frame-slot corruption).
-  Result<rpc::Message> resp = internal_error("unset");
+  Result<GetResponse> resp = internal_error("unset");
   if (hedge_ready()) {
     resp = co_await call_hedged(req, op);
   } else {
-    resp = co_await call_any(method::kClientGet, [&] { return encode(req); },
-                             op);
+    resp = co_await call_any(method::kClientGet, req, make_ctx(op));
   }
   if (!resp.ok()) co_return resp.status();
-  auto decoded = decode<GetResponse>(*resp);
-  if (!decoded.ok()) co_return decoded.status();
   // The serving peer checksummed the payload it sent; a mismatch over the
   // delivered bytes means the response leg corrupted them in transit. The
   // operation fails kDataLoss rather than handing the application a
   // silently-corrupt payload.
-  if (decoded->checksum != 0 &&
-      object_checksum(req.key, decoded->version, decoded->value) !=
-          decoded->checksum) {
+  if (resp->checksum != 0 &&
+      object_checksum(req.key, resp->version, resp->value) != resp->checksum) {
     checksum_failures_->inc();
     co_return data_loss("get " + req.key +
                         ": payload corrupted in transit (checksum mismatch)");
   }
   get_hist_->record(sim_->now() - start);
-  co_return std::move(decoded).value();
+  co_return std::move(resp);
 }
 
 sim::Task<Result<std::vector<int64_t>>> WieraClient::get_version_list(
@@ -336,17 +312,11 @@ sim::Task<Result<std::vector<int64_t>>> WieraClient::get_version_list(
   GetRequest req;
   req.key = std::move(key);
   req.client = client_id_;
-  Result<rpc::Message> resp = co_await call_any(
-      method::kVersionList, [&] { return encode(req); }, op);
-  if (!resp.ok()) {
-    finish_op("version_list", op, resp.status());
-    co_return resp.status();
-  }
-  auto decoded = decode<VersionListResponse>(*resp);
-  finish_op("version_list", op,
-            decoded.ok() ? ok_status() : decoded.status());
-  if (!decoded.ok()) co_return decoded.status();
-  co_return std::move(decoded).value().versions;
+  Result<VersionListResponse> resp =
+      co_await call_any(method::kVersionList, req, make_ctx(op));
+  finish_op("version_list", op, resp.status());
+  if (!resp.ok()) co_return resp.status();
+  co_return std::move(resp).value().versions;
 }
 
 sim::Task<Status> WieraClient::remove(std::string key) {
@@ -368,10 +338,8 @@ sim::Task<Status> WieraClient::remove_version_impl(std::string key,
   req.key = std::move(key);
   req.version = version;
   req.propagate = true;
-  Result<rpc::Message> resp = co_await call_any(
-      method::kRemove, [&] { return encode(req); }, op);
-  if (!resp.ok()) co_return resp.status();
-  co_return rpc::decode_status(*resp);
+  Result<rpc::Ack> ack = co_await call_any(method::kRemove, req, make_ctx(op));
+  co_return rpc::acked(ack);
 }
 
 }  // namespace wiera::geo

@@ -15,14 +15,12 @@
 // whichever answers first wins.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/context.h"
 #include "common/histogram.h"
-#include "obs/keystats.h"
 #include "sim/simulation.h"
 #include "wiera/health.h"
 #include "wiera/messages.h"
@@ -54,10 +52,6 @@ class WieraClient {
     // the percentile wait — when the preferred replica is not clean.
     // Null = seed behaviour.
     HealthTracker* health = nullptr;
-    // Client-side hot-key analytics (docs/METRICS_PIPELINE.md): tracks the
-    // keys this application touches, windowed on the virtual clock. The
-    // tenant dimension is the client's own id. Default-off.
-    obs::KeyStats::Config key_stats;
   };
 
   // `peer_ids` is sorted by proximity automatically (base one-way latency
@@ -105,27 +99,23 @@ class WieraClient {
   // oracle stamps it onto the op it records, so a violation names the trace
   // that can be reassembled with obs::TraceView).
   uint64_t last_trace_id() const { return last_trace_id_; }
-  // Hot-key sketch over this client's own accesses (disabled by default).
-  const obs::KeyStats& key_stats() const { return key_stats_; }
 
  private:
-  // Issue `rpc_method` against the preferred peer; on kUnavailable (peer
-  // down) or kResourceExhausted (peer shedding load) demote that peer to
-  // the back of the preference order (counting one failover) and try the
-  // next, so a crashed primary costs exactly one failover instead of one
-  // per subsequent operation (§4.4). Each failover spends a retry-budget
-  // token; kDeadlineExceeded is final — the deadline covers all attempts —
-  // but the peer that burned it is still demoted for future operations.
-  sim::Task<Result<rpc::Message>> call_any(
-      std::string rpc_method, std::function<rpc::Message()> make_request,
-      TraceContext trace = {});
-  sim::Task<Result<rpc::Message>> call_any_ctx(
-      std::string rpc_method, std::function<rpc::Message()> make_request,
-      Context ctx);
+  // Call `method` on the preferred peer; on kUnavailable (peer down) or
+  // kResourceExhausted (peer shedding load) demote that peer to the back of
+  // the preference order (counting one failover) and try the next, so a
+  // crashed primary costs exactly one failover instead of one per
+  // subsequent operation (§4.4). Each failover spends a retry-budget token;
+  // kDeadlineExceeded is final — the deadline covers all attempts — but the
+  // peer that burned it is still demoted for future operations. An in-band
+  // ack is a peer's answer, never a reason to fail over.
+  template <class Req, class Resp>
+  sim::Task<Result<Resp>> call_any(const rpc::Method<Req, Resp>& method,
+                                   const Req& request, Context ctx);
   // Hedged GET: race the normal failover path against one delayed backup
   // request to the second-closest peer.
-  sim::Task<Result<rpc::Message>> call_hedged(GetRequest request,
-                                              TraceContext trace);
+  sim::Task<Result<GetResponse>> call_hedged(GetRequest request,
+                                             TraceContext trace);
   bool hedge_ready() const;
   // Stable-sort peer_ids_ by health rank penalty (docs/HEALTH.md): probation
   // peers sink to the back, degraded peers behind clean ones, and peers with
@@ -167,7 +157,6 @@ class WieraClient {
   obs::Counter* hedged_wins_ = nullptr;
   obs::Counter* checksum_failures_ = nullptr;
   RetryBudget retry_budget_;
-  obs::KeyStats key_stats_;
   uint64_t last_trace_id_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "wiera/controller.h"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -13,8 +12,16 @@ namespace wiera::geo {
 
 namespace {
 constexpr char kComponent[] = "wiera";
-constexpr char kChangePolicyMethod[] = "wui.change_policy";
-constexpr char kChangePrimaryMethod[] = "wui.change_primary";
+// The WUI's run-time changes, requested by the peers' monitors
+// (wire_control_plane): the new consistency policy's name, or the new
+// primary's instance id.
+constexpr rpc::Method<ChangeRequest, rpc::Ack> kChangePolicy{
+    "wui.change_policy"};
+constexpr rpc::Method<ChangeRequest, rpc::Ack> kChangePrimary{
+    "wui.change_primary"};
+// Heartbeats ping every peer this often; the lease reaper and the drain
+// hand-off pace themselves by it too.
+constexpr Duration kHeartbeatInterval = sec(1);
 // Heartbeat flap damping (docs/HEALTH.md): a peer is declared down only
 // after this many *consecutive* failed pings, so one chaos-dropped ping
 // cannot trigger failover.
@@ -49,25 +56,15 @@ std::string default_node_for_region(const std::string& region) {
 // request itself pays a WAN hop): `target` is the consistency policy or the
 // new primary. Fire-and-forget from the peer's view.
 sim::Task<void> request_change(WieraPeer* peer, std::string controller,
-                               std::string method, std::string wiera_id,
-                               std::string target) {
-  rpc::Message msg = encode(ChangeRequest{std::move(wiera_id),
-                                          std::move(target)});
-  auto resp = co_await peer->endpoint().call(std::move(controller), method,
-                                             std::move(msg));
+                               rpc::Method<ChangeRequest, rpc::Ack> method,
+                               std::string wiera_id, std::string target) {
+  const ChangeRequest request{std::move(wiera_id), std::move(target)};
+  auto resp =
+      co_await peer->endpoint().call(std::move(controller), method, request);
   if (!resp.ok()) {
-    WLOG_WARN(kComponent) << method << " request failed: "
+    WLOG_WARN(kComponent) << method.name << " request failed: "
                           << resp.status().to_string();
   }
-}
-
-// One peer's ack: the call's own failure, or the status the peer answered.
-sim::Task<Status> call_for_status(rpc::Endpoint* endpoint, std::string target,
-                                  std::string method, rpc::Message msg) {
-  auto resp = co_await endpoint->call(std::move(target), std::move(method),
-                                      std::move(msg));
-  if (!resp.ok()) co_return resp.status();
-  co_return rpc::decode_status(*resp);
 }
 
 }  // namespace
@@ -303,9 +300,11 @@ Result<std::vector<std::string>> WieraController::get_instances(
   return it->second.peer_ids;
 }
 
+template <class Req>
 sim::Task<Result<WieraController::InstanceRecord*>>
-WieraController::change_all_peers(std::string wiera_id, std::string method,
-                                  rpc::Message request, std::string what) {
+WieraController::change_all_peers(std::string wiera_id,
+                                  rpc::Method<Req, rpc::Ack> method,
+                                  Req request, std::string what) {
   auto it = instances_.find(wiera_id);
   if (it == instances_.end()) {
     co_return not_found("wiera instance " + wiera_id);
@@ -316,11 +315,12 @@ WieraController::change_all_peers(std::string wiera_id, std::string method,
   it->second.change_in_progress = true;
 
   // Every peer switches concurrently; each pays a WAN RTT.
-  std::vector<sim::Task<Status>> tasks;
+  std::vector<sim::Task<Result<rpc::Ack>>> tasks;
   for (const std::string& id : it->second.peer_ids) {
-    tasks.push_back(call_for_status(endpoint_.get(), id, method, request));
+    tasks.push_back(endpoint_->call(id, method, request));
   }
-  std::vector<Status> results = co_await sim::when_all(*sim_, std::move(tasks));
+  std::vector<Result<rpc::Ack>> results =
+      co_await sim::when_all(*sim_, std::move(tasks));
   // Re-find after resuming: stop_instances may have erased this record while
   // the fan-out was in flight, which would leave `it` dangling.
   it = instances_.find(wiera_id);
@@ -329,8 +329,8 @@ WieraController::change_all_peers(std::string wiera_id, std::string method,
                         what);
   }
   it->second.change_in_progress = false;
-  for (const Status& st : results) {
-    if (!st.ok()) co_return st;
+  for (const Result<rpc::Ack>& ack : results) {
+    if (Status st = rpc::acked(ack); !st.ok()) co_return st;
   }
   co_return &it->second;
 }
@@ -345,10 +345,9 @@ sim::Task<Status> WieraController::change_consistency(std::string wiera_id,
   // Tell every peer to block-drain-switch. The request is a named local, as
   // in change_primary: GCC 12 destroys an aggregate temporary built inside
   // a co_await expression twice (see LockClient::acquire).
-  rpc::Message request = encode(SetConsistencyRequest{mode});
+  const SetConsistencyRequest request{mode};
   auto record = co_await change_all_peers(wiera_id, method::kSetConsistency,
-                                          std::move(request),
-                                          "consistency change");
+                                          request, "consistency change");
   if (!record.ok()) co_return record.status();
   (*record)->mode = mode;
   consistency_changes_++;
@@ -368,9 +367,9 @@ sim::Task<Status> WieraController::change_primary(std::string wiera_id,
     co_return invalid_argument(new_primary + " is not a member of " +
                                wiera_id);
   }
-  rpc::Message request = encode(SetPrimaryRequest{new_primary});
+  const SetPrimaryRequest request{new_primary};
   auto record = co_await change_all_peers(wiera_id, method::kSetPrimary,
-                                          std::move(request), "primary change");
+                                          request, "primary change");
   if (!record.ok()) co_return record.status();
   (*record)->primary = new_primary;
   primary_changes_++;
@@ -431,8 +430,9 @@ std::vector<std::string> WieraController::down_instances(
 
 void WieraController::wire_control_plane(const std::string& wiera_id,
                                          WieraPeer* peer) {
-  auto via_wui = [this, wiera_id, peer](const char* method,
-                                        const char* task) {
+  auto via_wui = [this, wiera_id, peer](
+                     rpc::Method<ChangeRequest, rpc::Ack> method,
+                     const char* task) {
     return [this, wiera_id, peer, method, task](const std::string& target) {
       sim_->spawn(request_change(peer, config_.node, method, wiera_id, target),
                   task);
@@ -440,71 +440,58 @@ void WieraController::wire_control_plane(const std::string& wiera_id,
   };
   WieraPeer::ControlPlane control;
   control.request_policy_change =
-      via_wui(kChangePolicyMethod, "controller.change-policy-rpc");
+      via_wui(kChangePolicy, "controller.change-policy-rpc");
   control.request_primary_change =
-      via_wui(kChangePrimaryMethod, "controller.change-primary-rpc");
+      via_wui(kChangePrimary, "controller.change-primary-rpc");
   peer->set_control_plane(std::move(control));
 }
 
 void WieraController::register_handlers() {
-  // The WUI's run-time changes, requested by the peers' monitors
-  // (wire_control_plane): a ChangeRequest naming the target policy or
-  // primary.
-  for (const char* method : {kChangePolicyMethod, kChangePrimaryMethod}) {
-    endpoint_->register_handler(
-        method,
-        [this, method](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-          auto req = decode<ChangeRequest>(msg);
-          if (!req.ok()) co_return req.status();
-          if (method == std::string_view(kChangePrimaryMethod)) {
-            Status st = co_await change_primary(std::move(req->wiera_id),
-                                                std::move(req->target));
-            co_return rpc::encode_status(st);
-          }
-          auto mode = consistency_mode_from_name(req->target);
-          if (!mode.ok()) co_return mode.status();
-          Status st =
-              co_await change_consistency(std::move(req->wiera_id), *mode);
-          co_return rpc::encode_status(st);
-        });
-  }
+  // An unknown policy name is refused out of band; a change the controller
+  // refuses is acked in band.
+  endpoint_->serve(
+      kChangePolicy,
+      [this](ChangeRequest&& r) -> sim::Task<Result<rpc::Ack>> {
+        auto mode = consistency_mode_from_name(r.target);
+        if (!mode.ok()) co_return mode.status();
+        Status st = co_await change_consistency(std::move(r.wiera_id), *mode);
+        co_return rpc::Ack{st};
+      });
+  endpoint_->serve(kChangePrimary, [this](ChangeRequest&& r) {
+    return change_primary(std::move(r.wiera_id), std::move(r.target));
+  });
   // Serve-lease renewal: record when each peer last proved round-trip
   // reachability. The renewal time gates membership narrowing: because the
   // controller's record is always at least as fresh as the peer's own
   // (the response can be lost after the handler runs, never the reverse),
   // "lease stale here" implies "lease lapsed at the peer".
-  endpoint_->register_handler(
-      method::kLeaseRenew,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<LeaseRenewRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        peer_state_[req->instance_id].lease_seen = sim_->now();
-        co_return rpc::encode_status(ok_status());
-      });
-  endpoint_->register_handler(
-      method::kPing,
-      [](rpc::Message) -> sim::Task<Result<rpc::Message>> {
-        co_return rpc::encode_status(ok_status());
-      });
+  endpoint_->serve(method::kLeaseRenew,
+                   [this](const LeaseRenewRequest& r) -> sim::Task<Status> {
+                     peer_state_[r.instance_id].lease_seen = sim_->now();
+                     co_return ok_status();
+                   });
+  endpoint_->serve(method::kPing, [](const rpc::Empty&) -> sim::Task<Status> {
+    co_return ok_status();
+  });
 }
 
 sim::Task<void> WieraController::heartbeat_loop(uint64_t generation) {
   while (generation == heartbeat_generation_) {
-    co_await sim_->delay(config_.heartbeat_interval);
+    co_await sim_->delay(kHeartbeatInterval);
     if (generation != heartbeat_generation_) break;
     // Snapshot the membership: add_server can grow servers_ (and a server's
     // peer set) while a ping is in flight, invalidating these iterators.
     const std::vector<TieraServer*> servers = servers_;
     for (TieraServer* server : servers) {
       for (const std::string& id : server->peer_ids()) {
-        rpc::Message ping;
+        const rpc::Empty ping;
         Context ping_ctx;
         if (config_.ping_deadline > Duration::zero()) {
           ping_ctx =
               Context::with_deadline(sim_->now() + config_.ping_deadline);
         }
-        auto resp = co_await endpoint_->call(id, method::kPing,
-                                             std::move(ping), ping_ctx);
+        auto resp = co_await endpoint_->call(id, method::kPing, ping,
+                                             ping_ctx);
         PeerState& tracked = peer_state_[id];
         const bool was_alive = tracked.alive.value_or(true);
         health_.record_ping(id, resp.ok(), sim_->now());
@@ -528,7 +515,7 @@ sim::Task<void> WieraController::heartbeat_loop(uint64_t generation) {
               config_.serve_lease <= Duration::zero() ||
               !tracked.lease_seen.has_value() ||
               sim_->now() - *tracked.lease_seen >
-                  config_.serve_lease + config_.heartbeat_interval;
+                  config_.serve_lease + kHeartbeatInterval;
           if (lease_lapsed) {
             tracked.down_handled = true;
             handle_peer_down(id);
@@ -919,7 +906,7 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
     // flush that cannot finish (a partitioned sibling) and bounce anyway —
     // the queue survives a clean stop/start, only crashes drop it.
     const Status flushed = co_await p->drain(
-        sim_->now() + config_.heartbeat_interval * 4, /*flush_only=*/true);
+        sim_->now() + kHeartbeatInterval * 4, /*flush_only=*/true);
     if (!flushed.ok() && first_error.ok()) first_error = flushed;
     it = instances_.find(wiera_id);
     p = peer(id);
@@ -940,7 +927,7 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
       co_await recover_peer(wiera_id, id);
     } else {
       // The heartbeat already owns this peer's recovery; give it a beat.
-      co_await sim_->delay(config_.heartbeat_interval);
+      co_await sim_->delay(kHeartbeatInterval);
     }
   }
   rolling_restarts_++;
@@ -951,7 +938,7 @@ sim::Task<Status> WieraController::rolling_restart(std::string wiera_id) {
 void WieraController::start() {
   if (running_) return;
   running_ = true;
-  lock_service_->start_lease_reaper(config_.heartbeat_interval);
+  lock_service_->start_lease_reaper(kHeartbeatInterval);
   sim_->spawn(heartbeat_loop(heartbeat_generation_), "controller.heartbeat");
 }
 

@@ -68,7 +68,6 @@ class WieraController {
  public:
   struct Config {
     std::string node = "wiera-controller";
-    Duration heartbeat_interval = sec(1);
     // Minimum live replicas per Wiera instance; 0 disables maintenance.
     int min_replicas = 0;
     // When nonzero, every launched peer gets this serve lease (it refuses
@@ -255,10 +254,10 @@ class WieraController {
   // member at once and wait for all acks. Yields the instance's record,
   // re-found after the fan-out, only when every peer acked; the caller then
   // commits the change to it.
-  sim::Task<Result<InstanceRecord*>> change_all_peers(std::string wiera_id,
-                                                      std::string method,
-                                                      rpc::Message request,
-                                                      std::string what);
+  template <class Req>
+  sim::Task<Result<InstanceRecord*>> change_all_peers(
+      std::string wiera_id, rpc::Method<Req, rpc::Ack> method, Req request,
+      std::string what);
 
   // The peer's record; a blank one for an id the controller has not seen.
   PeerState state(const std::string& id) const;

@@ -1,9 +1,9 @@
-// Wiera's RPC surface (peer<->peer and controller<->peer): method names and
-// one struct per message. Each struct's `wire_fields` is its layout, in
-// wire order; rpc::encode / rpc::decode<T> (rpc/rpc.h) derive both
-// directions from it. Everything crossing the simulated network is
-// serialized this way, so message sizes (and thus transfer time and egress
-// cost) reflect payloads.
+// Wiera's RPC surface (peer<->peer and controller<->peer): one struct per
+// message and one rpc::Method line per method, naming its request and
+// response. Each struct's `wire_fields` is its layout, in wire order;
+// rpc::encode / rpc::decode<T> (rpc/rpc.h) derive both directions from it.
+// Everything crossing the simulated network is serialized this way, so
+// message sizes (and thus transfer time and egress cost) reflect payloads.
 #pragma once
 
 #include <string>
@@ -19,39 +19,6 @@
 
 namespace wiera::geo {
 
-// RPC method names.
-namespace method {
-inline constexpr char kClientPut[] = "peer.client_put";
-inline constexpr char kClientGet[] = "peer.client_get";
-inline constexpr char kForwardPut[] = "peer.forward_put";
-inline constexpr char kForwardGet[] = "peer.forward_get";
-inline constexpr char kReplicate[] = "peer.replicate";
-// Coalesced replication (docs/PERFORMANCE.md): one wire message carrying a
-// batch of queued updates for one target — flushed on size or deadline.
-inline constexpr char kReplicateBatch[] = "peer.replicate_batch";
-inline constexpr char kSetConsistency[] = "peer.set_consistency";
-inline constexpr char kSetPrimary[] = "peer.set_primary";
-inline constexpr char kPing[] = "peer.ping";
-inline constexpr char kColdStore[] = "peer.cold_store";
-inline constexpr char kColdFetch[] = "peer.cold_fetch";
-// Table 2 versioning API.
-inline constexpr char kVersionList[] = "peer.version_list";
-inline constexpr char kRemove[] = "peer.remove";
-// Catch-up resync after crash/partition recovery: pull every key's latest
-// committed version from a healthy peer.
-inline constexpr char kSyncPull[] = "peer.sync_pull";
-// Integrity scrub (docs/INTEGRITY.md): exchange per-key checksum digests of
-// the latest committed versions so replicas can detect silent divergence.
-inline constexpr char kScrubDigest[] = "peer.scrub_digest";
-// Read-repair / scrub-repair: fetch one (key, version) with its payload and
-// checksum from a healthy replica to replace a quarantined local copy.
-inline constexpr char kRepairFetch[] = "peer.repair_fetch";
-// Serve-lease renewal: a peer proves round-trip reachability to the
-// controller (body = LeaseRenewRequest). The controller records the renewal
-// time and will not narrow replication membership around a peer whose lease
-// could still be valid — that ordering is what makes the lease sound.
-inline constexpr char kLeaseRenew[] = "wui.lease_renew";
-}  // namespace method
 
 struct PutRequest {
   std::string key;
@@ -65,11 +32,12 @@ struct PutRequest {
   // recomputes and rejects the put when they disagree (corrupted in
   // transit) instead of durably storing a bad payload. 0 = not provided.
   uint64_t checksum = 0;
-  // Absolute deadline, copied by handlers from the rpc::Message frame (not
-  // part of the wire body). TimePoint::max() = none.
+  // Absolute deadline, copied from the rpc::Message frame by
+  // rpc::Endpoint::serve (not part of the wire body). TimePoint::max() =
+  // none.
   TimePoint deadline = TimePoint::max();
-  // Trace identity of the handling server span, copied by handlers from the
-  // rpc::Message frame (not wire body); parent for downstream spans.
+  // Trace identity of the handling server span, also copied from the frame
+  // (not wire body); parent for downstream spans.
   TraceContext trace;
 
   template <class Self>
@@ -101,11 +69,8 @@ struct GetRequest {
   // miss (or worse, another object's bytes); the serving peer verifies and
   // rejects kDataLoss instead. 0 = not provided (internal forwards).
   uint64_t checksum = 0;
-  // Absolute deadline, copied by handlers from the rpc::Message frame (not
-  // part of the wire body). TimePoint::max() = none.
+  // Frame metadata, not wire body: see PutRequest::deadline and ::trace.
   TimePoint deadline = TimePoint::max();
-  // Trace identity of the handling server span (frame metadata, see
-  // PutRequest::trace).
   TraceContext trace;
 
   template <class Self>
@@ -301,6 +266,57 @@ struct LeaseRenewRequest {
   template <class Self>
   static auto wire_fields(Self& m) { return std::tie(m.instance_id); }
 };
+
+// ---- RPC methods: each one's name, request and response ----
+namespace method {
+inline constexpr rpc::Method<PutRequest, PutResponse> kClientPut{
+    "peer.client_put"};
+inline constexpr rpc::Method<GetRequest, GetResponse> kClientGet{
+    "peer.client_get"};
+inline constexpr rpc::Method<PutRequest, PutResponse> kForwardPut{
+    "peer.forward_put"};
+inline constexpr rpc::Method<GetRequest, GetResponse> kForwardGet{
+    "peer.forward_get"};
+inline constexpr rpc::Method<ReplicateRequest, ReplicateResponse> kReplicate{
+    "peer.replicate"};
+// Coalesced replication (docs/PERFORMANCE.md): one wire message carrying a
+// batch of queued updates for one target — flushed on size or deadline.
+inline constexpr rpc::Method<ReplicateBatchRequest, ReplicateBatchResponse>
+    kReplicateBatch{"peer.replicate_batch"};
+inline constexpr rpc::Method<SetConsistencyRequest, rpc::Ack> kSetConsistency{
+    "peer.set_consistency"};
+inline constexpr rpc::Method<SetPrimaryRequest, rpc::Ack> kSetPrimary{
+    "peer.set_primary"};
+inline constexpr rpc::Method<rpc::Empty, rpc::Ack> kPing{"peer.ping"};
+// §5.3 centralized cold data: ship one object to the cold-storage peer, and
+// read it back from there.
+inline constexpr rpc::Method<ReplicateRequest, rpc::Ack> kColdStore{
+    "peer.cold_store"};
+inline constexpr rpc::Method<GetRequest, GetResponse> kColdFetch{
+    "peer.cold_fetch"};
+// Table 2 versioning API.
+inline constexpr rpc::Method<GetRequest, VersionListResponse> kVersionList{
+    "peer.version_list"};
+inline constexpr rpc::Method<RemoveRequest, rpc::Ack> kRemove{"peer.remove"};
+// Catch-up resync after crash/partition recovery: pull every key's latest
+// committed version from a healthy peer.
+inline constexpr rpc::Method<SyncPullRequest, SyncPullResponse> kSyncPull{
+    "peer.sync_pull"};
+// Integrity scrub (docs/INTEGRITY.md): exchange per-key checksum digests of
+// the latest committed versions so replicas can detect silent divergence.
+inline constexpr rpc::Method<ScrubDigestRequest, ScrubDigestResponse>
+    kScrubDigest{"peer.scrub_digest"};
+// Read-repair / scrub-repair: fetch one (key, version) with its payload and
+// checksum from a healthy replica to replace a quarantined local copy.
+inline constexpr rpc::Method<RepairFetchRequest, ReplicateRequest>
+    kRepairFetch{"peer.repair_fetch"};
+// Serve-lease renewal: a peer proves round-trip reachability to the
+// controller. The controller records the renewal time and will not narrow
+// replication membership around a peer whose lease could still be valid —
+// that ordering is what makes the lease sound.
+inline constexpr rpc::Method<LeaseRenewRequest, rpc::Ack> kLeaseRenew{
+    "wui.lease_renew"};
+}  // namespace method
 
 using rpc::decode;
 using rpc::encode;

@@ -260,243 +260,172 @@ int64_t WieraPeer::forwarded_puts_from(const std::string& origin) const {
 }
 
 void WieraPeer::register_handlers() {
-  endpoint_->register_handler(
-      method::kClientPut,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<PutRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        PutRequest request = std::move(req).value();
-        request.deadline = msg.deadline;  // frame metadata -> request
-        request.trace = msg.trace();
-        auto resp = co_await client_put(std::move(request));
-        if (!resp.ok()) co_return resp.status();
-        co_return encode(*resp);
-      });
-  endpoint_->register_handler(
-      method::kClientGet,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<GetRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        GetRequest request = std::move(req).value();
-        request.deadline = msg.deadline;
-        request.trace = msg.trace();
-        auto resp = co_await client_get(std::move(request));
-        if (!resp.ok()) co_return resp.status();
-        co_return encode(*resp);
-      });
-  endpoint_->register_handler(
-      method::kForwardPut,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<PutRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        PutRequest request = std::move(req).value();
-        request.forwarded = true;
-        request.deadline = msg.deadline;
-        request.trace = msg.trace();
-        auto resp = co_await client_put(std::move(request));
-        if (!resp.ok()) co_return resp.status();
-        co_return encode(*resp);
-      });
-  endpoint_->register_handler(
-      method::kForwardGet,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<GetRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        // Serve locally; do not re-forward (avoids loops).
-        GetRequest request = std::move(req).value();
-        request.deadline = msg.deadline;
-        auto out = co_await local_get(request);
-        if (!out.ok()) co_return out.status();
-        co_return encode(*out);
-      });
-  endpoint_->register_handler(
-      method::kReplicate,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<ReplicateRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        // Verify before applying: a payload bit-flipped in transit must
-        // never land in a replica. The sender sees the error, keeps the
-        // update queued, and retries on the next flush tick.
-        auto accepted = co_await apply_update(*req, "replicate");
-        if (!accepted.ok()) co_return accepted.status();
-        co_return encode(ReplicateResponse{*accepted});
-      });
-  endpoint_->register_handler(
-      method::kReplicateBatch,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<ReplicateBatchRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        // Each op is verified and applied independently: a corrupt or
-        // rejected op reports its own status without poisoning batch-mates
-        // the sender would otherwise have to re-send.
-        ReplicateBatchResponse out;
-        out.results.reserve(req->ops.size());
-        for (const ReplicateRequest& op : req->ops) {
-          ReplicateBatchResult res;
-          auto accepted = co_await apply_update(op, "replicate");
-          if (!accepted.ok()) {
-            res.code = accepted.status().code();
-          } else {
-            res.accepted = *accepted;
-          }
-          out.results.push_back(res);
-        }
-        co_return encode(out);
-      });
-  endpoint_->register_handler(
-      method::kSetConsistency,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<SetConsistencyRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        Status st = co_await apply_consistency_change(req->mode);
-        co_return rpc::encode_status(st);
-      });
-  endpoint_->register_handler(
-      method::kSetPrimary,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<SetPrimaryRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        apply_primary_change(req->primary_instance);
-        co_return rpc::encode_status(ok_status());
-      });
-  endpoint_->register_handler(
-      method::kPing,
-      [](rpc::Message) -> sim::Task<Result<rpc::Message>> {
-        co_return rpc::encode_status(ok_status());
-      });
-  endpoint_->register_handler(
-      method::kVersionList,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<GetRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        VersionListResponse out;
-        out.versions = local_->get_version_list(req->key);
-        co_return encode(out);
-      });
-  endpoint_->register_handler(
-      method::kRemove,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<RemoveRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        RemoveRequest request = std::move(req).value();
-        request.deadline = msg.deadline;
-        request.trace = msg.trace();
-        Status st = co_await remove_key(std::move(request));
-        co_return rpc::encode_status(st);
-      });
-  endpoint_->register_handler(
-      method::kSyncPull,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<SyncPullRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        SyncPullResponse out;
-        co_await for_each_latest([&out](ReplicateRequest entry) {
-          out.entries.push_back(std::move(entry));
-        });
-        co_return encode(out);
-      });
-  endpoint_->register_handler(
-      method::kScrubDigest,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<ScrubDigestRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        // Metadata-only: the recorded checksum of each key's latest
-        // committed version. No payload reads — the digest exchange stays
-        // cheap even over large objects.
-        ScrubDigestResponse out;
-        for (const std::string& key : local_->meta().keys()) {
-          const metadb::ObjectMeta* obj = local_->meta().find(key);
-          if (obj == nullptr) continue;
-          const metadb::VersionMeta* vm = obj->latest_committed();
-          if (vm == nullptr) continue;
-          out.entries.push_back(ScrubDigest{key, vm->version, vm->checksum});
-        }
-        co_return encode(out);
-      });
-  endpoint_->register_handler(
-      method::kRepairFetch,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<RepairFetchRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        int64_t version = req->version;
-        if (version == 0) {
-          const metadb::ObjectMeta* obj = local_->meta().find(req->key);
-          const metadb::VersionMeta* latest =
-              obj == nullptr ? nullptr : obj->latest_committed();
-          if (latest == nullptr) {
-            co_return not_found("repair fetch: no committed version of " +
-                                req->key + " on " + config_.instance_id);
-          }
-          version = latest->version;
-        }
-        // The read path verifies the payload against the recorded checksum,
-        // so a replica whose own copy rotted answers kDataLoss here and the
-        // requester moves on to the next replica.
-        auto value = co_await local_->get_version(req->key, version);
-        if (!value.ok()) co_return value.status();
-        const metadb::VersionMeta* vm =
-            local_->meta().find_version(req->key, version);
-        ReplicateRequest entry;
-        entry.key = req->key;
-        entry.version = version;
-        entry.value = std::move(value->value);
-        entry.last_modified =
-            vm != nullptr ? vm->last_modified : sim_->now();
-        entry.origin = vm != nullptr ? vm->origin : config_.instance_id;
-        entry.checksum = object_checksum(entry.key, entry.version,
-                                         entry.value);
-        co_return encode(entry);
-      });
-  endpoint_->register_handler(
-      method::kColdStore,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<ReplicateRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        // Hashed once, from the bytes that arrived: the verification and
-        // the row's checksum are the same value, never the wire's.
-        const uint64_t checksum =
-            object_checksum(req->key, req->version, req->value);
-        if (config_.local.verify_checksums && req->checksum != 0 &&
-            checksum != req->checksum) {
-          wire_checksum_failures_->inc();
-          co_return data_loss("cold store of " + req->key + " on " +
-                              config_.instance_id +
-                              ": payload arrived corrupt");
-        }
-        store::StorageTier* tier =
-            local_->tier_by_label(config_.cold_tier_label);
-        if (tier == nullptr) {
-          co_return failed_precondition("no cold tier configured on " +
-                                        config_.instance_id);
-        }
-        std::string vkey =
-            tiera::TieraInstance::versioned_key(req->key, req->version);
-        Status st = co_await tier->put(std::move(vkey), req->value, {});
-        if (!st.ok()) co_return st;
-        metadb::VersionMeta& vm =
-            local_->meta_mutable().upsert_version(req->key, req->version);
-        vm.size = static_cast<int64_t>(req->value.size());
-        vm.last_modified = req->last_modified;
-        vm.origin = req->origin;
-        vm.tier = config_.cold_tier_label;
-        vm.committed = true;
-        vm.checksum = checksum;
-        co_return rpc::encode_status(ok_status());
-      });
-  endpoint_->register_handler(
-      method::kColdFetch,
-      [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
-        auto req = decode<GetRequest>(msg);
-        if (!req.ok()) co_return req.status();
-        auto local = co_await local_->get(req->key);
-        if (!local.ok()) co_return local.status();
-        GetResponse out;
-        out.value = std::move(local->value);
-        out.version = local->version;
-        out.served_by = config_.instance_id;
-        out.checksum = object_checksum(req->key, out.version, out.value);
-        co_return encode(out);
-      });
+  rpc::Endpoint& ep = *endpoint_;
+  ep.serve(method::kClientPut,
+           [this](PutRequest&& r) { return client_put(std::move(r)); });
+  ep.serve(method::kClientGet,
+           [this](GetRequest&& r) { return client_get(std::move(r)); });
+  ep.serve(method::kForwardPut, [this](PutRequest&& r) {
+    r.forwarded = true;
+    return client_put(std::move(r));
+  });
+  // Served locally, never forwarded again (no loops).
+  ep.serve(method::kForwardGet,
+           [this](const GetRequest& r) { return local_get(r); });
+  ep.serve(method::kReplicate,
+           [this](const ReplicateRequest& r) { return replicate(r); });
+  ep.serve(method::kReplicateBatch, [this](const ReplicateBatchRequest& r) {
+    return replicate_batch(r);
+  });
+  ep.serve(method::kSetConsistency, [this](const SetConsistencyRequest& r) {
+    return apply_consistency_change(r.mode);
+  });
+  ep.serve(method::kSetPrimary,
+           [this](const SetPrimaryRequest& r) -> sim::Task<Status> {
+             apply_primary_change(r.primary_instance);
+             co_return ok_status();
+           });
+  ep.serve(method::kPing, [](const rpc::Empty&) -> sim::Task<Status> {
+    co_return ok_status();
+  });
+  ep.serve(method::kVersionList, [this](const GetRequest& r)
+                                     -> sim::Task<Result<VersionListResponse>> {
+    co_return VersionListResponse{local_->get_version_list(r.key)};
+  });
+  ep.serve(method::kRemove,
+           [this](RemoveRequest&& r) { return remove_key(std::move(r)); });
+  ep.serve(method::kSyncPull,
+           [this](const SyncPullRequest&) { return sync_snapshot(); });
+  ep.serve(method::kScrubDigest,
+           [this](const ScrubDigestRequest&) { return scrub_digests(); });
+  ep.serve(method::kRepairFetch,
+           [this](const RepairFetchRequest& r) { return repair_source(r); });
+  ep.serve(method::kColdStore,
+           [this](const ReplicateRequest& r) { return cold_store(r); });
+  ep.serve(method::kColdFetch,
+           [this](const GetRequest& r) { return cold_fetch(r); });
+}
+
+sim::Task<Result<ReplicateResponse>> WieraPeer::replicate(
+    const ReplicateRequest& op) {
+  // Verify before applying: a payload bit-flipped in transit must never land
+  // in a replica. The sender sees the error, keeps the update queued, and
+  // retries on the next flush tick.
+  Result<bool> accepted = co_await apply_update(op, "replicate");
+  if (!accepted.ok()) co_return accepted.status();
+  co_return ReplicateResponse{*accepted};
+}
+
+sim::Task<Result<ReplicateBatchResponse>> WieraPeer::replicate_batch(
+    const ReplicateBatchRequest& batch) {
+  // Each op is verified and applied independently: a corrupt or rejected op
+  // reports its own status without poisoning batch-mates the sender would
+  // otherwise have to re-send.
+  ReplicateBatchResponse out;
+  out.results.reserve(batch.ops.size());
+  for (const ReplicateRequest& op : batch.ops) {
+    ReplicateBatchResult res;
+    auto accepted = co_await apply_update(op, "replicate");
+    if (!accepted.ok()) {
+      res.code = accepted.status().code();
+    } else {
+      res.accepted = *accepted;
+    }
+    out.results.push_back(res);
+  }
+  co_return out;
+}
+
+sim::Task<Result<SyncPullResponse>> WieraPeer::sync_snapshot() {
+  SyncPullResponse out;
+  co_await for_each_latest([&out](ReplicateRequest entry) {
+    out.entries.push_back(std::move(entry));
+  });
+  co_return out;
+}
+
+sim::Task<Result<ScrubDigestResponse>> WieraPeer::scrub_digests() const {
+  // Metadata-only: the recorded checksum of each key's latest committed
+  // version. No payload reads — the digest exchange stays cheap even over
+  // large objects.
+  ScrubDigestResponse out;
+  for (const std::string& key : local_->meta().keys()) {
+    const metadb::ObjectMeta* obj = local_->meta().find(key);
+    if (obj == nullptr) continue;
+    const metadb::VersionMeta* vm = obj->latest_committed();
+    if (vm == nullptr) continue;
+    out.entries.push_back(ScrubDigest{key, vm->version, vm->checksum});
+  }
+  co_return out;
+}
+
+sim::Task<Result<ReplicateRequest>> WieraPeer::repair_source(
+    const RepairFetchRequest& req) {
+  int64_t version = req.version;
+  if (version == 0) {
+    const metadb::ObjectMeta* obj = local_->meta().find(req.key);
+    const metadb::VersionMeta* latest =
+        obj == nullptr ? nullptr : obj->latest_committed();
+    if (latest == nullptr) {
+      co_return not_found("repair fetch: no committed version of " + req.key +
+                          " on " + config_.instance_id);
+    }
+    version = latest->version;
+  }
+  // The read path verifies the payload against the recorded checksum, so a
+  // replica whose own copy rotted answers kDataLoss here and the requester
+  // moves on to the next replica.
+  auto value = co_await local_->get_version(req.key, version);
+  if (!value.ok()) co_return value.status();
+  const metadb::VersionMeta* vm = local_->meta().find_version(req.key, version);
+  ReplicateRequest entry;
+  entry.key = req.key;
+  entry.version = version;
+  entry.value = std::move(value->value);
+  entry.last_modified = vm != nullptr ? vm->last_modified : sim_->now();
+  entry.origin = vm != nullptr ? vm->origin : config_.instance_id;
+  entry.checksum = object_checksum(entry.key, entry.version, entry.value);
+  co_return entry;
+}
+
+sim::Task<Result<rpc::Ack>> WieraPeer::cold_store(const ReplicateRequest& req) {
+  // Hashed once, from the bytes that arrived: the verification and the row's
+  // checksum are the same value, never the wire's.
+  const uint64_t checksum = object_checksum(req.key, req.version, req.value);
+  if (config_.local.verify_checksums && req.checksum != 0 &&
+      checksum != req.checksum) {
+    wire_checksum_failures_->inc();
+    co_return data_loss("cold store of " + req.key + " on " +
+                        config_.instance_id + ": payload arrived corrupt");
+  }
+  store::StorageTier* tier = local_->tier_by_label(config_.cold_tier_label);
+  if (tier == nullptr) {
+    co_return failed_precondition("no cold tier configured on " +
+                                  config_.instance_id);
+  }
+  std::string vkey = tiera::TieraInstance::versioned_key(req.key, req.version);
+  Status st = co_await tier->put(std::move(vkey), req.value, {});
+  if (!st.ok()) co_return st;
+  metadb::VersionMeta& vm =
+      local_->meta_mutable().upsert_version(req.key, req.version);
+  vm.size = static_cast<int64_t>(req.value.size());
+  vm.last_modified = req.last_modified;
+  vm.origin = req.origin;
+  vm.tier = config_.cold_tier_label;
+  vm.committed = true;
+  vm.checksum = checksum;
+  co_return rpc::Ack{};
+}
+
+sim::Task<Result<GetResponse>> WieraPeer::cold_fetch(const GetRequest& req) {
+  auto local = co_await local_->get(req.key);
+  if (!local.ok()) co_return local.status();
+  GetResponse out;
+  out.value = std::move(local->value);
+  out.version = local->version;
+  out.served_by = config_.instance_id;
+  out.checksum = object_checksum(req.key, out.version, out.value);
+  co_return out;
 }
 
 // ---------------------------------------------------------------- data plane
@@ -584,13 +513,11 @@ sim::Task<Result<PutResponse>> WieraPeer::put_primary_backup(
     PutRequest forwarded = request;
     forwarded.client = config_.instance_id;
     forwarded.forwarded = true;
-    rpc::Message msg = encode(forwarded);
     auto resp = co_await endpoint_->call(
-        primary, method::kForwardPut, std::move(msg),
+        primary, method::kForwardPut, forwarded,
         ctx_for(request.deadline, request.trace));
     breaker_record(primary, resp.status());
-    if (!resp.ok()) co_return resp.status();
-    co_return decode<PutResponse>(*resp);
+    co_return resp;
   }
   co_return co_await put_local_and_replicate(
       request, config_.mode == ConsistencyMode::kPrimaryBackupSync);
@@ -707,16 +634,10 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
     if (!open.ok()) {
       result = open;
     } else {
-      rpc::Message msg = encode(request);
-      auto resp = co_await endpoint_->call(
-          forward_target, method::kForwardGet, std::move(msg),
+      result = co_await endpoint_->call(
+          forward_target, method::kForwardGet, request,
           ctx_for(request.deadline, request.trace));
-      breaker_record(forward_target, resp.status());
-      if (!resp.ok()) {
-        result = resp.status();
-      } else {
-        result = decode<GetResponse>(*resp);
-      }
+      breaker_record(forward_target, result.status());
     }
     // Forward target unreachable or too slow: fall back to the local copy,
     // flagged stale, when the degradation policy covers it.
@@ -731,15 +652,9 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
              !config_.centralized_cold_target.empty()) {
     // §5.3: the only replica of this (cold) key lives at the centralized
     // cold-storage peer.
-    rpc::Message msg = encode(request);
-    auto resp = co_await endpoint_->call(
-        config_.centralized_cold_target, method::kColdFetch, std::move(msg),
+    result = co_await endpoint_->call(
+        config_.centralized_cold_target, method::kColdFetch, request,
         ctx_for(request.deadline, request.trace));
-    if (!resp.ok()) {
-      result = resp.status();
-    } else {
-      result = decode<GetResponse>(*resp);
-    }
   } else {
     const TraceContext tier_span =
         tracer().start_span("tiera.get", config_.instance_id, request.trace);
@@ -758,15 +673,9 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
                !config_.is_primary && !config_.primary_instance.empty() &&
                config_.primary_instance != config_.instance_id) {
       // Replica miss: ask the primary.
-      rpc::Message msg = encode(request);
-      auto resp = co_await endpoint_->call(
-          config_.primary_instance, method::kForwardGet, std::move(msg),
+      result = co_await endpoint_->call(
+          config_.primary_instance, method::kForwardGet, request,
           ctx_for(request.deadline, request.trace));
-      if (!resp.ok()) {
-        result = resp.status();
-      } else {
-        result = decode<GetResponse>(*resp);
-      }
     } else {
       result = local.status();
     }
@@ -799,20 +708,16 @@ sim::Task<Status> WieraPeer::remove_key(RemoveRequest request) {
   if (request.propagate && !storage_peer_ids_.empty()) {
     RemoveRequest fanout = request;
     fanout.propagate = false;
-    std::vector<sim::Task<Status>> tasks;
+    std::vector<sim::Task<Result<rpc::Ack>>> tasks;
     for (const std::string& peer_id : storage_peer_ids_) {
-      tasks.push_back([](rpc::Endpoint* ep, std::string target, rpc::Message m,
-                         Context ctx) -> sim::Task<Status> {
-        auto resp = co_await ep->call(std::move(target), method::kRemove,
-                                      std::move(m), ctx);
-        if (!resp.ok()) co_return resp.status();
-        co_return rpc::decode_status(*resp);
-      }(endpoint_.get(), peer_id, encode(fanout),
-        ctx_for(request.deadline, request.trace)));
+      tasks.push_back(
+          endpoint_->call(peer_id, method::kRemove, fanout,
+                          ctx_for(request.deadline, request.trace)));
     }
-    std::vector<Status> results =
+    std::vector<Result<rpc::Ack>> results =
         co_await sim::when_all(*sim_, std::move(tasks));
-    for (const Status& st : results) {
+    for (const Result<rpc::Ack>& ack : results) {
+      const Status st = rpc::acked(ack);
       if (!st.ok() && st.code() != StatusCode::kNotFound) {
         op_finished();
         co_return st;
@@ -900,7 +805,10 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
   }
 
   Status last = unavailable("replicate: no attempt made");
-  std::optional<rpc::Message> reply;
+  // Per-op outcomes of the delivered attempt; a lone op's response is its
+  // one result.
+  SmallVec<ReplicateBatchResult, 1> results;
+  bool delivered = false;
   const int retries = sync ? kSyncRetries : 0;
   for (int attempt = 0; attempt <= retries; ++attempt) {
     if (attempt > 0) {
@@ -929,63 +837,49 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
       last = open;
       continue;
     }
-    // Payload blobs are ref-counted: rebuilding the request per attempt
-    // shares the bytes, it does not copy them.
-    rpc::Message msg;
+    // One send per op per target, whichever wire format carries it. Payload
+    // blobs are ref-counted: rebuilding the request per attempt shares the
+    // bytes, it does not copy them.
+    replications_sent_->inc(static_cast<int64_t>(ops.size()));
+    const TimePoint start = sim_->now();
+    Status sent;
     if (batched) {
       ReplicateBatchRequest req;
       req.origin = config_.instance_id;
       req.ops = ops;
-      msg = encode(req);
       replication_batches_->inc();
       replication_batched_ops_->inc(static_cast<int64_t>(ops.size()));
+      auto resp = co_await endpoint_->call(target, method::kReplicateBatch,
+                                           req, ctx_for(deadline, wire_span));
+      sent = resp.status();
+      if (resp.ok()) {
+        for (const ReplicateBatchResult& res : resp->results) {
+          results.push_back(res);
+        }
+      }
     } else {
-      msg = encode(ops.front());
+      auto resp = co_await endpoint_->call(target, method::kReplicate,
+                                           ops.front(),
+                                           ctx_for(deadline, wire_span));
+      sent = resp.status();
+      if (resp.ok()) results.push_back({StatusCode::kOk, resp->accepted});
     }
-    // One send per op per target, whichever wire format carries it.
-    replications_sent_->inc(static_cast<int64_t>(ops.size()));
-    const TimePoint start = sim_->now();
-    auto resp = co_await endpoint_->call(
-        target, batched ? method::kReplicateBatch : method::kReplicate,
-        std::move(msg), ctx_for(deadline, wire_span));
-    if (config_.health != nullptr && resp.ok()) {
+    if (config_.health != nullptr && sent.ok()) {
       // Successful acks only: timeouts would pollute the EWMA with the
       // deadline value instead of the peer's actual service time.
       config_.health->record_latency(target, sim_->now() - start, sim_->now());
     }
-    breaker_record(target, resp.status());
-    if (!resp.ok()) {
-      last = resp.status();
+    breaker_record(target, sent);
+    if (!sent.ok()) {
+      last = sent;
       // Only unreachability is worth retrying; other errors are permanent.
       if (last.code() == StatusCode::kUnavailable) continue;
       break;
     }
-    reply = std::move(*resp);
+    delivered = true;
     break;
   }
 
-  // Per-op outcomes; a lone op's response is its one result.
-  SmallVec<ReplicateBatchResult, 1> results;
-  bool delivered = false;
-  if (reply.has_value() && batched) {
-    auto decoded = decode<ReplicateBatchResponse>(*reply);
-    if (decoded.ok()) {
-      delivered = true;
-      for (const ReplicateBatchResult& res : decoded->results) {
-        results.push_back(res);
-      }
-    } else {
-      last = decoded.status();
-    }
-  } else if (reply.has_value()) {
-    auto decoded = decode<ReplicateResponse>(*reply);
-    if (decoded.ok()) {
-      delivered = true;
-      results.push_back({StatusCode::kOk, decoded->accepted});
-    } else {
-      last = decoded.status();
-    }
-  }
   std::vector<Status> out;
   out.reserve(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
@@ -1167,9 +1061,9 @@ sim::Task<void> WieraPeer::availability_loop(uint64_t generation) {
   while (generation == run_generation_) {
     co_await sim_->delay(interval);
     if (generation != run_generation_) break;
-    rpc::Message renew = encode(LeaseRenewRequest{config_.instance_id});
+    const LeaseRenewRequest renew{config_.instance_id};
     auto resp = co_await endpoint_->call(config_.lock_service_node,
-                                         method::kLeaseRenew, std::move(renew));
+                                         method::kLeaseRenew, renew);
     if (resp.ok()) last_contact_ = sim_->now();
   }
 }
@@ -1242,20 +1136,13 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
   Status last = unavailable("catch-up: no source available");
   for (const std::string& source : sources) {
     if (source == config_.instance_id) continue;
-    SyncPullRequest pull{config_.instance_id};
-    rpc::Message msg = encode(pull);
-    auto resp = co_await endpoint_->call(source, method::kSyncPull,
-                                         std::move(msg));
-    if (!resp.ok()) {
-      last = resp.status();
+    const SyncPullRequest pull{config_.instance_id};
+    auto snapshot = co_await endpoint_->call(source, method::kSyncPull, pull);
+    if (!snapshot.ok()) {
+      last = snapshot.status();
       continue;
     }
-    auto decoded = decode<SyncPullResponse>(*resp);
-    if (!decoded.ok()) {
-      last = decoded.status();
-      continue;
-    }
-    for (const ReplicateRequest& entry : decoded->entries) {
+    for (const ReplicateRequest& entry : snapshot->entries) {
       // A snapshot entry corrupted in transit must not be merged: skip it
       // (the scrubber's digest exchange repairs the gap later).
       auto accepted = co_await apply_update(entry, "catch-up");
@@ -1462,12 +1349,9 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
                                              std::string key, int64_t version,
                                              bool from_scrub,
                                              TraceContext trace) {
-  RepairFetchRequest fetch{key, version};
-  auto resp = co_await endpoint_->call(source, method::kRepairFetch,
-                                       encode(fetch),
-                                       ctx_for(TimePoint::max(), trace));
-  if (!resp.ok()) co_return resp.status();
-  auto entry = decode<ReplicateRequest>(*resp);
+  const RepairFetchRequest fetch{key, version};
+  auto entry = co_await endpoint_->call(source, method::kRepairFetch, fetch,
+                                        ctx_for(TimePoint::max(), trace));
   if (!entry.ok()) co_return entry.status();
   // A repair payload must prove itself unconditionally (not gated by
   // verify_checksums): installing an unverified "repair" would spread
@@ -1564,13 +1448,11 @@ sim::Task<void> WieraPeer::run_scrub() {
   // peer's copy and let LWW decide — if ours is actually newer the merge
   // rejects it, and the peer's own scrub pulls ours on its next round.
   for (const std::string& peer_id : scrub_peers) {
-    ScrubDigestRequest req{config_.instance_id};
-    auto resp = co_await endpoint_->call(peer_id, method::kScrubDigest,
-                                         encode(req),
-                                         ctx_for(TimePoint::max(),
-                                                 scrub_trace));
-    if (!resp.ok()) continue;  // unreachable peer: next scrub round retries
-    auto digests = decode<ScrubDigestResponse>(*resp);
+    const ScrubDigestRequest req{config_.instance_id};
+    auto digests = co_await endpoint_->call(
+        peer_id, method::kScrubDigest, req,
+        ctx_for(TimePoint::max(), scrub_trace));
+    // Unreachable peer (or a garbled digest): the next scrub round retries.
     if (!digests.ok()) continue;
     for (const ScrubDigest& d : digests->entries) {
       const metadb::ObjectMeta* obj = local_->meta().find(d.key);
@@ -1716,12 +1598,9 @@ sim::Task<bool> WieraPeer::on_cold_object(const std::string& key) {
   update.last_modified = sim_->now();
   update.origin = config_.instance_id;
   update.checksum = object_checksum(update.key, update.version, update.value);
-  rpc::Message msg = encode(update);
-  auto resp = co_await endpoint_->call(config_.centralized_cold_target,
-                                       method::kColdStore, std::move(msg));
-  if (!resp.ok()) co_return false;
-  Status st = rpc::decode_status(*resp);
-  if (!st.ok()) co_return false;
+  auto stored = co_await endpoint_->call(config_.centralized_cold_target,
+                                         method::kColdStore, update);
+  if (!rpc::acked(stored).ok()) co_return false;
 
   // Local replicas of the cold object are removed; the centralized S3-IA
   // replica is now the only copy (durable, §5.3).

@@ -260,7 +260,21 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<bool> on_cold_object(const std::string& key) override;
 
  private:
+  // Serves every method in messages.h on endpoint_, each with the member
+  // that does its work.
   void register_handlers();
+  sim::Task<Result<ReplicateResponse>> replicate(const ReplicateRequest& op);
+  sim::Task<Result<ReplicateBatchResponse>> replicate_batch(
+      const ReplicateBatchRequest& batch);
+  // Every key's latest committed version (kSyncPull's answer).
+  sim::Task<Result<SyncPullResponse>> sync_snapshot();
+  sim::Task<Result<ScrubDigestResponse>> scrub_digests() const;
+  // The (key, version) a peer's repair fetch asks for, verified on read.
+  sim::Task<Result<ReplicateRequest>> repair_source(
+      const RepairFetchRequest& req);
+  // §5.3 centralized cold data, on the cold-storage peer.
+  sim::Task<Result<rpc::Ack>> cold_store(const ReplicateRequest& req);
+  sim::Task<Result<GetResponse>> cold_fetch(const GetRequest& req);
 
   sim::Task<Result<PutResponse>> put_multi_primaries(PutRequest& request);
   sim::Task<Result<PutResponse>> put_primary_backup(PutRequest& request);

@@ -18,7 +18,7 @@ namespace {
 // (tests/fault_suite.h), most with a spare server in US East; this is their
 // controller config.
 WieraController::Config maintaining(int min_replicas) {
-  return WieraController::Config{"wiera-controller", sec(1), min_replicas};
+  return WieraController::Config{"wiera-controller", min_replicas};
 }
 
 // `puts` puts of fresh keys, then `gets` gets (of those keys while they

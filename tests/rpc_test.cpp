@@ -82,17 +82,22 @@ TEST(WireTest, SizeTracksWrites) {
 }
 
 TEST(WireTest, StatusRoundTrip) {
-  EXPECT_TRUE(decode_status(encode_status(ok_status())).ok());
+  const Ack ok_ack{ok_status()};
+  const Result<Ack> ok = decode<Ack>(encode(ok_ack));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok->status.ok());
 
-  const Status down = decode_status(encode_status(unavailable("node down")));
-  EXPECT_EQ(down.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(down.message(), "node down");
+  const Ack down_ack{unavailable("node down")};
+  const Result<Ack> down = decode<Ack>(encode(down_ack));
+  ASSERT_TRUE(down.ok());
+  EXPECT_EQ(down->status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(down->status.message(), "node down");
 
   // A body cut inside the code field is malformed, not a peer's error.
-  Message cut = encode_status(not_found("k"));
-  Bytes flat = cut.body.flatten();
+  const Ack cut_ack{not_found("k")};
+  Bytes flat = encode(cut_ack).body.flatten();
   flat.resize(3);
-  EXPECT_EQ(decode_status(Message{std::move(flat)}).code(),
+  EXPECT_EQ(decode<Ack>(Message{std::move(flat)}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -430,6 +435,148 @@ TEST(RpcAdmissionTest, AdmittedWaiterIsReportedStuckUnderItsOwnName) {
   EXPECT_EQ(stuck[0]->primitive, "e.never");
   EXPECT_NE(stuck[0]->message.find("Event 'e.never'"), std::string::npos)
       << stuck[0]->message;
+}
+
+// ------------------------------------------------------------ typed methods
+
+struct TextRequest {
+  std::string text;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.text); }
+};
+
+// A request with the frame metadata Endpoint::serve copies in.
+struct FramedRequest {
+  std::string text;
+  TimePoint deadline = TimePoint::max();
+  TraceContext trace;
+
+  template <class Self>
+  static auto wire_fields(Self& m) { return std::tie(m.text); }
+};
+
+constexpr Method<TextRequest, Ack> kAckOrFail{"test.ack_or_fail"};
+constexpr Method<FramedRequest, Ack> kFramed{"test.framed"};
+
+template <class Req, class Resp>
+sim::Task<void> run_typed(Endpoint& ep, std::string target,
+                          Method<Req, Resp> method, Req request, Context ctx,
+                          Result<Resp>& out, int64_t& at_us,
+                          sim::Simulation& sim) {
+  out = co_await ep.call(std::move(target), method, request, ctx);
+  at_us = sim.now().us();
+}
+
+// tiera-us-east calls tiera-us-west on the paper topology, without jitter.
+// The handler fails out of band on "fail" and acks an error in band
+// otherwise; returns when the caller resumed.
+int64_t ack_or_fail_at_us(const std::string& text, Result<Ack>& out) {
+  sim::Simulation sim;
+  net::Topology topo = net::Topology::paper_default();
+  topo.set_jitter_fraction(0.0);
+  topo.add_node("tiera-us-east", "aws-us-east");
+  topo.add_node("tiera-us-west", "aws-us-west");
+  net::Network network(sim, std::move(topo));
+  Registry registry;
+  Endpoint server(network, registry, "tiera-us-west");
+  Endpoint client(network, registry, "tiera-us-east");
+  server.serve(kAckOrFail,
+               [](const TextRequest& r) -> sim::Task<Result<Ack>> {
+                 if (r.text == "fail") co_return not_found("out of band");
+                 co_return Ack{not_found("in band")};
+               });
+  int64_t at_us = -1;
+  sim.spawn(run_typed(client, "tiera-us-west", kAckOrFail, TextRequest{text},
+                      Context{}, out, at_us, sim));
+  sim.run();
+  EXPECT_EQ(network.traffic().total_messages, text == "fail" ? 1 : 2);
+  return at_us;
+}
+
+TEST(TypedRpcTest, HandlerErrorPaysOneLegAndAnAckTwo) {
+  const int64_t one_way_us =
+      net::Topology::paper_default().base_rtt("aws-us-east", "aws-us-west")
+          .us() /
+      2;
+  Result<Ack> failed = internal_error("unset");
+  const int64_t failed_us = ack_or_fail_at_us("fail", failed);
+  EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(failed.status().message(), "out of band");
+  EXPECT_NEAR(failed_us, one_way_us, 100);
+
+  Result<Ack> acked_error = internal_error("unset");
+  const int64_t acked_us = ack_or_fail_at_us("ack", acked_error);
+  ASSERT_TRUE(acked_error.ok());
+  EXPECT_EQ(acked_error->status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(acked_error->status.message(), "in band");
+  EXPECT_EQ(acked(acked_error).code(), StatusCode::kNotFound);
+  EXPECT_NEAR(acked_us, 2 * one_way_us, 200);
+}
+
+TEST(TypedRpcTest, RequestReceivesTheFramesDeadlineAndTrace) {
+  Fixture f;
+  Endpoint server(f.network, f.registry, "server");
+  Endpoint client(f.network, f.registry, "client");
+  FramedRequest seen;
+  server.serve(kFramed,
+               [&seen](const FramedRequest& r) -> sim::Task<Status> {
+                 seen = r;
+                 co_return ok_status();
+               });
+  Context ctx = Context::with_deadline(TimePoint::origin() + sec(5));
+  ctx.trace = f.sim.telemetry().tracer().start_trace("test.op", "client");
+  Result<Ack> out = internal_error("unset");
+  int64_t at_us = -1;
+  FramedRequest request;
+  request.text = "x";
+  f.sim.spawn(run_typed(client, "server", kFramed, request, ctx, out, at_us,
+                        f.sim));
+  f.sim.run();
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->status.ok());
+  EXPECT_EQ(seen.text, "x");
+  EXPECT_EQ(seen.deadline, TimePoint::origin() + sec(5));
+  // The handler runs under the server span, a descendant of the caller's.
+  EXPECT_EQ(seen.trace.trace_id, ctx.trace.trace_id);
+  EXPECT_NE(seen.trace.span_id, 0u);
+  EXPECT_NE(seen.trace.span_id, ctx.trace.span_id);
+}
+
+TEST(TypedRpcTest, UndecodableBodiesFailWithInvalidArgument) {
+  Fixture f;
+  Endpoint server(f.network, f.registry, "server");
+  Endpoint client(f.network, f.registry, "client");
+  int ran = 0;
+  server.serve(kAckOrFail, [&ran](const TextRequest&) -> sim::Task<Status> {
+    ++ran;
+    co_return ok_status();
+  });
+  // A request whose string claims 100 bytes and carries none: refused out
+  // of band, after the request leg only, and the handler never runs.
+  WireWriter w;
+  w.put_u32(100);
+  Result<Message> raw = internal_error("unset");
+  int64_t raw_us = -1;
+  f.sim.spawn(run_call(client, "server", kAckOrFail.name, Message{w.take()},
+                       raw, raw_us, f.sim));
+  f.sim.run();
+  EXPECT_EQ(raw.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ran, 0);
+  EXPECT_NEAR(raw_us, 35000, 50);
+
+  // A response that does not decode fails the typed call the same way.
+  server.register_handler(
+      "test.garbled", [](Message) -> sim::Task<Result<Message>> {
+        co_return make_msg("not an ack");
+      });
+  constexpr Method<TextRequest, Ack> kGarbled{"test.garbled"};
+  Result<Ack> typed = internal_error("unset");
+  int64_t typed_us = -1;
+  f.sim.spawn(run_typed(client, "server", kGarbled, TextRequest{"x"},
+                        Context{}, typed, typed_us, f.sim));
+  f.sim.run();
+  EXPECT_EQ(typed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ registry

@@ -157,7 +157,7 @@ Fingerprint run_wiera_load(uint64_t seed) {
   net::Network network(sim, std::move(topo));
   rpc::Registry registry;
   geo::WieraController controller(sim, network, registry,
-                                  {"wiera-controller", sec(1), 0});
+                                  {"wiera-controller", 0});
   std::vector<std::unique_ptr<geo::TieraServer>> servers;
   for (const char* node : {"tiera-us-west", "tiera-us-east", "tiera-eu-west",
                            "tiera-asia-east"}) {

@@ -31,7 +31,7 @@ struct Cluster {
       : sim(seed),
         network(sim, make_topology()),
         controller(sim, network, registry,
-                   WieraController::Config{"wiera-controller", sec(1), 0}) {
+                   WieraController::Config{"wiera-controller", 0}) {
     for (const char* node :
          {"tiera-us-west", "tiera-us-east", "tiera-eu-west",
           "tiera-asia-east", "tiera-us-west-1", "tiera-us-west-2",

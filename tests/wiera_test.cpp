@@ -625,12 +625,12 @@ TEST(ReplicaIntegrityTest, CorruptReplicatedPayloadIsRejectedAndStoresNothing) {
 
   cluster.run([&]() -> sim::Task<void> {
     rpc::Message corrupt_body = encode(corrupt);
-    auto rejected = co_await sender.call("tiera-us-west", method::kReplicate,
-                                         std::move(corrupt_body));
+    auto rejected = co_await sender.call(
+        "tiera-us-west", method::kReplicate.name, std::move(corrupt_body));
     EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
     rpc::Message good_body = encode(good);
-    auto accepted = co_await sender.call("tiera-us-west", method::kReplicate,
-                                         std::move(good_body));
+    auto accepted = co_await sender.call(
+        "tiera-us-west", method::kReplicate.name, std::move(good_body));
     EXPECT_TRUE(accepted.ok()) << accepted.status().to_string();
   });
 
@@ -983,6 +983,11 @@ TEST(WireMessageTest, EveryLayoutKeepsItsBytes) {
       {"LeaseRenewRequest", body_of(encode(LeaseRenewRequest{"tiera-us-west"})),
        0xc0fd0de96704cff2},
       {"metadb snapshot", sample_snapshot(), 0xde546218d300cb44},
+      // The ack and empty bodies: the same bytes as the hand-written
+      // Status codec and empty ping body they replaced.
+      {"rpc::Ack", body_of(encode(rpc::Ack{not_found("k-missing")})),
+       0xf8d191182a310b59},
+      {"rpc::Empty", body_of(encode(rpc::Empty{})), 0xcbf29ce484222325},
   };
   for (const auto& g : kGolden) {
     EXPECT_EQ(flat_hash(g.flat), g.hash)
@@ -1032,6 +1037,7 @@ TEST(WireMessageTest, TruncatedBodiesAreRejected) {
   expect_strict_decode("ChangeRequest", sample_change());
   expect_strict_decode("LeaseRenewRequest",
                        LeaseRenewRequest{"tiera-us-west"});
+  expect_strict_decode("rpc::Ack", rpc::Ack{not_found("k-missing")});
 }
 
 // `empty`'s last field is a vector: its count becomes 0xFFFFFFFF with no

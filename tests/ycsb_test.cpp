@@ -132,7 +132,7 @@ struct Cluster {
       : sim(1),
         network(sim, make_topology()),
         controller(sim, network, registry,
-                   {"wiera-controller", sec(1), 0}) {
+                   {"wiera-controller", 0}) {
     for (const char* node : {"tiera-us-west", "tiera-us-east"}) {
       servers.push_back(std::make_unique<geo::TieraServer>(
           sim, network, registry, node));
