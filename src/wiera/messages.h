@@ -129,11 +129,10 @@ struct ReplicateResponse {
 // verified/applied independently on the receiver — a corrupt op must not
 // poison its batch-mates.
 struct ReplicateBatchRequest {
-  std::string origin;
   std::vector<ReplicateRequest> ops;
 
   template <class Self>
-  static auto wire_fields(Self& m) { return std::tie(m.origin, m.ops); }
+  static auto wire_fields(Self& m) { return std::tie(m.ops); }
 };
 
 // Parallel to ReplicateBatchRequest::ops: the per-op outcome. The sender
@@ -189,16 +188,9 @@ struct RemoveRequest {
   }
 };
 
-// Catch-up resync (recovery after crash/partition): the source answers with
-// its latest committed version of every key, as replication entries the
-// puller merges through LWW.
-struct SyncPullRequest {
-  std::string requester;
-
-  template <class Self>
-  static auto wire_fields(Self& m) { return std::tie(m.requester); }
-};
-
+// Catch-up resync (recovery after crash/partition): the source answers an
+// empty request with its latest committed version of every key, as
+// replication entries the puller merges through LWW.
 struct SyncPullResponse {
   std::vector<ReplicateRequest> entries;
 
@@ -223,13 +215,7 @@ struct ScrubDigest {
   }
 };
 
-struct ScrubDigestRequest {
-  std::string requester;
-
-  template <class Self>
-  static auto wire_fields(Self& m) { return std::tie(m.requester); }
-};
-
+// The answer to an empty digest request: one row per local key.
 struct ScrubDigestResponse {
   std::vector<ScrubDigest> entries;
 
@@ -300,12 +286,12 @@ inline constexpr rpc::Method<GetRequest, VersionListResponse> kVersionList{
 inline constexpr rpc::Method<RemoveRequest, rpc::Ack> kRemove{"peer.remove"};
 // Catch-up resync after crash/partition recovery: pull every key's latest
 // committed version from a healthy peer.
-inline constexpr rpc::Method<SyncPullRequest, SyncPullResponse> kSyncPull{
+inline constexpr rpc::Method<rpc::Empty, SyncPullResponse> kSyncPull{
     "peer.sync_pull"};
 // Integrity scrub (docs/INTEGRITY.md): exchange per-key checksum digests of
 // the latest committed versions so replicas can detect silent divergence.
-inline constexpr rpc::Method<ScrubDigestRequest, ScrubDigestResponse>
-    kScrubDigest{"peer.scrub_digest"};
+inline constexpr rpc::Method<rpc::Empty, ScrubDigestResponse> kScrubDigest{
+    "peer.scrub_digest"};
 // Read-repair / scrub-repair: fetch one (key, version) with its payload and
 // checksum from a healthy replica to replace a quarantined local copy.
 inline constexpr rpc::Method<RepairFetchRequest, ReplicateRequest>
@@ -337,9 +323,9 @@ inline Result<PutRequest> decode_put_request(const rpc::Message& msg) {
   X(PutRequest) X(PutResponse) X(GetRequest) X(GetResponse)                \
   X(ReplicateRequest) X(ReplicateResponse) X(ReplicateBatchRequest)        \
   X(ReplicateBatchResponse) X(SetConsistencyRequest) X(SetPrimaryRequest)  \
-  X(VersionListResponse) X(RemoveRequest) X(SyncPullRequest)               \
-  X(SyncPullResponse) X(ScrubDigestRequest) X(ScrubDigestResponse)         \
-  X(RepairFetchRequest) X(ChangeRequest) X(LeaseRenewRequest)
+  X(VersionListResponse) X(RemoveRequest) X(SyncPullResponse)              \
+  X(ScrubDigestResponse) X(RepairFetchRequest) X(ChangeRequest)            \
+  X(LeaseRenewRequest)
 
 namespace wiera::rpc {
 #define WIERA_GEO_EXTERN_CODEC(T)                \

@@ -295,9 +295,9 @@ void WieraPeer::register_handlers() {
   ep.serve(method::kRemove,
            [this](RemoveRequest&& r) { return remove_key(std::move(r)); });
   ep.serve(method::kSyncPull,
-           [this](const SyncPullRequest&) { return sync_snapshot(); });
+           [this](const rpc::Empty&) { return sync_snapshot(); });
   ep.serve(method::kScrubDigest,
-           [this](const ScrubDigestRequest&) { return scrub_digests(); });
+           [this](const rpc::Empty&) { return scrub_digests(); });
   ep.serve(method::kRepairFetch,
            [this](const RepairFetchRequest& r) { return repair_source(r); });
   ep.serve(method::kColdStore,
@@ -845,7 +845,6 @@ sim::Task<std::vector<Status>> WieraPeer::send_replicate(
     Status sent;
     if (batched) {
       ReplicateBatchRequest req;
-      req.origin = config_.instance_id;
       req.ops = ops;
       replication_batches_->inc();
       replication_batched_ops_->inc(static_cast<int64_t>(ops.size()));
@@ -1136,7 +1135,7 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
   Status last = unavailable("catch-up: no source available");
   for (const std::string& source : sources) {
     if (source == config_.instance_id) continue;
-    const SyncPullRequest pull{config_.instance_id};
+    const rpc::Empty pull;
     auto snapshot = co_await endpoint_->call(source, method::kSyncPull, pull);
     if (!snapshot.ok()) {
       last = snapshot.status();
@@ -1448,7 +1447,7 @@ sim::Task<void> WieraPeer::run_scrub() {
   // peer's copy and let LWW decide — if ours is actually newer the merge
   // rejects it, and the peer's own scrub pulls ours on its next round.
   for (const std::string& peer_id : scrub_peers) {
-    const ScrubDigestRequest req{config_.instance_id};
+    const rpc::Empty req;
     auto digests = co_await endpoint_->call(
         peer_id, method::kScrubDigest, req,
         ctx_for(TimePoint::max(), scrub_trace));

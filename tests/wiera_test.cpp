@@ -873,7 +873,6 @@ GetResponse sample_get_response() {
 
 ReplicateBatchRequest sample_batch() {
   ReplicateBatchRequest m;
-  m.origin = "tiera-us-west";
   m.ops = {sample_replicate(big_blob(), "k-a"),
            sample_replicate(small_blob(), "k-b")};
   return m;
@@ -954,7 +953,7 @@ TEST(WireMessageTest, EveryLayoutKeepsItsBytes) {
       {"ReplicateResponse", body_of(encode(ReplicateResponse{true})),
        0xaf63bc4c8601b62c},
       {"ReplicateBatchRequest", body_of(encode(sample_batch())),
-       0xa5b7a49db936fac5},
+       0x60284bc00309648a},
       {"ReplicateBatchResponse", body_of(encode(sample_batch_response())),
        0xf36ad782b896d100},
       {"SetConsistencyRequest",
@@ -966,13 +965,8 @@ TEST(WireMessageTest, EveryLayoutKeepsItsBytes) {
       {"VersionListResponse", body_of(encode(VersionListResponse{{1, 5, 9}})),
        0x211d0199276c8b0b},
       {"RemoveRequest", body_of(encode(sample_remove())), 0x2bf97b30b5756990},
-      {"SyncPullRequest", body_of(encode(SyncPullRequest{"tiera-eu-west"})),
-       0xdd592a1f0d4360a4},
       {"SyncPullResponse", body_of(encode(sample_sync_pull_response())),
        0xf556e0b652fce986},
-      {"ScrubDigestRequest",
-       body_of(encode(ScrubDigestRequest{"tiera-us-east"})),
-       0xb328aa607ea46c18},
       {"ScrubDigestResponse", body_of(encode(sample_scrub_response())),
        0x72fd805fbb388532},
       {"RepairFetchRequest", body_of(encode(RepairFetchRequest{"k-fix", 12})),
@@ -984,7 +978,8 @@ TEST(WireMessageTest, EveryLayoutKeepsItsBytes) {
        0xc0fd0de96704cff2},
       {"metadb snapshot", sample_snapshot(), 0xde546218d300cb44},
       // The ack and empty bodies: the same bytes as the hand-written
-      // Status codec and empty ping body they replaced.
+      // Status codec and empty ping body they replaced. The empty body is
+      // also kSyncPull's and kScrubDigest's request.
       {"rpc::Ack", body_of(encode(rpc::Ack{not_found("k-missing")})),
        0xf8d191182a310b59},
       {"rpc::Empty", body_of(encode(rpc::Empty{})), 0xcbf29ce484222325},
@@ -1027,10 +1022,7 @@ TEST(WireMessageTest, TruncatedBodiesAreRejected) {
                        SetPrimaryRequest{"tiera-asia-east"});
   expect_strict_decode("VersionListResponse", VersionListResponse{{1, 5, 9}});
   expect_strict_decode("RemoveRequest", sample_remove());
-  expect_strict_decode("SyncPullRequest", SyncPullRequest{"tiera-eu-west"});
   expect_strict_decode("SyncPullResponse", sample_sync_pull_response());
-  expect_strict_decode("ScrubDigestRequest",
-                       ScrubDigestRequest{"tiera-us-east"});
   expect_strict_decode("ScrubDigestResponse", sample_scrub_response());
   expect_strict_decode("RepairFetchRequest", RepairFetchRequest{"k-fix", 12});
   expect_strict_decode("coord::LockRequest", sample_lock());
@@ -1053,8 +1045,7 @@ void expect_huge_count_rejected(const char* layout, const T& empty) {
 }
 
 TEST(WireMessageTest, HugeVectorCountFailsWithoutLooping) {
-  expect_huge_count_rejected("ReplicateBatchRequest",
-                             ReplicateBatchRequest{"tiera-us-west", {}});
+  expect_huge_count_rejected("ReplicateBatchRequest", ReplicateBatchRequest{});
   expect_huge_count_rejected("ReplicateBatchResponse",
                              ReplicateBatchResponse{});
   expect_huge_count_rejected("VersionListResponse", VersionListResponse{});
