@@ -282,22 +282,12 @@ class Endpoint {
   std::deque<AdmissionWaiter*> adm_queue_;  // front = oldest
 };
 
-namespace detail {
-template <class T>
-struct TaskValue;
-template <class T>
-struct TaskValue<sim::Task<T>> {
-  using type = T;
-};
-}  // namespace detail
-
 template <class Req, class Resp, class Fn>
 void Endpoint::serve(const Method<Req, Resp>& method, Fn handler) {
-  using Out =
-      typename detail::TaskValue<std::invoke_result_t<const Fn&, Req>>::type;
+  using Task = std::invoke_result_t<const Fn&, Req>;
   constexpr bool kAlwaysAcks =
-      std::is_same_v<Resp, Ack> && std::is_same_v<Out, Status>;
-  static_assert(kAlwaysAcks || std::is_same_v<Out, Result<Resp>>,
+      std::is_same_v<Resp, Ack> && std::is_same_v<Task, sim::Task<Status>>;
+  static_assert(kAlwaysAcks || std::is_same_v<Task, sim::Task<Result<Resp>>>,
                 "a handler returns sim::Task<Result<Response>>, or "
                 "sim::Task<Status> for an Ack method");
   register_handler(
@@ -315,8 +305,8 @@ void Endpoint::serve(const Method<Req, Resp>& method, Fn handler) {
         }
         // The request outlives the handler's task, which may hold a
         // reference to it.
-        sim::Task<Out> task = fn(std::move(request).value());
-        Out out = co_await std::move(task);
+        Task task = fn(std::move(request).value());
+        auto out = co_await std::move(task);
         if constexpr (kAlwaysAcks) {
           co_return encode(Ack{std::move(out)});
         } else {

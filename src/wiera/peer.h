@@ -260,8 +260,8 @@ class WieraPeer : public tiera::InstanceHooks {
   sim::Task<bool> on_cold_object(const std::string& key) override;
 
  private:
-  // Serves every method in messages.h on endpoint_, each with the member
-  // that does its work.
+  // Serves the peer's methods (messages.h) on endpoint_, each with the
+  // member that does its work.
   void register_handlers();
   sim::Task<Result<ReplicateResponse>> replicate(const ReplicateRequest& op);
   sim::Task<Result<ReplicateBatchResponse>> replicate_batch(
