@@ -564,6 +564,44 @@ TEST(ScenarioPlanTest, EventHashesAreStableAndDistinct) {
   EXPECT_NE(a.hash(), b.hash());
 }
 
+// Every field of each family folds into its event's hash, and the values
+// below are the ones recorded runs were hashed with: a change to the fold
+// moves every fault-suite trace. slow_factor folds only when it is not 1.
+TEST(EventVocabularyTest, HashFoldsEachFamilysBytes) {
+  sim::FaultEvent fault;
+  fault.kind = sim::FaultEvent::Kind::kFlakyLink;
+  fault.at = TimePoint::origin() + msec(1500);
+  fault.until = TimePoint::origin() + msec(4250);
+  fault.node = "tiera-us-west";
+  fault.direction = sim::PartitionDirection::kOutbound;
+  fault.drop_prob = 0.25;
+  fault.dup_prob = 0.125;
+  fault.max_extra_delay = msec(80);
+  fault.extra_delay = msec(40);
+  fault.tier_label = "tier2";
+  fault.slowdown = 3.5;
+  fault.enospc = true;
+  fault.object_key = "k1";
+  fault.corrupt_prob = 0.3;
+  fault.peer_node = "tiera-eu-west";
+  fault.slow_factor = 8.0;
+  EXPECT_EQ(fault.hash(), 0xa6a5e9a02fb420dcull);
+
+  sim::ScenarioEvent scenario;
+  scenario.kind = sim::ScenarioEvent::Kind::kFlashCrowd;
+  scenario.at = TimePoint::origin() + sec(4);
+  scenario.until = TimePoint::origin() + sec(12);
+  scenario.target = "client-eu-west";
+  scenario.amplitude = 0.4;
+  scenario.period = sec(6);
+  scenario.exponent = 1.2;
+  scenario.hot_lo = 2;
+  scenario.hot_hi = 3;
+  scenario.boost = 0.8;
+  scenario.mix_fraction = 0.35;
+  EXPECT_EQ(scenario.hash(), 0x52c640d2cc941510ull);
+}
+
 TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
   sim::LoadModel model;
   model.set_key_count(10);
