@@ -57,17 +57,20 @@ int main() {
       return 1;
     }
 
-    // Load from US East, wait for propagation.
-    geo::WieraClient loader(cluster.sim, cluster.network, cluster.registry,
-                            "loader", "client-us-east", *peers);
-    cluster.run([&]() -> sim::Task<void> {
-      for (int i = 0; i < kObjects; ++i) {
-        auto put = co_await loader.put("obj" + std::to_string(i),
-                                       Blob::zeros(kObjectSize));
-        if (!put.ok()) std::abort();
-      }
-      co_await cluster.sim.delay(sec(10));  // drain queues
-    });
+    // Load from US East, wait for propagation. The loader's endpoint is
+    // gone before the US East reader registers on the same node.
+    {
+      geo::WieraClient loader(cluster.sim, cluster.network, cluster.registry,
+                              "loader", "client-us-east", *peers);
+      cluster.run([&]() -> sim::Task<void> {
+        for (int i = 0; i < kObjects; ++i) {
+          auto put = co_await loader.put("obj" + std::to_string(i),
+                                         Blob::zeros(kObjectSize));
+          if (!put.ok()) std::abort();
+        }
+        co_await cluster.sim.delay(sec(10));  // drain queues
+      });
+    }
 
     // Get latency per client region (clients always read their closest
     // replica; with fewer replicas that replica is farther away).

@@ -7,14 +7,13 @@
 
 namespace wiera::sim {
 
-std::string render_events_json(
-    const std::vector<std::pair<TimePoint, std::string>>& events) {
+std::string render_events_json(const std::vector<PlanEvent>& events) {
   std::string out = "[";
   for (size_t i = 0; i < events.size(); ++i) {
     if (i > 0) out += ",";
     out += str_format("{\"at_us\":%lld,\"event\":\"%s\"}",
-                      static_cast<long long>(events[i].first.us()),
-                      json_escape(events[i].second).c_str());
+                      static_cast<long long>(events[i].at.us()),
+                      json_escape(events[i].describe()).c_str());
   }
   return out + "]";
 }
@@ -43,14 +42,13 @@ void AttributionReport::add_violation(std::string check, std::string message,
   violations_.push_back(std::move(v));
 }
 
-void AttributionReport::set_fault_timeline(
-    const std::vector<FaultEvent>& timeline) {
-  faults_ = timeline;
-}
-
-void AttributionReport::set_scenario_timeline(
-    const std::vector<std::pair<TimePoint, std::string>>& timeline) {
-  scenario_events_ = timeline;
+void AttributionReport::set_timeline(const std::vector<PlanEvent>& timeline) {
+  faults_.clear();
+  scenario_events_.clear();
+  for (const PlanEvent& e : timeline) {
+    (e.family() == PlanEvent::Family::kFault ? faults_ : scenario_events_)
+        .push_back(e);
+  }
 }
 
 void AttributionReport::set_alerts(const obs::AlertRules& alerts) {
@@ -106,10 +104,10 @@ std::pair<TimePoint, TimePoint> AttributionReport::effective_window() const {
   return {lo - sec(2), hi + sec(2)};
 }
 
-std::vector<const FaultEvent*> AttributionReport::overlapping_faults() const {
+std::vector<const PlanEvent*> AttributionReport::overlapping_faults() const {
   const auto [w_start, w_end] = effective_window();
-  std::vector<const FaultEvent*> out;
-  for (const FaultEvent& e : faults_) {
+  std::vector<const PlanEvent*> out;
+  for (const PlanEvent& e : faults_) {
     const TimePoint until = e.until > e.at ? e.until : e.at;
     if (e.at <= w_end && until >= w_start) out.push_back(&e);
   }
@@ -144,7 +142,7 @@ std::string AttributionReport::render_json() const {
                       static_cast<long long>(f.at.us()));
   }
 
-  const std::vector<const FaultEvent*> overlap = overlapping_faults();
+  const std::vector<const PlanEvent*> overlap = overlapping_faults();
   out += "],\"overlapping_faults\":[";
   for (size_t i = 0; i < overlap.size(); ++i) {
     if (i > 0) out += ",";

@@ -2,8 +2,8 @@
 // fault-suite run prints, and the failure attribution it carries.
 //
 // When a clause trips, the evidence is scattered: the violation text names a
-// symptom, the fault injector knows what it broke and when, the scenario
-// engine knows what load it shaped, KeyStats knows which keys were hot, the
+// symptom, the injector's timeline holds the faults it applied and the
+// scenario events that shaped load, KeyStats knows which keys were hot, the
 // tracer holds the slow spans and the sampler the time-series shape of the
 // window. An AttributionReport gathers all of it into one JSON object — the
 // `attribution` of a failing run's RUN-REPORT (docs/METRICS_PIPELINE.md) —
@@ -25,14 +25,13 @@
 #include "obs/alerts.h"
 #include "obs/keystats.h"
 #include "obs/trace.h"
-#include "sim/faults.h"
+#include "sim/events.h"
 #include "sim/slo.h"
 
 namespace wiera::sim {
 
-// A ScenarioEngine timeline as `[{"at_us":...,"event":"..."},...]`.
-std::string render_events_json(
-    const std::vector<std::pair<TimePoint, std::string>>& events);
+// Events as `[{"at_us":...,"event":"..."},...]`.
+std::string render_events_json(const std::vector<PlanEvent>& events);
 
 class AttributionReport {
  public:
@@ -48,9 +47,9 @@ class AttributionReport {
   void add_violation(std::string check, std::string message, TimePoint at,
                      uint64_t trace_id = 0);
 
-  void set_fault_timeline(const std::vector<FaultEvent>& timeline);
-  void set_scenario_timeline(
-      const std::vector<std::pair<TimePoint, std::string>>& timeline);
+  // An Injector's timeline: its faults are matched against the window, its
+  // scenario events are listed.
+  void set_timeline(const std::vector<PlanEvent>& timeline);
   void set_alerts(const obs::AlertRules& alerts);
   // Snapshot one instance's hot keys/tenants as of `now`.
   void add_key_stats(const std::string& instance, const obs::KeyStats& stats,
@@ -80,14 +79,14 @@ class AttributionReport {
 
   std::pair<TimePoint, TimePoint> effective_window() const;
   // Faults whose [at, until] window intersects the violating window.
-  std::vector<const FaultEvent*> overlapping_faults() const;
+  std::vector<const PlanEvent*> overlapping_faults() const;
 
   bool has_window_ = false;
   TimePoint window_start_;
   TimePoint window_end_;
   std::vector<SloViolation> violations_;
-  std::vector<FaultEvent> faults_;
-  std::vector<std::pair<TimePoint, std::string>> scenario_events_;
+  std::vector<PlanEvent> faults_;
+  std::vector<PlanEvent> scenario_events_;
   std::vector<obs::AlertFiring> alerts_;
   std::vector<HotEntry> hot_;
   std::vector<WorstSpan> worst_spans_;

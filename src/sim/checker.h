@@ -141,9 +141,9 @@ class SimChecker {
   // same scenario with the same seed must agree; see docs/DETERMINISM.md.
   uint64_t trace_hash() const { return trace_hash_; }
 
-  // Fold an externally computed value into the trace hash. The fault
-  // injector records every applied FaultEvent this way, so a replayed
-  // chaos run must apply the identical fault schedule to reproduce a hash.
+  // Fold an externally computed value into the trace hash. The Injector
+  // records every applied Event this way, so a replayed fault or scenario
+  // run must apply the identical schedule to reproduce a hash.
   void fold_trace(uint64_t value) {
     trace_hash_ = fnv1a64_u64(trace_hash_, value);
   }

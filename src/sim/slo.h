@@ -12,7 +12,7 @@
 // which no convergence check can see).
 //
 // Pure bookkeeping: nothing here touches the simulation. On violation the
-// caller dumps span trees and the ScenarioEngine timeline, exactly like
+// caller dumps span trees and the Injector's timeline, exactly like
 // consistency-oracle failures do today.
 #pragma once
 

@@ -125,7 +125,7 @@ Blob flip_middle_byte(const Blob& value) {
   return Blob(std::move(mutated));
 }
 
-// A torn write publishes only the first half of the payload.
+// A torn write lands only the first half of the payload (in the journal).
 Blob torn_prefix(const Blob& value) {
   return Blob(Bytes(value.data(), value.data() + value.size() / 2));
 }
@@ -319,24 +319,17 @@ sim::Task<Status> BlockTier::put(std::string key, Blob value, IoOptions opts) {
   }
 
   if (torn_fault()) {
+    // Shadow commit: the partial write stays staged in the journal and is
+    // discarded by recover(); the previous committed copy is untouched.
     stats_.torn_writes++;
     cache_erase(key);
-    if (spec_.crash_consistent) {
-      // Shadow commit: the partial write stays staged in the journal and is
-      // discarded by recover(); the previous committed copy is untouched.
-      *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
-      co_return data_loss("torn write staged on tier " + spec_.name);
-    }
-    // Legacy in-place write: the torn prefix silently replaces the object.
-    // Size checks can't tell (metadata records the intended size); only the
-    // object checksum can.
-    value = torn_prefix(value);
+    *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
+    co_return data_loss("torn write staged on tier " + spec_.name);
   }
 
-  const auto stored = static_cast<int64_t>(value.size());
   used_bytes_ += commit_copy(entries_, std::move(key), std::move(value));
   stats_.puts++;
-  stats_.bytes_written += stored;
+  stats_.bytes_written += bytes;
   co_return ok_status();
 }
 
@@ -403,19 +396,15 @@ sim::Task<Status> ObjectTier::put(std::string key, Blob value,
   const auto bytes = static_cast<int64_t>(value.size());
   co_await sim_->delay(service_time(spec_.write_base, bytes));
   if (torn_fault()) {
+    // Staged in the journal, discarded by recover(); the previous committed
+    // copy is untouched.
     stats_.torn_writes++;
-    if (spec_.crash_consistent) {
-      // Staged in the journal, discarded by recover(); the previous
-      // committed copy is untouched.
-      *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
-      co_return data_loss("torn write staged on tier " + spec_.name);
-    }
-    value = torn_prefix(value);
+    *journal_.try_emplace(std::move(key)).first = torn_prefix(value);
+    co_return data_loss("torn write staged on tier " + spec_.name);
   }
-  const auto stored = static_cast<int64_t>(value.size());
   used_bytes_ += commit_copy(entries_, std::move(key), std::move(value));
   stats_.puts++;
-  stats_.bytes_written += stored;
+  stats_.bytes_written += bytes;
   co_return ok_status();
 }
 

@@ -91,12 +91,6 @@ struct TierSpec {
   int64_t iops_limit = 0;          // 0 = unlimited
   bool buffer_cache = false;       // OS page cache in front of the device
   int64_t buffer_cache_bytes = 0;  // 0 with buffer_cache => unlimited cache
-
-  // Durable tiers commit via a shadow journal (docs/INTEGRITY.md): a write
-  // torn by a crash is staged, detected on recover() and discarded instead
-  // of served. Disabling this models a legacy in-place write path where a
-  // torn write silently publishes a truncated payload.
-  bool crash_consistent = true;
 };
 
 class StorageTier {
@@ -267,8 +261,8 @@ class BlockTier final : public StorageTier {
   void cache_erase(const std::string& key);
 
   FlatHashMap<std::string, Blob> entries_;
-  // Shadow journal: torn writes staged here instead of entries_ when the
-  // tier is crash-consistent; recover() discards them.
+  // Shadow journal (docs/INTEGRITY.md): torn writes are staged here
+  // instead of entries_; recover() discards them.
   FlatHashMap<std::string, Blob> journal_;
   int64_t used_bytes_ = 0;
   bool memory_pressure_ = false;

@@ -25,7 +25,7 @@
 #include "obs/telemetry.h"
 #include "policy/builtin_policies.h"
 #include "policy/parser.h"
-#include "wiera/chaos.h"
+#include "wiera/cluster_host.h"
 #include "wiera/client.h"
 
 namespace wiera::geo {
@@ -167,8 +167,8 @@ struct ChaosCluster : suite::Cluster {
       : Cluster(seed, fault_tolerant(std::move(tweak))) {}
 };
 
-sim::FaultPlan plan_for(FaultClass fault, uint64_t seed) {
-  sim::FaultPlan::RandomOptions options;
+sim::Plan plan_for(FaultClass fault, uint64_t seed) {
+  sim::Plan::RandomOptions options;
   // Only storage nodes are targeted: crashing the controller (lock service
   // + heartbeat authority) is a different availability model than the one
   // the per-mode invariants describe.
@@ -220,7 +220,7 @@ sim::FaultPlan plan_for(FaultClass fault, uint64_t seed) {
     case FaultClass::kMidFlush:
       break;
   }
-  sim::FaultPlan plan = sim::FaultPlan::random(seed, options);
+  sim::Plan plan = sim::Plan::random(seed, options);
   if (fault == FaultClass::kMsgCorrupt) {
     // The random windows are node-scoped to storage nodes, where traffic is
     // dominated by heartbeats and scrub digests — corruption there proves
@@ -327,8 +327,8 @@ sim::RunReport run_chaos(const ChaosPlan& c, uint64_t seed) {
   if (!peers.ok()) return report;
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
   injector.arm(plan_for(c.fault, seed));
 
   sim::ObsPipeline pipeline(cluster.sim);
@@ -363,7 +363,9 @@ sim::RunReport run_chaos(const ChaosPlan& c, uint64_t seed) {
   report.set_trace(cluster.sim.checker().trace_hash());
   report.set_counter("ops", oracle.op_count());
   report.set_counter("ok", oracle.completed_ok_count());
-  report.set_counter("fault_events", injector.events_applied());
+  const int64_t fault_events =
+      injector.events_applied(sim::PlanEvent::Family::kFault);
+  report.set_counter("fault_events", fault_events);
   report.set_counter("convergence_violations",
                      static_cast<int64_t>(convergence.size()));
   // Integrity counters (docs/INTEGRITY.md) come straight from the metrics
@@ -424,7 +426,7 @@ sim::RunReport run_chaos(const ChaosPlan& c, uint64_t seed) {
 
   report.expect(oracle.completed_ok_count() > 0, "progress",
                 "no op completed");
-  report.expect(injector.events_applied() > 0, "faults", "no fault fired");
+  report.expect(fault_events > 0, "faults", "no fault fired");
   add_oracle_violations(report, "consistency", violations);
   if (is_integrity_fault(c.fault)) {
     add_oracle_violations(report, "convergence", convergence);
@@ -605,9 +607,9 @@ BrownoutRun run_brownout(uint64_t seed, bool telemetry_on = true) {
     if (p != nullptr && p->is_primary()) primary = node;
   }
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   // Data plane: every message touching the primary is 10x the op deadline.
   // The controller has no ping deadline (seed behaviour), so its serial
   // heartbeat loop parks behind the first spiked ping for the whole spike:
@@ -841,9 +843,9 @@ TEST(TelemetryTraceTest, HedgedGetTraceShowsBothAttempts) {
 
   // Slow the client's nearest peer so the hedge timer — armed from the
   // warm-up get's latency sample — fires and the backup attempt wins.
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.latency_spike("tiera-eu-west", sec(5), TimePoint::origin() + sec(2),
                      TimePoint::origin() + sec(20));
   injector.arm(std::move(plan));
@@ -909,9 +911,9 @@ TEST(TelemetryTraceTest, DeadlineExpiryStillClosesEverySpan) {
   // deadline: the put must resolve kDeadlineExceeded at the client while
   // the late-arriving request is expired server-side — and both halves of
   // the trace must still close.
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.latency_spike(primary, sec(5), TimePoint::origin() + sec(2),
                      TimePoint::origin() + sec(10));
   injector.arm(std::move(plan));
@@ -972,9 +974,9 @@ TEST(TelemetryTraceTest, RetriedReplicationKeepsOneSpanPerTarget) {
   // from 50ms reaches past 600ms well inside the retry cap) and the whole
   // retry loop must stay inside ONE span per target, annotated per attempt
   // — never one span per attempt.
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.message_chaos(victim, TimePoint::origin() + sec(2),
                      TimePoint::origin() + msec(2600), /*drop_prob=*/1.0,
                      /*dup_prob=*/0.0);
@@ -1034,9 +1036,9 @@ TEST(TelemetryTraceTest, BatchedFlushRacingDropsClosesEverySpan) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   const TimePoint drop_from = TimePoint::origin() + sec(1);
   const TimePoint drop_until = TimePoint::origin() + msec(2800);
   plan.message_chaos("tiera-asia-east", drop_from, drop_until,
@@ -1513,9 +1515,9 @@ OracleRun run_bit_rot_scenario(
   if (!peers.ok()) return {};
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.bit_rot("tiera-eu-west", "k0", TimePoint::origin() + sec(5));
   injector.arm(std::move(plan));
 
@@ -1591,9 +1593,9 @@ TEST(ChaosRegressionTest, BackupCatchesUpAfterRestart) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.crash("tiera-eu-west", TimePoint::origin() + sec(5),
              TimePoint::origin() + sec(8));
   injector.arm(std::move(plan));
@@ -1667,9 +1669,9 @@ sim::RunReport run_midflush(uint64_t seed) {
   if (!peers.ok()) return report;
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   // The burst below fills the primary's queue at t=1s; the size-triggered
   // flush has cross-region sends in flight when the crash lands at 1.12s,
   // and the updates past the first chunk are still queued — they die with
@@ -1756,9 +1758,9 @@ TEST(ChaosRegressionTest, FailoverCountsOncePerPrimaryCrash) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.crash("tiera-us-west", TimePoint::origin() + sec(5),
              TimePoint::origin() + sec(8));
   injector.arm(std::move(plan));
@@ -1853,9 +1855,9 @@ TEST(ChaosRegressionTest, TierEnospcFailsPutsCleanly) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.tier_fault("tiera-us-west", /*tier_label=*/"", /*slowdown=*/1.0,
                   /*enospc=*/true, TimePoint::origin() + sec(3),
                   TimePoint::origin() + sec(6));
@@ -1899,9 +1901,9 @@ TEST(ChaosRegressionTest, ReplicaConvergesAfterEnospcWindow) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.tier_fault("tiera-eu-west", /*tier_label=*/"", /*slowdown=*/1.0,
                   /*enospc=*/true, TimePoint::origin() + sec(3),
                   TimePoint::origin() + sec(6));
@@ -1945,9 +1947,9 @@ TEST(ChaosRegressionTest, TornWriteDiscardedOnRestart) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.torn_write("tiera-eu-west", TimePoint::origin() + sec(5),
                   TimePoint::origin() + sec(8));
   injector.arm(std::move(plan));
@@ -2016,9 +2018,9 @@ TEST(ChaosRegressionTest, LeaseLapseServesBoundedStaleReads) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   // Drop everything touching the controller: leases lapse cluster-wide but
   // client <-> replica traffic is untouched.
   plan.message_chaos("wiera-controller", TimePoint::origin() + sec(3),
@@ -2095,9 +2097,9 @@ TEST(ChaosRegressionTest, PingDeadlineKeepsFailureDetectionLive) {
     }
   }
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.latency_spike(spiked, sec(20), TimePoint::origin() + sec(2),
                      TimePoint::origin() + sec(30));
   // Restart lands after the run window: the crashed primary stays gone.
@@ -2164,9 +2166,9 @@ TEST(ChaosRegressionTest, FlapDampingAbsorbsOneDroppedPingRound) {
   ASSERT_TRUE(peers.ok()) << peers.status().to_string();
   cluster.controller.start();
 
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   // Every controller-touching message dropped for ~1.6s: long enough that
   // one heartbeat round must start inside it, short enough that a peer
   // whose ping failed cannot be pinged again before it closes.

@@ -188,10 +188,10 @@ void arm_timeseries(sim::ObsPipeline& pipeline, TimePoint until) {
 }
 
 void add_evidence(sim::AttributionReport& report, Cluster& cluster,
-                  const sim::FaultInjector& injector,
+                  const sim::Injector& injector,
                   const sim::ObsPipeline* pipeline,
                   const std::vector<std::string>& nodes) {
-  report.set_fault_timeline(injector.timeline());
+  report.set_timeline(injector.timeline());
   if (pipeline != nullptr) report.set_alerts(pipeline->alerts());
   const TimePoint now = cluster.sim.now();
   for (const std::string& node : nodes) {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "sim/attribution.h"
-#include "sim/faults.h"
+#include "sim/events.h"
 #include "sim/obs_pipeline.h"
 #include "sim/oracle.h"
 #include "wiera/controller.h"
@@ -78,10 +78,10 @@ PeerTweak with_key_stats(PeerTweak tweak);
 void arm_timeseries(sim::ObsPipeline& pipeline, TimePoint until);
 
 // What a failing run's attribution correlates its violations with: the
-// applied fault timeline, the alert firings, each node's hot keys and the
+// injector's timeline, the alert firings, each node's hot keys and the
 // worst spans.
 void add_evidence(sim::AttributionReport& report, Cluster& cluster,
-                  const sim::FaultInjector& injector,
+                  const sim::Injector& injector,
                   const sim::ObsPipeline* pipeline,
                   const std::vector<std::string>& nodes);
 

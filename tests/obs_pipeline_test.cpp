@@ -17,7 +17,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/attribution.h"
-#include "sim/faults.h"
+#include "sim/events.h"
 #include "sim/obs_pipeline.h"
 #include "sim/simulation.h"
 #include "sim/slo.h"
@@ -606,20 +606,23 @@ TEST(AttributionReportTest, RenderNamesFaultsHotKeysAlertsAndWorstSpans) {
   report.add_violation("get-p99", "p99 over bound", at_ms(20000), 0x77);
 
   // One fault inside the window, one outside.
-  sim::FaultEvent slow;
-  slow.kind = sim::FaultEvent::Kind::kSlowNode;
+  sim::PlanEvent slow;
+  slow.kind = sim::PlanEvent::Kind::kSlowNode;
   slow.node = "tiera-us-west";
   slow.slow_factor = 25.0;
   slow.at = at_ms(9000);
   slow.until = at_ms(18000);
-  sim::FaultEvent stray;
-  stray.kind = sim::FaultEvent::Kind::kCrash;
+  sim::PlanEvent stray;
+  stray.kind = sim::PlanEvent::Kind::kCrash;
   stray.node = "tiera-eu-west";
   stray.at = at_ms(40000);
   stray.until = at_ms(42000);
-  report.set_fault_timeline({slow, stray});
-
-  report.set_scenario_timeline({{at_ms(4000), "drain tiera-asia-east"}});
+  sim::PlanEvent drain;
+  drain.kind = sim::PlanEvent::Kind::kDrainRegion;
+  drain.node = "tiera-asia-east";
+  drain.at = at_ms(4000);
+  drain.until = at_ms(24000);
+  report.set_timeline({slow, stray, drain});
 
   KeyStats::Config ks_config;
   ks_config.enabled = true;
@@ -654,7 +657,9 @@ TEST(AttributionReportTest, RenderNamesFaultsHotKeysAlertsAndWorstSpans) {
       std::string::npos);
   EXPECT_EQ(json.find("crash node=tiera-eu-west"), std::string::npos);
   EXPECT_NE(json.find("\"faults_outside_window\":1"), std::string::npos);
-  EXPECT_NE(json.find("drain tiera-asia-east"), std::string::npos);
+  EXPECT_NE(json.find("\"scenario_events\":[{\"at_us\":4000000,"
+                      "\"event\":\"drain-region node=tiera-asia-east"),
+            std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"key\",\"id\":\"hot-0\""),
             std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"tenant\",\"id\":\"app-0\""),
@@ -674,17 +679,17 @@ TEST(AttributionReportTest, WindowDefaultsToViolationEvidenceSpan) {
   sim::AttributionReport report;
   report.add_violation("no-failed-ops", "put failed", at_ms(10000), 0);
 
-  sim::FaultEvent near_fault;
-  near_fault.kind = sim::FaultEvent::Kind::kCrash;
+  sim::PlanEvent near_fault;
+  near_fault.kind = sim::PlanEvent::Kind::kCrash;
   near_fault.node = "n1";
   near_fault.at = at_ms(11000);
   near_fault.until = at_ms(12000);
-  sim::FaultEvent far_fault;
-  far_fault.kind = sim::FaultEvent::Kind::kCrash;
+  sim::PlanEvent far_fault;
+  far_fault.kind = sim::PlanEvent::Kind::kCrash;
   far_fault.node = "n2";
   far_fault.at = at_ms(30000);
   far_fault.until = at_ms(31000);
-  report.set_fault_timeline({near_fault, far_fault});
+  report.set_timeline({near_fault, far_fault});
 
   // Evidence at 10s: the implied window is [8s, 12s], so the 11s crash
   // overlaps and the 30s one does not.

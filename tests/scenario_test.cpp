@@ -1,13 +1,13 @@
 // Scenario suite (docs/SCENARIOS.md): seeded workload + operational-event
 // plans run against a live four-region cluster (plus one spare node for
 // live adds) while concurrent clients execute an oracle-recorded workload
-// shaped by the engine's LoadModel. Acceptance is two-layered:
+// shaped by the injector's LoadModel. Acceptance is two-layered:
 //   * sim::ConsistencyOracle — did the cluster ever lie? (eventual-mode
 //     invariant + replica convergence over the final member set)
 //   * sim::SloOracle — did the cluster hold its service level while the
 //     scenario played out? (no failed ops, bounded shed rate, p99 bounds,
 //     bounded availability gap through evacuations)
-// Scenarios compose with random FaultPlans (an evacuation *while* a
+// Scenarios compose with random fault plans (an evacuation *while* a
 // partition or crash is live) and every run folds its applied events into
 // the determinism trace hash. Every run prints one RUN-REPORT line
 // (docs/OBSERVABILITY.md#run-report) whose `replay` command re-runs it.
@@ -29,11 +29,10 @@
 #include "fault_suite.h"
 #include "obs/alerts.h"
 #include "obs/telemetry.h"
-#include "sim/scenario.h"
+#include "sim/events.h"
 #include "sim/slo.h"
-#include "wiera/chaos.h"
 #include "wiera/client.h"
-#include "wiera/scenario_host.h"
+#include "wiera/cluster_host.h"
 
 namespace wiera::geo {
 namespace {
@@ -92,8 +91,8 @@ struct ScenarioCluster : suite::Cluster {
                 kSpareNode) {}
 };
 
-sim::ScenarioPlan::BuiltinOptions builtin_options() {
-  sim::ScenarioPlan::BuiltinOptions options;
+sim::Plan::BuiltinOptions builtin_options() {
+  sim::Plan::BuiltinOptions options;
   for (const char* node : kStorageNodes) options.nodes.push_back(node);
   options.spare_nodes.push_back(kSpareNode);
   for (const char* node : kClientNodes) options.regions.push_back(node);
@@ -104,18 +103,18 @@ sim::ScenarioPlan::BuiltinOptions builtin_options() {
 // A composed fault never targets the node a drain/add event operates on:
 // the point is an evacuation riding out a fault *elsewhere*, not a fault
 // plan and a scenario plan fighting over one node's lifecycle.
-sim::FaultPlan composed_plan(ComposedFault fault, uint64_t seed,
-                             const sim::ScenarioPlan& scenario) {
-  sim::FaultPlan plan;
+sim::Plan composed_plan(ComposedFault fault, uint64_t seed,
+                        const sim::Plan& scenario) {
+  sim::Plan plan;
   if (fault == ComposedFault::kNone) return plan;
   std::set<std::string> excluded;
   for (const auto& e : scenario.events()) {
-    if (e.kind == sim::ScenarioEvent::Kind::kDrainRegion ||
-        e.kind == sim::ScenarioEvent::Kind::kAddRegion) {
-      excluded.insert(e.target);
+    if (e.kind == sim::PlanEvent::Kind::kDrainRegion ||
+        e.kind == sim::PlanEvent::Kind::kAddRegion) {
+      excluded.insert(e.node);
     }
   }
-  sim::FaultPlan::RandomOptions options;
+  sim::Plan::RandomOptions options;
   for (const char* node : kStorageNodes) {
     if (excluded.count(node) == 0) options.nodes.push_back(node);
   }
@@ -146,14 +145,14 @@ sim::FaultPlan composed_plan(ComposedFault fault, uint64_t seed,
       options.crashes = 1;
       break;
   }
-  return sim::FaultPlan::random(seed ^ 0x5ce9a210u, options);
+  return sim::Plan::random(seed ^ 0x5ce9a210u, options);
 }
 
 // The window availability/shed checks run over: the plan's own span, padded
 // to at least 10s (a rolling restart's window() is a single instant) and
 // clamped to the workload's 30s so the post-workload quiet tail never reads
 // as an availability gap.
-std::pair<TimePoint, TimePoint> slo_window(const sim::ScenarioPlan& plan) {
+std::pair<TimePoint, TimePoint> slo_window(const sim::Plan& plan) {
   auto w = plan.window();
   const TimePoint cap = TimePoint::origin() + sec(30);
   TimePoint end = w.second;
@@ -209,11 +208,11 @@ sim::RunReport scenario_report(const std::string& name, ComposedFault fault,
 }
 
 // One client: put/get rounds whose key choice, tenant class and cadence all
-// come from the engine's LoadModel, so scenario load shapes actually steer
+// come from the injector's LoadModel, so scenario load shapes actually steer
 // the traffic. Class-B tenant ops are read-only. Every outcome lands in
 // both oracles.
 sim::Task<void> scenario_workload(sim::Simulation& sim,
-                                  sim::ScenarioEngine& engine,
+                                  const sim::LoadModel& load,
                                   sim::ConsistencyOracle& oracle,
                                   sim::SloOracle& slo, WieraClient& client,
                                   std::string region, uint64_t seed,
@@ -222,9 +221,9 @@ sim::Task<void> scenario_workload(sim::Simulation& sim,
   co_await sim.delay(msec(250) * static_cast<double>(index + 1));
   int round = 0;
   while (sim.now() < end) {
-    const int key_index = engine.load().pick_key(rng, sim.now());
+    const int key_index = load.pick_key(rng, sim.now());
     const std::string key = "k" + std::to_string(key_index);
-    if (engine.load().pick_tenant(rng) == 0) {
+    if (load.pick_tenant(rng) == 0) {
       const std::string value =
           "c" + std::to_string(index) + "r" + std::to_string(round);
       const TimePoint start = sim.now();
@@ -262,7 +261,7 @@ sim::Task<void> scenario_workload(sim::Simulation& sim,
     round++;
     // The diurnal rate multiplier stretches/compresses the inter-round gap
     // (clamped >= 0.2 by the model, so a trough never stalls the driver).
-    const double mult = engine.load().rate_multiplier(region, sim.now());
+    const double mult = load.rate_multiplier(region, sim.now());
     const double base = static_cast<double>(msec(600).us());
     co_await sim.delay(usec(static_cast<int64_t>(base / mult)));
   }
@@ -294,20 +293,17 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   if (!peers.ok()) return report;
   cluster.controller.start();
 
-  auto plan = sim::ScenarioPlan::builtin(name, seed, builtin_options());
+  auto plan = sim::Plan::builtin(name, seed, builtin_options());
   EXPECT_TRUE(plan.ok()) << plan.status().to_string();
   if (!plan.ok()) return report;
   const auto window = slo_window(*plan);
   const int64_t plan_events = static_cast<int64_t>(plan->events().size());
 
-  ChaosHost chaos_host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, chaos_host);
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
   injector.arm(composed_plan(fault, seed, *plan));
-
-  ScenarioHost scenario_host(cluster.sim, cluster.controller, "w1");
-  sim::ScenarioEngine engine(cluster.sim, scenario_host);
-  engine.load().set_key_count(kKeyCount);
-  engine.arm(std::move(plan).value());
+  injector.load().set_key_count(kKeyCount);
+  injector.arm(std::move(plan).value());
 
   // Metrics pipeline (docs/METRICS_PIPELINE.md): timeseries runs scrape
   // until the workload horizon.
@@ -330,7 +326,8 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
     clients.push_back(std::make_unique<WieraClient>(
         cluster.sim, cluster.network, cluster.registry,
         "app-" + std::to_string(i), kClientNodes[i], *peers, client_config));
-    cluster.sim.spawn(scenario_workload(cluster.sim, engine, oracle, slo,
+    cluster.sim.spawn(scenario_workload(cluster.sim, injector.load(), oracle,
+                                        slo,
                                         *clients.back(), kClientNodes[i],
                                         seed, i, workload_end));
   }
@@ -356,14 +353,16 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   report.set_counter("shed", slo.shed());
   report.set_counter("failed", slo.failed());
   report.set_counter("plan_events", plan_events);
-  report.set_counter("events", engine.events_applied());
-  report.set_counter("fault_events", injector.events_applied());
+  report.set_counter("events",
+                     injector.events_applied(sim::PlanEvent::Family::kScenario));
+  report.set_counter("fault_events",
+                     injector.events_applied(sim::PlanEvent::Family::kFault));
   report.set_counter("drains", cluster.controller.drains_completed());
   report.set_counter("added", cluster.controller.peers_added());
   report.set_counter("restarts",
                      cluster.controller.rolling_restarts_completed());
   // Operational events that errored out.
-  report.set_counter("host_failures", scenario_host.failed_operations());
+  report.set_counter("host_failures", host.failed_operations());
   int64_t attempt_timeouts = 0;
   int64_t client_failovers = 0;
   for (const auto& client : clients) {
@@ -377,11 +376,13 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   report.set_counter("probation_exits", health.probation_exits());
   report.set_counter("primary_changes", cluster.controller.primary_changes());
   report.set_counter("client_failovers", client_failovers);
-  report.set_json("timeline", sim::render_events_json(engine.timeline()));
+  report.set_json("timeline", sim::render_events_json(injector.timeline()));
 
   report.expect(slo.ops() > 0, "progress", "no op ever ran");
   report.expect(slo.ok() > 0, "progress", "no op ever completed");
-  report.expect(engine.events_applied() == plan_events, "events",
+  report.expect(
+      injector.events_applied(sim::PlanEvent::Family::kScenario) == plan_events,
+      "events",
                 "scenario driver dropped events");
   for (const auto& v : slo_violations) report.add_violation(v.check, v.message);
   for (const auto& v : violations) {
@@ -395,7 +396,7 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
     // may legitimately abort a drain at its deadline (the peer is restored
     // to membership) — there the SLO contract is the acceptance bar.
     const int64_t drains = cluster.controller.drains_completed();
-    report.expect(scenario_host.failed_operations() == 0, "operational",
+    report.expect(host.failed_operations() == 0, "operational",
                   "operational event failed");
     if (name == "evacuation" || name == "addregion") {
       report.expect(drains == 1, "operational", "drains != 1");
@@ -411,7 +412,7 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   }
 
   // Failure attribution (docs/METRICS_PIPELINE.md): a failing run's report
-  // correlates the violating window with the fault/scenario timelines,
+  // correlates the violating window with the injector's timeline,
   // alert firings, per-peer hot keys and the worst spans.
   if (!report.passed()) {
     sim::AttributionReport attribution;
@@ -425,7 +426,6 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
       attribution.add_violation("convergence", v.key + ": " + v.message,
                                 window.second, v.trace_id);
     }
-    attribution.set_scenario_timeline(engine.timeline());
     suite::add_evidence(attribution, cluster, injector, &pipeline, *peers);
     report.set_json("attribution", attribution.render_json());
   }
@@ -508,7 +508,7 @@ TEST(ScenarioSweepTest, FlakyLinkDuringFlashCrowdStaysConvergent) {
 // ------------------------------------------------------------ determinism
 
 TEST(ScenarioDeterminismTest, EveryBuiltinReplaysBitIdentical) {
-  for (const std::string& name : sim::ScenarioPlan::builtin_names()) {
+  for (const std::string& name : sim::Plan::builtin_names()) {
     const sim::RunReport a = run_scenario(name, ComposedFault::kNone, 5);
     const sim::RunReport b = run_scenario(name, ComposedFault::kNone, 5);
     EXPECT_EQ(a.trace(), b.trace()) << name;
@@ -532,35 +532,35 @@ TEST(ScenarioDeterminismTest, TelemetryOffLeavesScenarioHashIdentical) {
 
 TEST(ScenarioPlanTest, BuiltinIsAFunctionOfNameAndSeed) {
   const auto options = builtin_options();
-  for (const std::string& name : sim::ScenarioPlan::builtin_names()) {
-    auto a = sim::ScenarioPlan::builtin(name, 42, options);
-    auto b = sim::ScenarioPlan::builtin(name, 42, options);
+  for (const std::string& name : sim::Plan::builtin_names()) {
+    auto a = sim::Plan::builtin(name, 42, options);
+    auto b = sim::Plan::builtin(name, 42, options);
     ASSERT_TRUE(a.ok()) << name;
     ASSERT_TRUE(b.ok()) << name;
     EXPECT_FALSE(a->empty()) << name;
     EXPECT_EQ(a->describe(), b->describe()) << name;
   }
-  auto x = sim::ScenarioPlan::builtin("evacuation", 42, options);
-  auto y = sim::ScenarioPlan::builtin("evacuation", 43, options);
+  auto x = sim::Plan::builtin("evacuation", 42, options);
+  auto y = sim::Plan::builtin("evacuation", 43, options);
   ASSERT_TRUE(x.ok());
   ASSERT_TRUE(y.ok());
   EXPECT_NE(x->describe(), y->describe());
-  EXPECT_FALSE(sim::ScenarioPlan::builtin("no-such", 1, options).ok());
+  EXPECT_FALSE(sim::Plan::builtin("no-such", 1, options).ok());
 }
 
 TEST(ScenarioPlanTest, EventHashesAreStableAndDistinct) {
-  sim::ScenarioEvent a;
-  a.kind = sim::ScenarioEvent::Kind::kDrainRegion;
-  a.target = "tiera-us-west";
+  sim::PlanEvent a;
+  a.kind = sim::PlanEvent::Kind::kDrainRegion;
+  a.node = "tiera-us-west";
   a.at = TimePoint::origin() + sec(4);
   a.until = TimePoint::origin() + sec(24);
-  sim::ScenarioEvent b = a;
+  sim::PlanEvent b = a;
   EXPECT_EQ(a.hash(), b.hash());
   EXPECT_NE(a.hash(), 0u);
-  b.target = "tiera-eu-west";
+  b.node = "tiera-eu-west";
   EXPECT_NE(a.hash(), b.hash());
   b = a;
-  b.kind = sim::ScenarioEvent::Kind::kAddRegion;
+  b.kind = sim::PlanEvent::Kind::kAddRegion;
   EXPECT_NE(a.hash(), b.hash());
 }
 
@@ -568,8 +568,8 @@ TEST(ScenarioPlanTest, EventHashesAreStableAndDistinct) {
 // below are the ones recorded runs were hashed with: a change to the fold
 // moves every fault-suite trace. slow_factor folds only when it is not 1.
 TEST(EventVocabularyTest, HashFoldsEachFamilysBytes) {
-  sim::FaultEvent fault;
-  fault.kind = sim::FaultEvent::Kind::kFlakyLink;
+  sim::PlanEvent fault;
+  fault.kind = sim::PlanEvent::Kind::kFlakyLink;
   fault.at = TimePoint::origin() + msec(1500);
   fault.until = TimePoint::origin() + msec(4250);
   fault.node = "tiera-us-west";
@@ -587,11 +587,11 @@ TEST(EventVocabularyTest, HashFoldsEachFamilysBytes) {
   fault.slow_factor = 8.0;
   EXPECT_EQ(fault.hash(), 0xa6a5e9a02fb420dcull);
 
-  sim::ScenarioEvent scenario;
-  scenario.kind = sim::ScenarioEvent::Kind::kFlashCrowd;
+  sim::PlanEvent scenario;
+  scenario.kind = sim::PlanEvent::Kind::kFlashCrowd;
   scenario.at = TimePoint::origin() + sec(4);
   scenario.until = TimePoint::origin() + sec(12);
-  scenario.target = "client-eu-west";
+  scenario.node = "client-eu-west";
   scenario.amplitude = 0.4;
   scenario.period = sec(6);
   scenario.exponent = 1.2;
@@ -602,6 +602,51 @@ TEST(EventVocabularyTest, HashFoldsEachFamilysBytes) {
   EXPECT_EQ(scenario.hash(), 0x52c640d2cc941510ull);
 }
 
+// Takes every event that is not a load shape, in order.
+struct RecordingSurface : sim::Surface {
+  void apply(const sim::PlanEvent& e) override { kinds.push_back(e.kind); }
+  std::vector<sim::PlanEvent::Kind> kinds;
+};
+
+// A fault plan and a scenario plan whose first events share an instant:
+// whichever is armed first applies first, both land on the one timeline,
+// each family is counted on its own, and only the load shape bypasses the
+// surface.
+TEST(EventVocabularyTest, PlansArmedTogetherApplyInArmOrder) {
+  using Kind = sim::PlanEvent::Kind;
+  const TimePoint t = TimePoint::origin() + sec(2);
+  for (const bool faults_first : {true, false}) {
+    sim::Simulation sim;
+    RecordingSurface surface;
+    sim::Injector injector(sim, surface);
+    sim::Plan faults;
+    faults.partition("n1", t, t + sec(1)).crash("n2", t, t + sec(3));
+    sim::Plan scenario;
+    scenario.zipf_shift(1.2, t).drain_region("n3", t, t + sec(5));
+    injector.arm(faults_first ? faults : scenario);
+    injector.arm(faults_first ? scenario : faults);
+    sim.run();
+
+    std::vector<Kind> applied;
+    for (const sim::PlanEvent& e : injector.timeline()) applied.push_back(e.kind);
+    const std::vector<Kind> fault_kinds = {Kind::kPartition, Kind::kCrash};
+    const std::vector<Kind> scenario_kinds = {Kind::kZipfShift,
+                                              Kind::kDrainRegion};
+    std::vector<Kind> expected = faults_first ? fault_kinds : scenario_kinds;
+    for (Kind k : faults_first ? scenario_kinds : fault_kinds) {
+      expected.push_back(k);
+    }
+    expected.push_back(Kind::kRestart);  // the crash's, at t + 3s
+    EXPECT_EQ(applied, expected) << faults_first;
+    EXPECT_EQ(injector.events_applied(sim::PlanEvent::Family::kFault), 3);
+    EXPECT_EQ(injector.events_applied(sim::PlanEvent::Family::kScenario), 2);
+    EXPECT_DOUBLE_EQ(injector.load().zipf_exponent(), 1.2);
+    expected.erase(std::find(expected.begin(), expected.end(),
+                             Kind::kZipfShift));
+    EXPECT_EQ(surface.kinds, expected) << faults_first;
+  }
+}
+
 TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
   sim::LoadModel model;
   model.set_key_count(10);
@@ -609,8 +654,8 @@ TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
 
   // Flash crowd with boost 1.0: every in-window pick lands in [2,3];
   // outside the window picks spread back out.
-  sim::ScenarioEvent crowd;
-  crowd.kind = sim::ScenarioEvent::Kind::kFlashCrowd;
+  sim::PlanEvent crowd;
+  crowd.kind = sim::PlanEvent::Kind::kFlashCrowd;
   crowd.at = TimePoint::origin();
   crowd.until = TimePoint::origin() + sec(10);
   crowd.hot_lo = 2;
@@ -631,9 +676,9 @@ TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
 
   // Diurnal: multiplier peaks at 1 + amplitude a quarter period in, only
   // for the shaped region.
-  sim::ScenarioEvent diurnal;
-  diurnal.kind = sim::ScenarioEvent::Kind::kDiurnalLoad;
-  diurnal.target = "client-us-west";
+  sim::PlanEvent diurnal;
+  diurnal.kind = sim::PlanEvent::Kind::kDiurnalLoad;
+  diurnal.node = "client-us-west";
   diurnal.at = TimePoint::origin();
   diurnal.until = TimePoint::origin() + sec(20);
   diurnal.amplitude = 0.5;
@@ -648,8 +693,8 @@ TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
 
   // Zipf shift skews picks toward low indices; tenant mix 1.0 makes every
   // op class B.
-  sim::ScenarioEvent zipf;
-  zipf.kind = sim::ScenarioEvent::Kind::kZipfShift;
+  sim::PlanEvent zipf;
+  zipf.kind = sim::PlanEvent::Kind::kZipfShift;
   zipf.exponent = 1.3;
   model.apply(zipf);
   int low = 0, high = 0;
@@ -660,8 +705,8 @@ TEST(ScenarioPlanTest, LoadModelShapesTraffic) {
   }
   EXPECT_GT(low, high);
 
-  sim::ScenarioEvent mix;
-  mix.kind = sim::ScenarioEvent::Kind::kTenantMix;
+  sim::PlanEvent mix;
+  mix.kind = sim::PlanEvent::Kind::kTenantMix;
   mix.mix_fraction = 1.0;
   model.apply(mix);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(model.pick_tenant(rng), 1);
@@ -717,12 +762,12 @@ MutationResult run_drain_mutation(bool handoff) {
   if (!peers.ok()) return {};
   cluster.controller.start();
 
-  ScenarioHost host(cluster.sim, cluster.controller, "w1");
-  sim::ScenarioEngine engine(cluster.sim, host);
-  sim::ScenarioPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.drain_region("tiera-us-west", TimePoint::origin() + sec(4),
                     TimePoint::origin() + sec(24));
-  engine.arm(std::move(plan));
+  injector.arm(std::move(plan));
 
   WieraClient::Config client_config;
   client_config.op_deadline = sec(3);
@@ -743,7 +788,7 @@ MutationResult run_drain_mutation(bool handoff) {
   result.violations =
       slo.check(contract, cluster.sim.telemetry().registry(), {"app-0"});
   result.drains = cluster.controller.drains_completed();
-  result.timeline = engine.render_timeline();
+  result.timeline = injector.render_timeline();
   return result;
 }
 
@@ -815,9 +860,9 @@ GrayMutationResult run_gray_mutation(bool health_on) {
   if (!peers.ok()) return {};
   cluster.controller.start();
 
-  ChaosHost chaos_host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, chaos_host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.slow_node("tiera-us-west", 25.0, TimePoint::origin() + sec(8),
                  TimePoint::origin() + sec(20));
   injector.arm(std::move(plan));
@@ -917,9 +962,9 @@ AlertMutationResult run_alert_mutation(bool armed) {
   if (!peers.ok()) return {};
   cluster.controller.start();
 
-  ChaosHost chaos_host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, chaos_host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.latency_spike("tiera-us-west", msec(300), TimePoint::origin() + sec(8),
                      TimePoint::origin() + sec(20));
   injector.arm(std::move(plan));
@@ -1044,9 +1089,9 @@ sim::RunReport run_attribution_probe(uint64_t seed) {
   if (!peers.ok()) return report;
   cluster.controller.start();
 
-  ChaosHost chaos_host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, chaos_host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   if (slow) {
     plan.slow_node("tiera-us-west", 10.0, TimePoint::origin() + sec(3),
                    TimePoint::origin() + sec(8));
@@ -1194,9 +1239,9 @@ ProbeResult run_stalled(bool attempt_timeout, int64_t& attempt_timeouts) {
   // network surfaces as a bounded kUnavailable after its unreachable wait)
   // nothing here errors — the attempt just sits in flight, which is exactly
   // the regime the per-attempt bound exists for.
-  ChaosHost host(cluster.network, cluster.controller);
-  sim::FaultInjector injector(cluster.sim, host);
-  sim::FaultPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.latency_spike("tiera-us-west", sec(20), TimePoint::origin() + sec(1),
                      TimePoint::origin() + sec(20));
   injector.arm(std::move(plan));
@@ -1271,12 +1316,12 @@ TEST(ScenarioOperationalTest, EvacuatingTheSyncPrimaryKeepsClientsWhole) {
   const std::string old_primary = cluster.controller.current_primary("w1");
   ASSERT_FALSE(old_primary.empty());
 
-  ScenarioHost host(cluster.sim, cluster.controller, "w1");
-  sim::ScenarioEngine engine(cluster.sim, host);
-  sim::ScenarioPlan plan;
+  ClusterHost host(cluster.network, cluster.controller, "w1");
+  sim::Injector injector(cluster.sim, host);
+  sim::Plan plan;
   plan.drain_region(old_primary, TimePoint::origin() + sec(5),
                     TimePoint::origin() + sec(25));
-  engine.arm(std::move(plan));
+  injector.arm(std::move(plan));
 
   WieraClient::Config config;
   config.op_deadline = sec(3);
@@ -1298,7 +1343,7 @@ TEST(ScenarioOperationalTest, EvacuatingTheSyncPrimaryKeepsClientsWhole) {
   auto violations =
       slo.check(contract, cluster.sim.telemetry().registry(), {"app-0"});
   EXPECT_TRUE(violations.empty())
-      << sim::SloOracle::describe(violations) << engine.render_timeline();
+      << sim::SloOracle::describe(violations) << injector.render_timeline();
   EXPECT_EQ(cluster.controller.drains_completed(), 1);
   EXPECT_EQ(host.failed_operations(), 0);
   const std::string new_primary = cluster.controller.current_primary("w1");
@@ -1334,7 +1379,7 @@ std::optional<sim::RunReport> replay(uint64_t seed,
     }
     name.resize(colon);
   }
-  const auto& builtins = sim::ScenarioPlan::builtin_names();
+  const auto& builtins = sim::Plan::builtin_names();
   if (fault == std::size(kFaultTokens) ||
       std::find(builtins.begin(), builtins.end(), name) == builtins.end()) {
     std::fprintf(stderr,
@@ -1349,7 +1394,7 @@ std::optional<sim::RunReport> replay(uint64_t seed,
 // plus the attribution probe: each run the way its sweep runs it and again
 // through its report's replay command must land on the same trace.
 TEST(ScenarioReplayTest, EverySweptScenarioReplaysToItsOwnTrace) {
-  EXPECT_EQ(kSweeps.size(), sim::ScenarioPlan::builtin_names().size())
+  EXPECT_EQ(kSweeps.size(), sim::Plan::builtin_names().size())
       << "a builtin scenario is missing from the sweep matrix";
   std::vector<sim::RunReport> swept;
   for (const auto& [name, faults] : kSweeps) {

@@ -470,29 +470,6 @@ TEST(BlockTierTest, TornWriteJournalledAndDiscardedByRecover) {
   });
 }
 
-TEST(BlockTierTest, LegacyTornWritePublishesTruncatedPrefix) {
-  // crash_consistent=false models an in-place write path: the torn prefix
-  // silently replaces the object with an OK status. Only the object
-  // checksum can tell downstream.
-  sim::Simulation sim;
-  TierSpec spec = block_spec(TierKind::kBlockSsd, /*cache=*/false);
-  spec.crash_consistent = false;
-  auto disk = make_tier(sim, spec);
-  run(sim, [&]() -> sim::Task<void> {
-    disk->inject_torn_writes(sim.now(), sim.now() + sec(10));
-    EXPECT_TRUE((co_await disk->put("k", Blob(Bytes(4096, 7)))).ok());
-    disk->clear_faults();
-    auto r = co_await disk->get("k");
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    EXPECT_EQ(r->size(), 2048u);  // first half only
-  });
-  EXPECT_EQ(disk->stats().torn_writes, 1);
-  EXPECT_EQ(disk->used_bytes(), 2048);
-  disk->recover();
-  EXPECT_EQ(disk->stats().torn_discards, 0);  // nothing was journalled
-}
-
 // ----------------------------------------------- byte accounting at commit
 
 // One put or remove of `key` as its own task, expected to succeed.
@@ -537,23 +514,6 @@ TEST(BlockTierTest, OverlappingOverwritesKeepByteAccounting) {
     if (!r.ok()) co_return;
     EXPECT_EQ(r->size(), 300u);
   });
-}
-
-TEST(BlockTierTest, LegacyTornOverwriteAccountsAtCommit) {
-  // The legacy in-place path stores the torn prefix; a remove during its
-  // device wait leaves only that prefix counted.
-  sim::Simulation sim;
-  TierSpec spec = block_spec(TierKind::kBlockSsd, /*cache=*/false);
-  spec.crash_consistent = false;
-  auto disk = make_tier(sim, spec);
-  sim.spawn(put_bytes(disk.get(), "k", 100, 1));
-  sim.run();
-  disk->inject_torn_writes(sim.now(), sim.now() + sec(10));
-  sim.spawn(put_bytes(disk.get(), "k", 4096, 2));
-  sim.spawn(remove_key(disk.get(), "k"));
-  sim.run();
-  EXPECT_EQ(disk->stats().torn_writes, 1);
-  EXPECT_EQ(disk->used_bytes(), 2048);
 }
 
 TEST(ObjectTierTest, TornWriteJournalledAndDiscardedByRecover) {
