@@ -140,9 +140,8 @@ uint64_t PlanEvent::hash() const {
   h = fnv1a64_u64(h, enospc ? 1 : 0);
   h = fnv1a64(h, object_key.data(), object_key.size());
   h = fold_scaled(h, corrupt_prob);
-  // Gray-failure fields fold only when set: folding "" is a no-op
-  // already, and slow_factor folds conditionally so every earlier fault
-  // (slow_factor == 1.0) keeps the hash it had before they existed.
+  // Gray-failure fields fold only when set (folding "" is a no-op), so a
+  // fault that leaves them unset hashes as recorded runs expect.
   h = fnv1a64(h, peer_node.data(), peer_node.size());
   if (slow_factor != 1.0) h = fold_scaled(h, slow_factor);
   return h;
@@ -211,7 +210,7 @@ void LoadModel::apply(const PlanEvent& e) {
 }
 
 PlanEvent& Plan::push(PlanEvent::Kind kind, std::string node, TimePoint at,
-                  TimePoint until) {
+                      TimePoint until) {
   PlanEvent& e = events_.emplace_back();
   e.kind = kind;
   e.node = std::move(node);
@@ -236,7 +235,8 @@ Plan& Plan::partition(std::string node, TimePoint at, TimePoint until,
 Plan& Plan::message_chaos(std::string node, TimePoint at, TimePoint until,
                           double drop_prob, double dup_prob,
                           Duration max_extra_delay) {
-  PlanEvent& e = push(PlanEvent::Kind::kMessageChaos, std::move(node), at, until);
+  PlanEvent& e =
+      push(PlanEvent::Kind::kMessageChaos, std::move(node), at, until);
   e.drop_prob = drop_prob;
   e.dup_prob = dup_prob;
   e.max_extra_delay = max_extra_delay;
@@ -303,7 +303,8 @@ Plan& Plan::slow_node(std::string node, double factor, TimePoint at,
 
 Plan& Plan::diurnal(std::string region, TimePoint at, TimePoint until,
                     double amplitude, Duration period) {
-  PlanEvent& e = push(PlanEvent::Kind::kDiurnalLoad, std::move(region), at, until);
+  PlanEvent& e =
+      push(PlanEvent::Kind::kDiurnalLoad, std::move(region), at, until);
   e.amplitude = amplitude;
   e.period = period;
   return *this;
@@ -343,11 +344,6 @@ Plan& Plan::rolling_restart(TimePoint at) {
   return *this;
 }
 
-Plan& Plan::add(PlanEvent event) {
-  events_.push_back(std::move(event));
-  return *this;
-}
-
 Plan Plan::random(uint64_t seed, const RandomOptions& options) {
   Plan plan;
   if (options.nodes.empty()) return plan;
@@ -359,7 +355,8 @@ Plan Plan::random(uint64_t seed, const RandomOptions& options) {
   };
   const auto pick_window = [&](TimePoint& at, TimePoint& until) {
     const int64_t span = options.latest.us() - options.earliest.us();
-    at = options.earliest + usec(rng.uniform_int(0, std::max<int64_t>(span, 0)));
+    at = options.earliest +
+         usec(rng.uniform_int(0, std::max<int64_t>(span, 0)));
     until = at + usec(rng.uniform_int(options.min_window.us(),
                                       options.max_window.us()));
   };

@@ -54,7 +54,8 @@ struct PlanEvent {
 
   enum class Kind {
     // ---- faults ----
-    kCrash,         // node dies at `at`, loses volatile state, restarts at `until`
+    kCrash,         // node dies at `at`, loses volatile state, restarts at
+                    // `until`
     kRestart,       // node is back (paired with a kCrash; informational)
     kPartition,     // node cut off from every other node during [at, until)
     kMessageChaos,  // probabilistic drop/duplicate/extra-delay window
@@ -251,8 +252,6 @@ class Plan {
   Plan& add_region(std::string node, TimePoint at);
   Plan& rolling_restart(TimePoint at);
 
-  Plan& add(PlanEvent event);
-
   // ---- random fault plans ----
   // Knobs for Plan::random. Counts say how many windows of each fault
   // class to sample; windows land inside [earliest, latest] with durations
@@ -324,7 +323,7 @@ class Plan {
   // Appends an event of `kind` on `node` over [at, until) for a builder to
   // set its knobs on.
   PlanEvent& push(PlanEvent::Kind kind, std::string node, TimePoint at,
-              TimePoint until);
+                  TimePoint until);
 
   std::vector<PlanEvent> events_;
 };

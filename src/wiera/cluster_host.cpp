@@ -86,7 +86,9 @@ void ClusterHost::apply(const sim::PlanEvent& e) {
     case Kind::kTierFault:
       if (WieraPeer* peer = peer_of(e)) {
         for_each_tier(*peer, e.tier_label, [&e](store::StorageTier& tier) {
-          if (e.slowdown != 1.0) tier.inject_slowdown(e.slowdown, e.at, e.until);
+          if (e.slowdown != 1.0) {
+            tier.inject_slowdown(e.slowdown, e.at, e.until);
+          }
           if (e.enospc) tier.inject_write_errors(e.at, e.until);
         });
       }

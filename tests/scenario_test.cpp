@@ -327,8 +327,7 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
         cluster.sim, cluster.network, cluster.registry,
         "app-" + std::to_string(i), kClientNodes[i], *peers, client_config));
     cluster.sim.spawn(scenario_workload(cluster.sim, injector.load(), oracle,
-                                        slo,
-                                        *clients.back(), kClientNodes[i],
+                                        slo, *clients.back(), kClientNodes[i],
                                         seed, i, workload_end));
   }
 
@@ -353,8 +352,9 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
   report.set_counter("shed", slo.shed());
   report.set_counter("failed", slo.failed());
   report.set_counter("plan_events", plan_events);
-  report.set_counter("events",
-                     injector.events_applied(sim::PlanEvent::Family::kScenario));
+  const int64_t scenario_events =
+      injector.events_applied(sim::PlanEvent::Family::kScenario);
+  report.set_counter("events", scenario_events);
   report.set_counter("fault_events",
                      injector.events_applied(sim::PlanEvent::Family::kFault));
   report.set_counter("drains", cluster.controller.drains_completed());
@@ -380,9 +380,7 @@ sim::RunReport run_scenario(const std::string& name, ComposedFault fault,
 
   report.expect(slo.ops() > 0, "progress", "no op ever ran");
   report.expect(slo.ok() > 0, "progress", "no op ever completed");
-  report.expect(
-      injector.events_applied(sim::PlanEvent::Family::kScenario) == plan_events,
-      "events",
+  report.expect(scenario_events == plan_events, "events",
                 "scenario driver dropped events");
   for (const auto& v : slo_violations) report.add_violation(v.check, v.message);
   for (const auto& v : violations) {
@@ -628,7 +626,9 @@ TEST(EventVocabularyTest, PlansArmedTogetherApplyInArmOrder) {
     sim.run();
 
     std::vector<Kind> applied;
-    for (const sim::PlanEvent& e : injector.timeline()) applied.push_back(e.kind);
+    for (const sim::PlanEvent& e : injector.timeline()) {
+      applied.push_back(e.kind);
+    }
     const std::vector<Kind> fault_kinds = {Kind::kPartition, Kind::kCrash};
     const std::vector<Kind> scenario_kinds = {Kind::kZipfShift,
                                               Kind::kDrainRegion};
