@@ -142,7 +142,7 @@ class SimChecker {
   uint64_t trace_hash() const { return trace_hash_; }
 
   // Fold an externally computed value into the trace hash. The Injector
-  // records every applied Event this way, so a replayed fault or scenario
+  // records every applied PlanEvent this way, so a replayed fault or scenario
   // run must apply the identical schedule to reproduce a hash.
   void fold_trace(uint64_t value) {
     trace_hash_ = fnv1a64_u64(trace_hash_, value);
