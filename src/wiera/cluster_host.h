@@ -27,7 +27,9 @@
 // injector's LoadModel.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "net/network.h"
 #include "sim/events.h"
