@@ -320,8 +320,8 @@ class Plan {
   std::string describe() const;
 
  private:
-  // Appends an event of `kind` on `node` over [at, until) for a builder to
-  // set its knobs on.
+  // Appends an event of `kind` on `node` over [at, until); the caller sets
+  // its knobs.
   PlanEvent& push(PlanEvent::Kind kind, std::string node, TimePoint at,
                   TimePoint until);
 
